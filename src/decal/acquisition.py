@@ -1,18 +1,19 @@
 """Baseline acquisition strategies: uncertainty scorers, top-k, random, BADGE.
 
 All scorers follow one convention — HIGHER score means more informative — so
-a single tie-break rule (ascending sample id) and a single top-k path serve
+a single tie-break rule (ascending sample id) and a single ranking path serve
 every strategy. Margin is negated to fit the convention; entropy uses the
 natural log, so its range is [0, ln C].
+
+The selection cores work on rows kept in ascending sample-id order; the
+id-keyed ``select_*`` functions sort their ids and call the same cores.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
-
-from . import learner
 
 SCORE_STRATEGIES = ("entropy", "margin", "least_confidence")
 BASE_STRATEGIES = ("random", "entropy", "margin", "least_confidence", "badge")
@@ -82,117 +83,93 @@ def score_rows(strategy: str, probs) -> np.ndarray:
     return _ROW_SCORERS[strategy](_check_probs(probs))
 
 
+def rank_rows(scores: np.ndarray) -> np.ndarray:
+    """Row order by descending score; equal scores keep ascending row order."""
+    return np.argsort(-scores, kind="stable")
+
+
 def select_top_k(scores, k: int) -> list[int]:
     """The k highest-scoring ids; ties broken by ascending sample id."""
-    if isinstance(scores, Mapping):
-        items = [(int(i), float(v)) for i, v in scores.items()]
-    else:
-        items = [(int(i), float(v)) for i, v in scores]
+    pairs = scores.items() if isinstance(scores, Mapping) else scores
+    items = sorted((int(i), float(v)) for i, v in pairs)
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > len(items):
         raise ValueError(f"k ({k}) exceeds number of scored samples ({len(items)})")
     if len({i for i, _ in items}) != len(items):
         raise ValueError("duplicate sample ids in scores")
-    if not all(np.isfinite(v) for _, v in items):
+    values = np.array([v for _, v in items], dtype=np.float64)
+    if not np.all(np.isfinite(values)):
         raise ValueError("scores must be finite")
-    items.sort(key=lambda item: (-item[1], item[0]))
-    return [i for i, _ in items[:k]]
+    return [items[row][0] for row in rank_rows(values)[:k]]
 
 
-def select_random(candidates: Sequence[int], k: int, seed: int) -> list[int]:
-    """Uniform sample of k ids without replacement, deterministic in seed."""
-    ids = sorted(int(i) for i in candidates)
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate candidate ids")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k > len(ids):
-        raise ValueError(f"k ({k}) exceeds number of candidates ({len(ids)})")
-    rng = np.random.default_rng(seed)
-    return [ids[i] for i in rng.permutation(len(ids))[:k]]
-
-
-def embedding_matrix(embeddings: Mapping[int, np.ndarray]) -> tuple[list[int], np.ndarray]:
-    """Stack an id -> embedding map into (ascending ids, row matrix)."""
+def select_badge(embeddings: Mapping[int, np.ndarray], k: int, seed: int) -> list[int]:
+    """BADGE over an id -> gradient embedding map; see :func:`badge_seeding`."""
     ids = sorted(int(i) for i in embeddings)
     if not ids:
         raise ValueError("no embeddings given")
     matrix = np.array([np.asarray(embeddings[i], dtype=np.float64).ravel() for i in ids])
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("embeddings must be finite")
-    return ids, matrix
+    rows, _ = badge_seeding(matrix, k, seed)
+    return [ids[row] for row in rows]
 
 
-def select_badge(embeddings: Mapping[int, np.ndarray], k: int, seed: int) -> list[int]:
-    """k-means++ seeding over gradient embeddings.
+def badge_seeding(matrix: np.ndarray, k: int, seed: int, groups=None) -> tuple[np.ndarray, int]:
+    """k-means++ seeding over the rows of a gradient-embedding matrix.
 
-    First pick is the maximum-norm embedding (ties toward the lowest id);
-    each later pick is drawn with probability proportional to its squared
-    distance to the nearest already-picked embedding. If the remaining
-    distance mass is all zero, the lowest-id unpicked candidate is taken.
+    First pick is the maximum-norm row (ties toward the lowest row); each
+    later pick is drawn with probability proportional to its squared
+    distance to the nearest already-picked row. If the remaining distance
+    mass is all zero, the lowest eligible row is taken.
+
+    With ``groups`` (one int per row), rows whose group is already in the
+    batch get zero sampling mass. When no row of a new group remains, the
+    constraint is relaxed for that slot and seeding continues over all
+    unpicked rows. With all-distinct groups the picks equal the unconstrained
+    ones. Returns the picked rows in pick order and the relaxed-slot count.
     """
-    ids, matrix = embedding_matrix(embeddings)
-    n = len(ids)
+    n = len(matrix)
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > n:
         raise ValueError(f"k ({k}) exceeds number of candidates ({n})")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("embeddings must be finite")
     if k == 0:
-        return []
+        return np.zeros(0, dtype=np.int64), 0
 
     rng = np.random.default_rng(seed)
     picked = np.zeros(n, dtype=bool)
+    blocked = np.zeros(n, dtype=bool)  # picked rows and rows of a group in the batch
     norms_sq = np.einsum("ij,ij->i", matrix, matrix)
-    current = int(np.argmax(norms_sq))  # first occurrence = lowest id (rows are id-ascending)
-    picked[current] = True
+    current = int(np.argmax(norms_sq))  # first occurrence = lowest row
     order = [current]
+    relaxed = 0
     dist_sq = _sq_distances(matrix, matrix[current])
-
-    while len(order) < k:
-        weights = np.where(picked, 0.0, dist_sq)
+    while True:
+        picked[current] = True
+        blocked[current] = True
+        if groups is not None:
+            blocked |= groups == groups[current]
+        if len(order) == k:
+            break
+        eligible = ~blocked
+        if not eligible.any():
+            relaxed += 1
+            eligible = ~picked
+        weights = np.where(eligible, dist_sq, 0.0)
         total = weights.sum()
         if total > 0.0:
             current = int(rng.choice(n, p=weights / total))
         else:
-            current = int(np.flatnonzero(~picked)[0])
-        picked[current] = True
+            current = int(np.flatnonzero(eligible)[0])
         order.append(current)
         dist_sq = np.minimum(dist_sq, _sq_distances(matrix, matrix[current]))
 
-    return [ids[i] for i in order]
+    return np.array(order, dtype=np.int64), relaxed
 
 
 def _sq_distances(matrix: np.ndarray, center: np.ndarray) -> np.ndarray:
+    # a helper, so the (n, d) difference buffer is freed before the next pick
     diff = matrix - center
     return np.einsum("ij,ij->i", diff, diff)
-
-
-def make_ranking(strategy: str, model, ids: Sequence[int], features, k: int, seed: int) -> list[int]:
-    """Rank candidates by informativeness under a baseline strategy.
-
-    Score-based strategies return the FULL descending ranking of all
-    candidates so downstream constraints can consume more than k; random and
-    badge return exactly k ids.
-    """
-    if strategy not in BASE_STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {BASE_STRATEGIES}")
-    id_list = [int(i) for i in ids]
-    if len(set(id_list)) != len(id_list):
-        raise ValueError("duplicate candidate ids")
-    if k > len(id_list):
-        raise ValueError(f"k ({k}) exceeds number of candidates ({len(id_list)})")
-
-    if strategy == "random":
-        return select_random(id_list, k, seed)
-
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != len(id_list):
-        raise ValueError("features must be one row per candidate id")
-
-    if strategy == "badge":
-        grads = learner.gradient_embedding(model, x)
-        return select_badge(dict(zip(id_list, grads)), k, seed)
-
-    values = score_rows(strategy, learner.predict_proba(model, x))
-    return select_top_k(dict(zip(id_list, values)), len(id_list))

@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping
+from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 
@@ -28,18 +29,13 @@ SPLIT_POOL = "pool"
 SPLIT_TEST = "test"
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One data point: a feature vector plus patient identity and hidden label."""
-
-    id: int
-    patient: str
-    features: np.ndarray
-    label: int
-
-
 class SampleSet:
-    """Immutable columnar collection of samples with O(1) id lookup."""
+    """Immutable columnar collection of samples, one row per sample.
+
+    Rows are kept in ascending sample-id order, sorted once on construction,
+    so row order and id order agree: every tie-break and random draw over
+    rows follows ascending sample id, whatever order the input came in.
+    """
 
     def __init__(self, ids, patients, features, labels):
         # copies, not views: the arrays get frozen below and must not alias
@@ -63,56 +59,46 @@ class SampleSet:
             raise DataError("labels must be non-negative")
         if not np.all(np.isfinite(features)):
             raise DataError("features must be finite (no NaN or Inf)")
+        if np.any(ids[1:] < ids[:-1]):
+            order = np.argsort(ids)
+            ids, features, labels = ids[order], features[order], labels[order]
+            patients = tuple(patients[i] for i in order)
         for arr in (ids, features, labels):
             arr.setflags(write=False)
         self.ids = ids
         self.patients = patients
         self.features = features
         self.labels = labels
-        self._pos = {int(s): i for i, s in enumerate(ids)}
 
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
+    @cached_property
+    def patient_codes(self) -> np.ndarray:
+        """Per-row int patient code; codes number the patients in sorted id order."""
+        code_of = {name: code for code, name in enumerate(sorted(set(self.patients)))}
+        codes = np.array([code_of[p] for p in self.patients], dtype=np.int64)
+        codes.setflags(write=False)
+        return codes
+
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __contains__(self, sample_id) -> bool:
-        return int(sample_id) in self._pos
-
-    def __iter__(self) -> Iterator[Sample]:
-        for i in range(len(self.ids)):
-            yield Sample(
-                id=int(self.ids[i]),
-                patient=self.patients[i],
-                features=self.features[i],
-                label=int(self.labels[i]),
-            )
-
     def position(self, sample_id) -> int:
-        pos = self._pos.get(int(sample_id))
-        if pos is None:
-            raise KeyError(f"unknown sample id {sample_id}")
-        return pos
+        return int(self.positions([sample_id])[0])
 
     def positions(self, sample_ids) -> np.ndarray:
-        return np.array([self.position(s) for s in sample_ids], dtype=np.int64)
-
-    def features_for(self, sample_ids) -> np.ndarray:
-        return self.features[self.positions(sample_ids)]
+        """Row of each sample id; KeyError names the first id not in the set."""
+        ids = np.asarray(sample_ids, dtype=np.int64).reshape(-1)
+        rows = np.minimum(np.searchsorted(self.ids, ids), len(self.ids) - 1)
+        unknown = self.ids[rows] != ids
+        if unknown.any():
+            raise KeyError(f"unknown sample id {int(ids[unknown][0])}")
+        return rows
 
     def patients_for(self, sample_ids) -> list[str]:
-        return [self.patients[self.position(s)] for s in sample_ids]
-
-    def sample(self, sample_id) -> Sample:
-        i = self.position(sample_id)
-        return Sample(
-            id=int(self.ids[i]),
-            patient=self.patients[i],
-            features=self.features[i],
-            label=int(self.labels[i]),
-        )
+        return [self.patients[row] for row in self.positions(sample_ids)]
 
 
 @dataclass(frozen=True)
@@ -160,41 +146,47 @@ def reveal_label(pool: SampleSet, sample_id) -> int:
 
 
 class LabeledSet:
-    """The growing training set: pool ids whose labels have been revealed.
+    """The growing training set: pool rows whose labels have been revealed.
 
     Every addition goes through :func:`reveal_label`, so this is the one
     place where annotation budget is spent. Membership is ordered,
-    duplicate-free, and only ever grows.
+    duplicate-free, and only ever grows; ``mask`` marks the labeled rows.
     """
 
     def __init__(self, pool: SampleSet):
         self._pool = pool
-        self._ids: list[int] = []
+        self._rows: list[int] = []
         self._labels: list[int] = []
-        self._members: set[int] = set()
+        self._mask = np.zeros(len(pool), dtype=bool)
 
     def extend(self, sample_ids) -> None:
         for sample_id in sample_ids:
-            sample_id = int(sample_id)
-            if sample_id in self._members:
-                raise ValueError(f"sample {sample_id} is already labeled")
-            label = reveal_label(self._pool, sample_id)  # rejects non-pool ids
-            self._members.add(sample_id)
-            self._ids.append(sample_id)
-            self._labels.append(label)
+            row = self._pool.position(sample_id)  # rejects non-pool ids
+            if self._mask[row]:
+                raise ValueError(f"sample {int(sample_id)} is already labeled")
+            self._labels.append(reveal_label(self._pool, sample_id))
+            self._mask[row] = True
+            self._rows.append(row)
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._rows)
 
     def __contains__(self, sample_id) -> bool:
-        return int(sample_id) in self._members
+        return int(sample_id) in self.ids
 
     @property
     def ids(self) -> list[int]:
-        return list(self._ids)
+        return self._pool.ids[self._rows].tolist()
+
+    @property
+    def mask(self) -> np.ndarray:
+        """Read-only boolean mask over pool rows, True where the label is revealed."""
+        view = self._mask.view()
+        view.setflags(write=False)
+        return view
 
     def features(self) -> np.ndarray:
-        return self._pool.features_for(self._ids)
+        return self._pool.features[self._rows]
 
     def labels(self) -> np.ndarray:
         return np.array(self._labels, dtype=np.int64)
@@ -316,28 +308,18 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> DatasetSplit:
         n_test = min(max(n_test, 1), len(members) - 1)
         test_patients.update(int(p) for p in rng.choice(members, size=n_test, replace=False))
 
-    cols: dict[str, list] = {k: [] for k in ("ids", "patients", "labels", "in_test")}
-    blocks: list[np.ndarray] = []
-    next_id = 0
-    for p in range(n_patients):
-        c = int(patient_class[p])
-        center = means[c] + offsets[p]
-        blocks.append(center + cfg.noise_scale * rng.standard_normal((counts[p], dim)))
-        for _ in range(int(counts[p])):
-            cols["ids"].append(next_id)
-            cols["patients"].append(f"p{p:04d}")
-            cols["labels"].append(c)
-            cols["in_test"].append(p in test_patients)
-            next_id += 1
-
+    blocks = [
+        means[patient_class[p]] + offsets[p] + cfg.noise_scale * rng.standard_normal((counts[p], dim))
+        for p in range(n_patients)
+    ]
     features = np.concatenate(blocks, axis=0)
-    in_test = np.array(cols["in_test"], dtype=bool)
-    ids = np.array(cols["ids"], dtype=np.int64)
-    labels = np.array(cols["labels"], dtype=np.int64)
-    patients = np.array(cols["patients"], dtype=object)
+    owner = np.repeat(np.arange(n_patients), counts)  # patient of each row; sample id = row
+    in_test = np.isin(owner, sorted(test_patients))
+    names = np.array([f"p{p:04d}" for p in range(n_patients)], dtype=object)
 
     def part(mask: np.ndarray) -> SampleSet:
-        return SampleSet(ids[mask], list(patients[mask]), features[mask], labels[mask])
+        rows = np.flatnonzero(mask)
+        return SampleSet(rows, names[owner[rows]], features[rows], patient_class[owner[rows]])
 
     return DatasetSplit(
         pool=part(~in_test),
@@ -375,8 +357,9 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
 
     Violations are rejected, never repaired: malformed rows raise a parse
     error with the offending line number, a patient present in both splits
-    raises a disjointness error naming the patient, and rows whose feature
-    count disagrees with the header raise a dimension error.
+    raises a disjointness error naming the patient, rows whose feature
+    count disagrees with the header raise a dimension error, and a class in
+    0..max(label) with no pool sample raises a data error.
     """
     schema = schema or CsvSchema()
     with open(path, newline="", encoding="utf-8") as fh:
@@ -471,6 +454,11 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
     num_classes = max(all_labels) + 1
     if num_classes < 2:
         raise DataError(f"{path}: at least 2 classes required, found {num_classes}")
+    missing = sorted(set(range(num_classes)) - set(rows[SPLIT_POOL]["labels"]))
+    if missing:
+        raise DataError(
+            f"{path}: class {missing[0]} of 0..{num_classes - 1} has no sample in the pool split"
+        )
 
     def part(name: str) -> SampleSet:
         b = rows[name]
@@ -491,8 +479,7 @@ def write_dataset(split: DatasetSplit, path, schema: CsvSchema | None = None) ->
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for split_name, part in ((SPLIT_POOL, split.pool), (SPLIT_TEST, split.test)):
-            order = np.argsort(part.ids)
-            for i in order:
+            for i in range(len(part)):
                 row = [int(part.ids[i]), part.patients[i], int(part.labels[i]), split_name]
                 row += [repr(float(v)) for v in part.features[i]]
                 writer.writerow(row)

@@ -173,26 +173,22 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
         batch = patients.decal_initialize(pool, cfg.init_size, init_seed)
     else:
         batch = patients.random_initialize(pool, cfg.init_size, init_seed)
-    remaining = set(int(i) for i in pool.ids)
-    _check_batch(batch, cfg.init_size, remaining, pool, constrained=cfg.init_mode == "decal")
+    labeled = LabeledSet(pool)
+    _check_batch(batch, cfg.init_size, labeled, pool, constrained=cfg.init_mode == "decal")
     if on_batch is not None:
         on_batch("init", 0, batch)
-
-    labeled = LabeledSet(pool)
     labeled.extend(batch.members)
-    remaining -= set(batch.members)
     pending_relaxed = batch.relaxed_count
 
     records: list[RoundRecord] = []
     for round_index in range(cfg.rounds + 1):
+        candidates = np.flatnonzero(~labeled.mask)
         expected = cfg.init_size + round_index * cfg.batch_size
-        if len(labeled) != expected or len(remaining) != len(pool) - expected:
+        if len(labeled) != expected or len(candidates) != len(pool) - expected:
             raise InvariantViolation(
                 f"budget bookkeeping broken at round {round_index}: "
-                f"labeled {len(labeled)}, remaining {len(remaining)}, expected train size {expected}"
+                f"labeled {len(labeled)}, remaining {len(candidates)}, expected train size {expected}"
             )
-        if remaining & set(labeled.ids):
-            raise InvariantViolation("labeled set overlaps the remaining pool")
 
         model = learner.init_model(
             cfg.learner, split.feature_dim, split.num_classes,
@@ -223,21 +219,20 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
 
         if round_index < cfg.rounds:
             batch = patients.select_query_batch(
-                cfg.strategy, model, pool, sorted(remaining), cfg.batch_size,
+                cfg.strategy, model, pool, candidates, cfg.batch_size,
                 derive_seed(trial_seed, round_index, _QUERY_STREAM),
             )
-            _check_batch(batch, cfg.batch_size, remaining, pool,
+            _check_batch(batch, cfg.batch_size, labeled, pool,
                          constrained=cfg.strategy.startswith(patients.DECAL_PREFIX))
             if on_batch is not None:
                 on_batch("query", round_index, batch)
             labeled.extend(batch.members)
-            remaining -= set(batch.members)
             pending_relaxed = batch.relaxed_count
 
     return records
 
 
-def _check_batch(batch: patients.QueryBatch, k: int, remaining: set[int], pool,
+def _check_batch(batch: patients.QueryBatch, k: int, labeled: LabeledSet, pool,
                  constrained: bool) -> None:
     """Re-check batch contracts instead of trusting the selection module."""
     members = batch.members
@@ -245,13 +240,16 @@ def _check_batch(batch: patients.QueryBatch, k: int, remaining: set[int], pool,
         raise InvariantViolation(f"batch has {len(members)} members, expected {k}")
     if len(set(members)) != len(members):
         raise InvariantViolation("batch contains duplicate sample ids")
-    if not set(members) <= remaining:
+    try:
+        rows = pool.positions(members)
+    except KeyError:
+        raise InvariantViolation("batch selected ids outside the pool") from None
+    if labeled.mask[rows].any():
         raise InvariantViolation("batch selected ids outside the remaining pool")
     if batch.relaxed_count < 0 or batch.relaxed_count > k:
         raise InvariantViolation(f"relaxed_count {batch.relaxed_count} out of range")
     if constrained and batch.relaxed_count == 0:
-        batch_patients = pool.patients_for(members)
-        if len(set(batch_patients)) != len(members):
+        if len(np.unique(pool.patient_codes[rows])) != len(members):
             raise InvariantViolation("unique-patient batch repeats a patient")
 
 

@@ -13,16 +13,13 @@ candidates and counted in ``relaxed_count``.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import acquisition, learner
-from .data import SampleSet, patient_distribution
-
-log = logging.getLogger(__name__)
+from .data import SampleSet
 
 DECAL_PREFIX = "decal_"
 INIT_MODES = ("random", "decal")
@@ -44,7 +41,7 @@ class QueryBatch:
 
 
 def constrain_unique_patients(ranking: Sequence[int], patient_of: Mapping[int, str], k: int) -> QueryBatch:
-    """Greedy walk of a ranking keeping only the first sample per patient.
+    """Walk a ranking keeping only the first sample per patient.
 
     Accepts samples in ranking order while their patient is new to the
     batch, until k are accepted or the ranking is exhausted; any shortfall
@@ -58,92 +55,31 @@ def constrain_unique_patients(ranking: Sequence[int], patient_of: Mapping[int, s
         raise ValueError(f"k ({k}) exceeds ranking length ({len(ranking)})")
     if len(set(ranking)) != len(ranking):
         raise ValueError("ranking contains duplicate sample ids")
-
-    chosen: list[int] = []
-    skipped: list[int] = []
-    seen_patients: set[str] = set()
-    for sample_id in ranking:
-        patient = patient_of[sample_id]
-        if patient in seen_patients:
-            skipped.append(int(sample_id))
-        else:
-            seen_patients.add(patient)
-            chosen.append(int(sample_id))
-            if len(chosen) == k:
-                break
-
-    relaxed = 0
-    if len(chosen) < k:
-        fill = skipped[: k - len(chosen)]
-        relaxed = len(fill)
-        chosen.extend(fill)
-    return QueryBatch(members=tuple(chosen), relaxed_count=relaxed)
+    code_of: dict[str, int] = {}
+    codes = np.array([code_of.setdefault(patient_of[s], len(code_of)) for s in ranking], dtype=np.int64)
+    kept, relaxed = _unique_patient_prefix(codes, k)
+    return QueryBatch(members=tuple(int(ranking[i]) for i in kept), relaxed_count=relaxed)
 
 
-def select_badge_unique_patients(
-    embeddings: Mapping[int, np.ndarray],
-    patient_of: Mapping[int, str],
-    k: int,
-    seed: int,
-) -> QueryBatch:
-    """BADGE's D-squared seeding with already-selected patients masked out.
+def _unique_patient_prefix(ranked_codes: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """Positions of the first k ranked entries whose patient code is new.
 
-    Candidates whose patient is in the batch get zero sampling mass. When no
-    new-patient candidate remains, the constraint is relaxed for that slot
-    (counted in ``relaxed_count``) and seeding continues over all unpicked
-    candidates. Zero total mass falls back to the lowest unpicked id, which
-    keeps the all-distinct-patients case identical to plain select_badge.
+    Each patient keeps only its best-ranked entry; when fewer than k
+    patients appear, the best-ranked skipped entries fill the remaining
+    slots, and their number is returned as the relaxed count.
     """
-    ids, matrix = acquisition.embedding_matrix(embeddings)
-    n = len(ids)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k > n:
-        raise ValueError(f"k ({k}) exceeds number of candidates ({n})")
-    if k == 0:
-        return QueryBatch(members=(), relaxed_count=0)
-
-    patients = np.array([patient_of[i] for i in ids], dtype=object)
-    rng = np.random.default_rng(seed)
-
-    picked = np.zeros(n, dtype=bool)
-    blocked = np.zeros(n, dtype=bool)  # rows whose patient is already in the batch
-    norms_sq = np.einsum("ij,ij->i", matrix, matrix)
-    current = int(np.argmax(norms_sq))
-    order = [current]
-    relaxed = 0
-    picked[current] = True
-    blocked |= patients == patients[current]
-    dist_sq = _sq_distances(matrix, matrix[current])
-
-    while len(order) < k:
-        eligible = ~picked & ~blocked
-        if eligible.any():
-            weights = np.where(eligible, dist_sq, 0.0)
-            total = weights.sum()
-            if total > 0.0:
-                current = int(rng.choice(n, p=weights / total))
-            else:
-                current = int(np.flatnonzero(eligible)[0])
-        else:
-            relaxed += 1
-            weights = np.where(picked, 0.0, dist_sq)
-            total = weights.sum()
-            if total > 0.0:
-                current = int(rng.choice(n, p=weights / total))
-            else:
-                current = int(np.flatnonzero(~picked)[0])
-        picked[current] = True
-        blocked |= patients == patients[current]
-        order.append(current)
-        dist_sq = np.minimum(dist_sq, _sq_distances(matrix, matrix[current]))
-
-    return QueryBatch(members=tuple(ids[i] for i in order), relaxed_count=relaxed)
+    _, first = np.unique(ranked_codes, return_index=True)
+    kept = np.sort(first)[:k]
+    if len(kept) == k:
+        return kept, 0
+    skipped = np.ones(len(ranked_codes), dtype=bool)
+    skipped[kept] = False
+    fill = np.flatnonzero(skipped)[: k - len(kept)]
+    return np.concatenate([kept, fill]), len(fill)
 
 
-def _sq_distances(matrix: np.ndarray, center: np.ndarray) -> np.ndarray:
-    diff = matrix - center
-    return np.einsum("ij,ij->i", diff, diff)
+def _batch(pool: SampleSet, rows: np.ndarray, relaxed: int) -> QueryBatch:
+    return QueryBatch(members=tuple(pool.ids[rows].tolist()), relaxed_count=int(relaxed))
 
 
 def decal_initialize(pool: SampleSet, n: int, seed: int) -> QueryBatch:
@@ -159,83 +95,77 @@ def decal_initialize(pool: SampleSet, n: int, seed: int) -> QueryBatch:
     if n > len(pool):
         raise ValueError(f"n ({n}) exceeds pool size ({len(pool)})")
 
-    distribution = patient_distribution(pool)
-    log.debug(
-        "initializing over %d patients (pool size %d, max images per patient %d)",
-        len(distribution), len(pool), max(distribution.values()),
-    )
-
-    groups: dict[str, list[int]] = {}
-    for sample_id, patient in zip(pool.ids, pool.patients):
-        groups.setdefault(patient, []).append(int(sample_id))
-    patients_sorted = sorted(groups)
-    for patient in patients_sorted:
-        groups[patient].sort()
+    codes = pool.patient_codes
+    by_patient = np.argsort(codes, kind="stable")  # each patient's rows, ascending
+    starts = np.concatenate(([0], np.cumsum(np.bincount(codes))))
+    n_patients = len(starts) - 1
 
     rng = np.random.default_rng(seed)
-    n_patients = min(n, len(patients_sorted))
-    members: list[int] = []
-    for index in rng.choice(len(patients_sorted), size=n_patients, replace=False):
-        images = groups[patients_sorted[int(index)]]
-        members.append(images[int(rng.integers(len(images)))])
+    drawn = min(n, n_patients)
+    rows: list[int] = []
+    for code in rng.choice(n_patients, size=drawn, replace=False):
+        first, count = int(starts[code]), int(starts[code + 1] - starts[code])
+        rows.append(int(by_patient[first + int(rng.integers(count))]))
 
-    relaxed = n - n_patients
+    relaxed = n - drawn
     if relaxed:
-        rest = sorted(set(int(i) for i in pool.ids) - set(members))
-        for index in rng.choice(len(rest), size=relaxed, replace=False):
-            members.append(rest[int(index)])
-    return QueryBatch(members=tuple(members), relaxed_count=relaxed)
+        free = np.ones(len(pool), dtype=bool)
+        free[rows] = False
+        rest = np.flatnonzero(free)
+        rows.extend(rest[rng.choice(len(rest), size=relaxed, replace=False)].tolist())
+    return _batch(pool, np.array(rows, dtype=np.int64), relaxed)
 
 
 def random_initialize(pool: SampleSet, n: int, seed: int) -> QueryBatch:
     """Uniform sample of n images without replacement; patients may repeat."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n > len(pool):
         raise ValueError(f"n ({n}) exceeds pool size ({len(pool)})")
-    members = acquisition.select_random([int(i) for i in pool.ids], n, seed)
-    return QueryBatch(members=tuple(members), relaxed_count=0)
+    return _batch(pool, np.random.default_rng(seed).permutation(len(pool))[:n], 0)
 
 
 def select_query_batch(
     strategy: str,
     model: learner.Model,
     pool: SampleSet,
-    candidate_ids: Sequence[int],
+    candidate_rows,
     k: int,
     seed: int,
 ) -> QueryBatch:
-    """Produce one round's batch, with or without the unique-patient plug-in.
+    """Produce one round's batch from the given unlabeled pool rows.
 
-    ``decal_*`` strategies wrap their baseline: score-based rankings are
-    greedily deduplicated by patient, decal_random deduplicates a full
-    random permutation, and decal_badge enforces the constraint inside the
-    seeding loop itself.
+    One pipeline serves every strategy: rank the candidate rows (descending
+    score, a random permutation, or BADGE seeding), apply the unique-patient
+    step for ``decal_*`` strategies, then map rows to sample ids. Rankings
+    are deduplicated by patient afterwards; decal_badge enforces the
+    constraint inside the seeding loop itself.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     constrained = strategy.startswith(DECAL_PREFIX)
     base = strategy[len(DECAL_PREFIX):] if constrained else strategy
 
-    ids = sorted(int(i) for i in candidate_ids)
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate candidate ids")
-    if k > len(ids):
-        raise ValueError(f"k ({k}) exceeds number of candidates ({len(ids)})")
-    features = pool.features_for(ids)
+    rows = np.unique(np.asarray(candidate_rows, dtype=np.int64))
+    if len(rows) != len(candidate_rows):
+        raise ValueError("duplicate candidate rows")
+    if len(rows) and (rows[0] < 0 or rows[-1] >= len(pool)):
+        raise ValueError(f"candidate rows must lie in [0, {len(pool)})")
+    if k > len(rows):
+        raise ValueError(f"k ({k}) exceeds number of candidates ({len(rows)})")
+    codes = pool.patient_codes[rows] if constrained else None
 
     if base == "badge":
-        grads = learner.gradient_embedding(model, features)
-        embeddings = dict(zip(ids, grads))
-        if constrained:
-            patient_of = dict(zip(ids, pool.patients_for(ids)))
-            return select_badge_unique_patients(embeddings, patient_of, k, seed)
-        return QueryBatch(members=tuple(acquisition.select_badge(embeddings, k, seed)), relaxed_count=0)
+        grads = learner.gradient_embedding(model, pool.features[rows])
+        picked, relaxed = acquisition.badge_seeding(grads, k, seed, groups=codes)
+        return _batch(pool, rows[picked], relaxed)
 
     if base == "random":
-        ranking = acquisition.select_random(ids, len(ids) if constrained else k, seed)
+        order = np.random.default_rng(seed).permutation(len(rows))
     else:
-        ranking = acquisition.make_ranking(base, model, ids, features, k, seed)
-
+        probs = learner.predict_proba(model, pool.features[rows])
+        order = acquisition.rank_rows(acquisition.score_rows(base, probs))
     if not constrained:
-        return QueryBatch(members=tuple(ranking[:k]), relaxed_count=0)
-    patient_of = dict(zip(ids, pool.patients_for(ids)))
-    return constrain_unique_patients(ranking, patient_of, k)
+        return _batch(pool, rows[order[:k]], 0)
+    kept, relaxed = _unique_patient_prefix(codes[order], k)
+    return _batch(pool, rows[order[kept]], relaxed)

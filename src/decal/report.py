@@ -210,27 +210,8 @@ def emit_report(results: Sequence[ExperimentResult], out_dir) -> dict[str, objec
 
     raw_path = out / RAW_FILENAME
     write_raw_csv([(key, res.records) for key, res in zip(keys, results)], raw_path)
-    aggregate_path = out / AGGREGATE_FILENAME
-    write_aggregate_csv([(key, res.curve) for key, res in zip(keys, results)], aggregate_path)
-
-    svg_paths: list[Path] = []
-    for key, res in zip(keys, results):
-        label = f"{key[0]} ({key[1]} init)"
-        svg_path = out / f"curve_{key[0]}_{key[1]}.svg"
-        svg_path.write_text(render_curves_svg([(label, res.curve)], title=label), encoding="utf-8")
-        svg_paths.append(svg_path)
-    if len(results) > 1:
-        combined = out / "curves_combined.svg"
-        combined.write_text(
-            render_curves_svg(
-                [(f"{k[0]} ({k[1]} init)", res.curve) for k, res in zip(keys, results)],
-                title="learning curves",
-            ),
-            encoding="utf-8",
-        )
-        svg_paths.append(combined)
-
-    return {"raw": raw_path, "aggregate": aggregate_path, "svg": svg_paths}
+    curves = [(key, res.curve) for key, res in zip(keys, results)]
+    return {"raw": raw_path, **_write_curves(curves, out)}
 
 
 def regenerate_report(in_dir) -> dict[str, object]:
@@ -238,21 +219,23 @@ def regenerate_report(in_dir) -> dict[str, object]:
     directory = Path(in_dir)
     groups = read_raw_csv(directory / RAW_FILENAME)
     curves = [(key, aggregate_curve(records)) for key, records in groups.items()]
+    return _write_curves(curves, directory)
+
+
+def _write_curves(curves: Sequence[tuple[GroupKey, LearningCurve]], directory: Path) -> dict[str, object]:
+    """Aggregate CSV plus one SVG per experiment, and a combined overlay when there are several."""
     aggregate_path = directory / AGGREGATE_FILENAME
     write_aggregate_csv(curves, aggregate_path)
-
+    labeled = [(f"{key[0]} ({key[1]} init)", key, curve) for key, curve in curves]
     svg_paths: list[Path] = []
-    for key, curve in curves:
-        label = f"{key[0]} ({key[1]} init)"
+    for label, key, curve in labeled:
         svg_path = directory / f"curve_{key[0]}_{key[1]}.svg"
         svg_path.write_text(render_curves_svg([(label, curve)], title=label), encoding="utf-8")
         svg_paths.append(svg_path)
-    if len(curves) > 1:
+    if len(labeled) > 1:
         combined = directory / "curves_combined.svg"
         combined.write_text(
-            render_curves_svg(
-                [(f"{k[0]} ({k[1]} init)", c) for k, c in curves], title="learning curves"
-            ),
+            render_curves_svg([(label, curve) for label, _, curve in labeled], title="learning curves"),
             encoding="utf-8",
         )
         svg_paths.append(combined)

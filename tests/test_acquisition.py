@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decal.acquisition import (
-    make_ranking,
     score_entropy,
     score_least_confidence,
     score_margin,
     select_badge,
-    select_random,
     select_top_k,
 )
-from helpers import linear_model
+from decal.learner import gradient_embedding
+from decal.patients import select_query_batch
+from helpers import linear_model, make_sampleset
 
 
 def probability_vectors(min_classes=2, max_classes=6):
@@ -104,24 +104,37 @@ class TestSelectTopK:
         assert select_top_k(scores, k) == oracle
 
 
+def id_pool(ids):
+    """A pool holding exactly ``ids``, one patient each."""
+    return make_sampleset([(i, f"p{i}", [0.0, 0.0], 0) for i in ids])
+
+
+def select_random(pool, k, seed):
+    """The "random" strategy over every row of ``pool``."""
+    model = linear_model(np.eye(2), np.zeros(2))
+    return list(select_query_batch("random", model, pool, np.arange(len(pool)), k, seed).members)
+
+
 class TestSelectRandom:
     def test_full_draw_is_permutation(self):
-        out = select_random([5, 3, 9, 1], 4, seed=0)
+        out = select_random(id_pool([5, 3, 9, 1]), 4, seed=0)
         assert sorted(out) == [1, 3, 5, 9]
 
     def test_deterministic(self):
-        assert select_random(range(50), 10, seed=4) == select_random(range(50), 10, seed=4)
+        pool = id_pool(range(50))
+        assert select_random(pool, 10, seed=4) == select_random(pool, 10, seed=4)
 
     def test_uniform_frequencies(self):
+        pool = id_pool([0, 1, 2, 3])
         counts = {c: 0 for c in (0, 1, 2, 3)}
         for seed in range(10000):
-            counts[select_random([0, 1, 2, 3], 1, seed)[0]] += 1
+            counts[select_random(pool, 1, seed)[0]] += 1
         for c in counts:
             assert abs(counts[c] / 10000 - 0.25) < 0.02
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
-            select_random([1, 2], 3, seed=0)
+            select_random(id_pool([1, 2]), 3, seed=0)
 
 
 class TestSelectBadge:
@@ -168,45 +181,46 @@ class TestSelectBadge:
 
 
 class TestMakeRanking:
+    """Candidate ranking as every round runs it, through select_query_batch."""
+
     def test_entropy_composition(self):
         # posteriors: uniform, (0.5, 0.3, 0.2), near-one-hot
         model = linear_model(np.eye(3), np.zeros(3))
-        ids = [100, 200, 300]
-        features = np.array([
-            [0.0, 0.0, 0.0],
-            np.log([0.5, 0.3, 0.2]),
-            [50.0, 0.0, 0.0],
+        pool = make_sampleset([
+            (100, "A", [0.0, 0.0, 0.0], 0),
+            (200, "B", np.log([0.5, 0.3, 0.2]), 0),
+            (300, "C", [50.0, 0.0, 0.0], 0),
         ])
-        assert make_ranking("entropy", model, ids, features, 3, seed=0) == [100, 200, 300]
+        batch = select_query_batch("entropy", model, pool, [0, 1, 2], 3, seed=0)
+        assert batch.members == (100, 200, 300)
 
     def test_score_strategies_return_full_ranking(self):
         model = linear_model(np.eye(3), np.zeros(3))
-        ids = [1, 2, 3, 4]
         rng = np.random.default_rng(0)
-        features = rng.standard_normal((4, 3))
+        pool = make_sampleset([(i, f"p{i}", rng.standard_normal(3), 0) for i in (1, 2, 3, 4)])
         for strategy in ("entropy", "margin", "least_confidence"):
-            ranking = make_ranking(strategy, model, ids, features, 1, seed=0)
-            assert sorted(ranking) == ids
+            batch = select_query_batch(strategy, model, pool, [0, 1, 2, 3], 4, seed=0)
+            assert sorted(batch.members) == [1, 2, 3, 4]
 
     def test_random_permutation(self):
         model = linear_model(np.eye(2), np.zeros(2))
-        out = make_ranking("random", model, [4, 5, 6], np.zeros((3, 2)), 3, seed=2)
-        assert sorted(out) == [4, 5, 6]
+        pool = make_sampleset([(i, f"p{i}", [0.0, 0.0], 0) for i in (4, 5, 6)])
+        batch = select_query_batch("random", model, pool, [0, 1, 2], 3, seed=2)
+        assert sorted(batch.members) == [4, 5, 6]
 
     def test_badge_k1_is_max_norm_sample(self):
         model = linear_model(np.eye(3), np.zeros(3))
         # the uniform-posterior sample has the largest residual; scale features
         # so penultimate norms dominate
-        ids = [1, 2]
         features = np.array([[0.0, 0.0, 0.0], [50.0, 0.0, 0.0]])
-        embeddings_norms = {}
-        from decal.learner import gradient_embedding
-        for i, x in zip(ids, features):
-            embeddings_norms[i] = np.linalg.norm(gradient_embedding(model, x))
-        expected = max(ids, key=lambda i: embeddings_norms[i])
-        assert make_ranking("badge", model, ids, features, 1, seed=0) == [expected]
+        pool = make_sampleset([(1, "A", features[0], 0), (2, "B", features[1], 0)])
+        norms = np.linalg.norm(gradient_embedding(model, features), axis=1)
+        expected = int(pool.ids[np.argmax(norms)])
+        batch = select_query_batch("badge", model, pool, [0, 1], 1, seed=0)
+        assert batch.members == (expected,)
 
     def test_unknown_strategy(self):
         model = linear_model(np.eye(2), np.zeros(2))
+        pool = make_sampleset([(1, "A", [0.0, 0.0], 0)])
         with pytest.raises(ValueError):
-            make_ranking("coreset", model, [1], np.zeros((1, 2)), 1, seed=0)
+            select_query_batch("coreset", model, pool, [0], 1, seed=0)

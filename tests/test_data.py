@@ -49,7 +49,7 @@ class TestLoadDataset:
         assert set(split.pool.patients) == {"A", "B"}
         assert set(split.test.patients) == {"C"}
         assert reveal_label(split.pool, 1) == 1
-        np.testing.assert_array_equal(split.pool.features_for([0]), [[0.1, 0.2]])
+        np.testing.assert_array_equal(split.pool.features[split.pool.positions([0])], [[0.1, 0.2]])
 
     def test_patient_in_both_splits_rejected(self, tmp_path):
         text = BASIC_CSV.replace("4,C,0,test", "4,A,0,test")
@@ -107,6 +107,19 @@ class TestLoadDataset:
         text = "\n".join(BASIC_CSV.splitlines()[:5]) + "\n"
         with pytest.raises(DataError):
             load_dataset(write_csv(tmp_path, text))
+
+    def test_label_gap_rejected(self, tmp_path):
+        # labels {0, 2} would otherwise load as 3 classes with a phantom class 1
+        text = BASIC_CSV.replace(",1,pool", ",2,pool").replace(",1,test", ",2,test")
+        with pytest.raises(DataError) as err:
+            load_dataset(write_csv(tmp_path, text))
+        assert "class 1" in str(err.value)
+
+    def test_class_only_in_test_split_rejected(self, tmp_path):
+        text = BASIC_CSV.replace("5,C,1,test", "5,C,2,test")
+        with pytest.raises(DataError) as err:
+            load_dataset(write_csv(tmp_path, text))
+        assert "class 2" in str(err.value)
 
     def test_schema_remapping(self, tmp_path):
         text = BASIC_CSV.replace("sample_id,patient_id", "sid,subject")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from decal.acquisition import BASE_STRATEGIES
 from decal.data import ImageCountSpec, SyntheticConfig
 from decal.errors import ConfigError
 from decal.experiment import (
@@ -22,6 +23,7 @@ from decal.experiment import (
     run_trial,
 )
 from decal.learner import LearnerConfig
+from decal.patients import DECAL_PREFIX, INIT_MODES
 
 SMALL_SYNTH = SyntheticConfig(
     num_classes=3,
@@ -109,6 +111,25 @@ class TestRunTrial:
     def test_accuracies_in_unit_interval(self):
         records = run_trial(small_cfg(), 100)
         assert all(0.0 <= r.test_accuracy <= 1.0 for r in records)
+
+
+ONE_IMAGE_PER_PATIENT = replace(
+    SMALL_SYNTH, num_patients=60, images_per_patient=ImageCountSpec(kind="uniform", low=1, high=1),
+)
+
+
+class TestUniquePatientMetamorphic:
+    """With one image per patient, the unique-patient constraint never binds."""
+
+    @pytest.mark.parametrize("base", BASE_STRATEGIES)
+    def test_decal_strategy_matches_its_base(self, base):
+        cfg = small_cfg(dataset=DatasetSource(synthetic=ONE_IMAGE_PER_PATIENT))
+        dataset = build_dataset(cfg.dataset, cfg.base_seed)
+        assert len(set(dataset.pool.patients)) == len(dataset.pool)
+        for init_mode in INIT_MODES:
+            plain = replace(cfg, strategy=base, init_mode=init_mode)
+            constrained = replace(plain, strategy=DECAL_PREFIX + base)
+            assert run_trial(constrained, 100, dataset=dataset) == run_trial(plain, 100, dataset=dataset)
 
 
 class TestRunExperiment:

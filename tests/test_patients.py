@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decal.acquisition import select_badge
+from decal.acquisition import score_rows, select_top_k
 from decal.data import ImageCountSpec, SyntheticConfig, generate_synthetic
-from decal.learner import LearnerConfig, init_model
+from decal.learner import LearnerConfig, init_model, predict_proba
 from decal.patients import (
     STRATEGIES,
     constrain_unique_patients,
     decal_initialize,
     random_initialize,
-    select_badge_unique_patients,
     select_query_batch,
 )
 from helpers import make_sampleset
@@ -95,39 +94,44 @@ class TestConstrainUniquePatients:
             assert len({patient_of[s] for s in batch.members}) == k
 
 
+def badge_pool(patients, dim=3, seed=0):
+    """One row per entry of ``patients``, with random features."""
+    rng = np.random.default_rng(seed)
+    return make_sampleset([(i, p, rng.standard_normal(dim), i % 2) for i, p in enumerate(patients)])
+
+
+BADGE_MODEL = init_model(LearnerConfig(hidden_width=4), 3, 2, seed=0)
+
+
 class TestSelectBadgeUniquePatients:
+    """decal_badge: BADGE seeding with already-selected patients masked out."""
+
     def test_one_pick_per_patient(self):
-        rng = np.random.default_rng(0)
-        embeddings = {i: rng.standard_normal(3) for i in range(20)}
-        patient_of = {i: "A" if i < 10 else "B" for i in range(20)}
+        pool = badge_pool(["A"] * 10 + ["B"] * 10)
         for seed in range(10):
-            batch = select_badge_unique_patients(embeddings, patient_of, 2, seed=seed)
-            assert {patient_of[s] for s in batch.members} == {"A", "B"}
+            batch = select_query_batch("decal_badge", BADGE_MODEL, pool, np.arange(20), 2, seed=seed)
+            assert set(pool.patients_for(batch.members)) == {"A", "B"}
             assert batch.relaxed_count == 0
 
     def test_single_patient_relaxes(self):
-        rng = np.random.default_rng(1)
-        embeddings = {i: rng.standard_normal(3) for i in range(6)}
-        patient_of = {i: "only" for i in range(6)}
-        batch = select_badge_unique_patients(embeddings, patient_of, 2, seed=0)
+        pool = badge_pool(["only"] * 6, seed=1)
+        batch = select_query_batch("decal_badge", BADGE_MODEL, pool, np.arange(6), 2, seed=0)
         assert len(batch.members) == 2
         assert batch.relaxed_count == 1
 
     def test_all_distinct_patients_equals_unconstrained(self):
-        rng = np.random.default_rng(2)
-        embeddings = {i: rng.standard_normal(4) for i in range(30)}
-        patient_of = {i: f"p{i}" for i in range(30)}
+        pool = badge_pool([f"p{i}" for i in range(30)], seed=2)
+        rows = np.arange(30)
         for seed in range(10):
-            constrained = select_badge_unique_patients(embeddings, patient_of, 8, seed=seed)
-            assert list(constrained.members) == select_badge(embeddings, 8, seed=seed)
+            constrained = select_query_batch("decal_badge", BADGE_MODEL, pool, rows, 8, seed=seed)
+            plain = select_query_batch("badge", BADGE_MODEL, pool, rows, 8, seed=seed)
+            assert constrained.members == plain.members
             assert constrained.relaxed_count == 0
 
     def test_deterministic(self):
-        rng = np.random.default_rng(3)
-        embeddings = {i: rng.standard_normal(4) for i in range(25)}
-        patient_of = {i: f"p{i % 7}" for i in range(25)}
-        a = select_badge_unique_patients(embeddings, patient_of, 7, seed=5)
-        b = select_badge_unique_patients(embeddings, patient_of, 7, seed=5)
+        pool = badge_pool([f"p{i % 7}" for i in range(25)], seed=3)
+        a = select_query_batch("decal_badge", BADGE_MODEL, pool, np.arange(25), 7, seed=5)
+        b = select_query_batch("decal_badge", BADGE_MODEL, pool, np.arange(25), 7, seed=5)
         assert a == b
 
 
@@ -215,12 +219,12 @@ class TestSelectQueryBatch:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_contracts_for_every_strategy(self, setup, strategy):
         split, model = setup
-        candidates = [int(i) for i in split.pool.ids]
+        candidates = np.arange(len(split.pool))
         k = 12
         batch = select_query_batch(strategy, model, split.pool, candidates, k, seed=3)
         assert len(batch.members) == k
         assert len(set(batch.members)) == k
-        assert set(batch.members) <= set(candidates)
+        assert set(batch.members) <= set(split.pool.ids.tolist())
         if strategy.startswith("decal_"):
             assert batch.relaxed_count == 0
             assert len(set(split.pool.patients_for(batch.members))) == k
@@ -230,25 +234,21 @@ class TestSelectQueryBatch:
 
     def test_decal_score_strategy_matches_constrained_full_ranking(self, setup):
         split, model = setup
-        candidates = sorted(int(i) for i in split.pool.ids)
-        from decal.acquisition import make_ranking
-
-        ranking = make_ranking("entropy", model, candidates,
-                               split.pool.features_for(candidates), 12, seed=0)
-        patient_of = dict(zip(candidates, split.pool.patients_for(candidates)))
+        ids = split.pool.ids.tolist()
+        scores = score_rows("entropy", predict_proba(model, split.pool.features))
+        ranking = select_top_k(dict(zip(ids, scores)), len(ids))
+        patient_of = dict(zip(ids, split.pool.patients))
         expected = constrain_unique_patients(ranking, patient_of, 12)
-        got = select_query_batch("decal_entropy", model, split.pool, candidates, 12, seed=0)
+        got = select_query_batch("decal_entropy", model, split.pool, np.arange(len(ids)), 12, seed=0)
         assert got == expected
 
     def test_unconstrained_score_strategy_is_topk_prefix(self, setup):
         split, model = setup
-        candidates = sorted(int(i) for i in split.pool.ids)
-        from decal.acquisition import make_ranking
-
-        ranking = make_ranking("margin", model, candidates,
-                               split.pool.features_for(candidates), 12, seed=0)
-        got = select_query_batch("margin", model, split.pool, candidates, 12, seed=0)
-        assert list(got.members) == ranking[:12]
+        ids = split.pool.ids.tolist()
+        scores = score_rows("margin", predict_proba(model, split.pool.features))
+        ranking = select_top_k(dict(zip(ids, scores)), 12)
+        got = select_query_batch("margin", model, split.pool, np.arange(len(ids)), 12, seed=0)
+        assert list(got.members) == ranking
 
     def test_unknown_strategy_rejected(self, setup):
         split, model = setup
