@@ -114,7 +114,8 @@ def select_badge(embeddings: Mapping[int, np.ndarray], k: int, seed: int) -> lis
     return [ids[row] for row in rows]
 
 
-def badge_seeding(matrix: np.ndarray, k: int, seed: int, groups=None) -> tuple[np.ndarray, int]:
+def badge_seeding(matrix: np.ndarray, k: int, seed: int,
+                  groups: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """k-means++ seeding over the rows of a gradient-embedding matrix.
 
     First pick is the maximum-norm row (ties toward the lowest row); each

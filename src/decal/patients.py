@@ -41,7 +41,7 @@ class QueryBatch:
 
 
 def constrain_unique_patients(ranking: Sequence[int], patient_of: Mapping[int, str], k: int) -> QueryBatch:
-    """Walk a ranking keeping only the first sample per patient.
+    """Greedy walk of a ranking keeping only the first sample per patient.
 
     Accepts samples in ranking order while their patient is new to the
     batch, until k are accepted or the ranking is exhausted; any shortfall

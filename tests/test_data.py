@@ -206,6 +206,26 @@ class TestGenerateSynthetic:
         assert split_equal(split, load_dataset(path))
 
 
+class TestSampleSet:
+    def test_rows_sorted_by_sample_id(self):
+        part = make_sampleset([(5, "B", [5.0], 1), (2, "A", [2.0], 0), (9, "C", [9.0], 1)])
+        assert part.ids.tolist() == [2, 5, 9]
+        assert part.patients == ("A", "B", "C")
+        assert part.features[:, 0].tolist() == [2.0, 5.0, 9.0]
+        assert part.labels.tolist() == [0, 1, 1]
+
+    def test_patient_codes_number_patients_in_sorted_order(self):
+        part = make_sampleset([(0, "zed", [0.0], 0), (1, "amy", [0.0], 0), (2, "zed", [0.0], 0)])
+        assert part.patient_codes.tolist() == [1, 0, 1]
+
+    def test_positions_of_ids(self):
+        part = make_sampleset([(5, "B", [5.0], 1), (2, "A", [2.0], 0), (9, "C", [9.0], 1)])
+        assert part.positions([9, 2]).tolist() == [2, 0]
+        for unknown in (0, 3, 10):
+            with pytest.raises(KeyError):
+                part.positions([unknown])
+
+
 class TestPatientDistribution:
     def test_counts(self):
         pool = make_sampleset([
@@ -261,6 +281,9 @@ class TestLabeledSet:
         assert labeled.ids == [2, 0]
         assert list(labeled.labels()) == [1, 2]
         np.testing.assert_array_equal(labeled.features(), [[2.0, 2.0], [0.0, 1.0]])
+        assert labeled.mask.tolist() == [True, False, True]
+        with pytest.raises(ValueError):
+            labeled.mask[1] = True  # read-only: rows enter only through extend
         labeled.extend([1])
         assert len(labeled) == 3 and 1 in labeled
 
