@@ -5,149 +5,7 @@ strategies (random, entropy, margin, least confidence, BADGE): query batches
 constrained to unique patients, and a patient-diverse initial labeled set.
 A simulated-oracle harness runs seeded multi-trial experiments and reports
 learning curves, initialization comparisons, and the usual summary metrics.
+Import names from their submodules: the package root re-exports nothing.
 """
 
-from .acquisition import (
-    BASE_STRATEGIES,
-    SCORE_STRATEGIES,
-    score_entropy,
-    score_least_confidence,
-    score_margin,
-    select_badge,
-    select_top_k,
-)
-from .config import load_config_file, parse_config
-from .data import (
-    CsvSchema,
-    DatasetSplit,
-    ImageCountSpec,
-    LabeledSet,
-    SampleSet,
-    SyntheticConfig,
-    generate_synthetic,
-    load_dataset,
-    normalize_features,
-    patient_distribution,
-    reveal_label,
-    write_dataset,
-)
-from .errors import (
-    ConfigError,
-    CsvParseError,
-    DataError,
-    DecalError,
-    FeatureDimensionError,
-    InvariantViolation,
-    PatientOverlapError,
-)
-from .experiment import (
-    DatasetSource,
-    ExperimentConfig,
-    ExperimentResult,
-    InitComparison,
-    LearningCurve,
-    RoundRecord,
-    aggregate_curve,
-    build_dataset,
-    compare_initializations,
-    derive_seed,
-    earliest_round_above_chance,
-    percent_change,
-    percent_change_variants,
-    run_experiment,
-    run_trial,
-)
-from .learner import (
-    LearnerConfig,
-    Model,
-    TrainResult,
-    cross_entropy_loss_and_grads,
-    evaluate,
-    gradient_embedding,
-    init_model,
-    penultimate,
-    predict_proba,
-    train_round,
-)
-from .patients import (
-    INIT_MODES,
-    STRATEGIES,
-    QueryBatch,
-    constrain_unique_patients,
-    decal_initialize,
-    random_initialize,
-    select_query_batch,
-)
-from .presets import PRESETS, get_preset
-from .report import emit_report, read_raw_csv, regenerate_report, render_curves_svg
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BASE_STRATEGIES",
-    "ConfigError",
-    "CsvParseError",
-    "CsvSchema",
-    "DataError",
-    "DatasetSource",
-    "DatasetSplit",
-    "DecalError",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FeatureDimensionError",
-    "ImageCountSpec",
-    "InitComparison",
-    "INIT_MODES",
-    "InvariantViolation",
-    "LabeledSet",
-    "LearnerConfig",
-    "LearningCurve",
-    "Model",
-    "PRESETS",
-    "PatientOverlapError",
-    "QueryBatch",
-    "RoundRecord",
-    "SCORE_STRATEGIES",
-    "STRATEGIES",
-    "SampleSet",
-    "SyntheticConfig",
-    "TrainResult",
-    "aggregate_curve",
-    "build_dataset",
-    "compare_initializations",
-    "constrain_unique_patients",
-    "cross_entropy_loss_and_grads",
-    "decal_initialize",
-    "derive_seed",
-    "earliest_round_above_chance",
-    "emit_report",
-    "evaluate",
-    "generate_synthetic",
-    "get_preset",
-    "gradient_embedding",
-    "init_model",
-    "load_config_file",
-    "load_dataset",
-    "normalize_features",
-    "parse_config",
-    "patient_distribution",
-    "penultimate",
-    "percent_change",
-    "percent_change_variants",
-    "predict_proba",
-    "random_initialize",
-    "read_raw_csv",
-    "regenerate_report",
-    "render_curves_svg",
-    "reveal_label",
-    "run_experiment",
-    "run_trial",
-    "score_entropy",
-    "score_least_confidence",
-    "score_margin",
-    "select_badge",
-    "select_query_batch",
-    "select_top_k",
-    "train_round",
-    "write_dataset",
-]

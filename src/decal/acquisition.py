@@ -15,7 +15,6 @@ from typing import Mapping
 
 import numpy as np
 
-SCORE_STRATEGIES = ("entropy", "margin", "least_confidence")
 BASE_STRATEGIES = ("random", "entropy", "margin", "least_confidence", "badge")
 
 PROBABILITY_TOL = 1e-9

@@ -1,18 +1,26 @@
 """JSON config files with sections ``dataset``, ``learner``, ``experiment``.
 
-Parsing is strict: unknown keys anywhere are errors, so typos fail fast
-instead of silently running a default.
+Each section is read straight into its dataclass, which is the one place its
+keys, defaults and value types are written down. Parsing is strict: unknown
+keys anywhere are errors, so typos fail fast instead of silently running a
+default, and every value must have its field's JSON type.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields, replace
+from functools import partial
 from typing import Any, Mapping
 
 from .data import CsvSchema, ImageCountSpec, SyntheticConfig
 from .errors import ConfigError
 from .experiment import DatasetSource, ExperimentConfig
 from .learner import LearnerConfig
+
+# JSON name and Python types of each scalar field annotation's values: an int
+# is a valid float, and a bool is never a number although Python counts it as one.
+_JSON_TYPES = {"int": ("an integer", int), "float": ("a number", (int, float)), "str": ("a string", str)}
 
 
 def _require_mapping(value: Any, section: str) -> dict:
@@ -21,111 +29,74 @@ def _require_mapping(value: Any, section: str) -> dict:
     return dict(value)
 
 
-def _check_keys(mapping: Mapping[str, Any], allowed: set[str], section: str) -> None:
-    unknown = set(mapping) - allowed
+def _check_keys(mapping: Mapping[str, Any], allowed, required, section: str) -> None:
+    unknown = set(mapping) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
+    missing = set(required) - set(mapping)
+    if missing:
+        raise ConfigError(f"missing keys in {section}: {sorted(missing)}")
 
 
-def _parse_images_per_patient(value: Any) -> ImageCountSpec:
-    entry = _require_mapping(value, "dataset.synthetic.images_per_patient")
-    _check_keys(entry, {"kind", "low", "high", "skew"}, "dataset.synthetic.images_per_patient")
-    return ImageCountSpec(
-        kind=str(entry.get("kind", "uniform")),
-        low=int(entry.get("low", 1)),
-        high=int(entry.get("high", entry.get("low", 1))),
-        skew=float(entry.get("skew", 2.0)),
-    )
+def _scalar(value: Any, key: str, annotation: str):
+    """``value`` checked against a field annotation such as ``"float"`` or ``"str | None"``."""
+    kind = annotation.removesuffix(" | None")  # optional fields still reject null
+    name, types = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{key} must be {name}, got {json.dumps(value)}")
+    return float(value) if kind == "float" else value
+
+
+def _read(cls, value: Any, section: str, nested: Mapping = {}, given: Mapping = {}):
+    """Build dataclass ``cls`` from the JSON object ``value``.
+
+    The allowed keys are the fields of ``cls`` minus those in ``given``, which
+    the caller supplies itself. Fields without a default are required, and
+    omitted keys take the dataclass defaults. ``nested`` maps a field name to
+    the reader of its sub-object, called as ``reader(value, "section.key")``;
+    every other field is a scalar of its annotated type.
+    """
+    entry = _require_mapping(value, section)
+    readable = [f for f in fields(cls) if f.name not in given]
+    required = [f.name for f in readable if f.default is MISSING and f.default_factory is MISSING]
+    _check_keys(entry, [f.name for f in readable], required, section)
+    kwargs = dict(given)
+    for f in readable:
+        if f.name in entry:
+            read = nested.get(f.name, partial(_scalar, annotation=f.type))
+            kwargs[f.name] = read(entry[f.name], f"{section}.{f.name}")
+    return cls(**kwargs)
+
+
+def _parse_images_per_patient(value: Any, key: str) -> ImageCountSpec:
+    spec = _read(ImageCountSpec, value, key)
+    # an omitted high means a fixed count of low images, not the class default
+    return spec if "high" in value else replace(spec, high=spec.low)
+
+
+def _parse_normalize(value: Any, key: str) -> tuple[float, float]:
+    entry = _require_mapping(value, key)
+    _check_keys(entry, ("mu", "sigma"), ("mu", "sigma"), key)
+    return (_scalar(entry["mu"], f"{key}.mu", "float"),
+            _scalar(entry["sigma"], f"{key}.sigma", "float"))
 
 
 def parse_synthetic(value: Any, section: str = "dataset.synthetic") -> SyntheticConfig:
-    entry = _require_mapping(value, section)
-    required = {
-        "num_classes", "num_patients", "images_per_patient", "feature_dim",
-        "class_separation", "patient_offset_scale", "test_fraction_of_patients",
-        "noise_scale",
-    }
-    _check_keys(entry, required, section)
-    missing = required - set(entry)
-    if missing:
-        raise ConfigError(f"missing keys in {section}: {sorted(missing)}")
-    return SyntheticConfig(
-        num_classes=int(entry["num_classes"]),
-        num_patients=int(entry["num_patients"]),
-        images_per_patient=_parse_images_per_patient(entry["images_per_patient"]),
-        feature_dim=int(entry["feature_dim"]),
-        class_separation=float(entry["class_separation"]),
-        patient_offset_scale=float(entry["patient_offset_scale"]),
-        test_fraction_of_patients=float(entry["test_fraction_of_patients"]),
-        noise_scale=float(entry["noise_scale"]),
-    )
-
-
-def _parse_dataset(value: Any) -> DatasetSource:
-    section = _require_mapping(value, "dataset")
-    _check_keys(section, {"csv_path", "schema", "synthetic", "preset", "normalize"}, "dataset")
-    schema = None
-    if "schema" in section:
-        schema = CsvSchema.from_mapping(_require_mapping(section["schema"], "dataset.schema"))
-    synthetic = None
-    if "synthetic" in section:
-        synthetic = parse_synthetic(section["synthetic"])
-    normalize = None
-    if "normalize" in section:
-        norm = _require_mapping(section["normalize"], "dataset.normalize")
-        _check_keys(norm, {"mu", "sigma"}, "dataset.normalize")
-        if "mu" not in norm or "sigma" not in norm:
-            raise ConfigError("dataset.normalize requires both mu and sigma")
-        normalize = (float(norm["mu"]), float(norm["sigma"]))
-    return DatasetSource(
-        csv_path=str(section["csv_path"]) if "csv_path" in section else None,
-        schema=schema,
-        synthetic=synthetic,
-        preset=str(section["preset"]) if "preset" in section else None,
-        normalize=normalize,
-    )
-
-
-def _parse_learner(value: Any) -> LearnerConfig:
-    section = _require_mapping(value, "learner")
-    allowed = {"hidden_width", "learning_rate", "train_accuracy_target", "max_epochs", "minibatch_size"}
-    _check_keys(section, allowed, "learner")
-    defaults = LearnerConfig()
-    return LearnerConfig(
-        hidden_width=int(section.get("hidden_width", defaults.hidden_width)),
-        learning_rate=float(section.get("learning_rate", defaults.learning_rate)),
-        train_accuracy_target=float(section.get("train_accuracy_target", defaults.train_accuracy_target)),
-        max_epochs=int(section.get("max_epochs", defaults.max_epochs)),
-        minibatch_size=int(section.get("minibatch_size", defaults.minibatch_size)),
-    )
+    return _read(SyntheticConfig, value, section, nested={"images_per_patient": _parse_images_per_patient})
 
 
 def parse_config(mapping: Mapping[str, Any]) -> ExperimentConfig:
     root = _require_mapping(mapping, "config")
-    _check_keys(root, {"dataset", "learner", "experiment"}, "config")
-    if "dataset" not in root:
-        raise ConfigError("config requires a 'dataset' section")
-    dataset = _parse_dataset(root["dataset"])
-    learner_cfg = _parse_learner(root.get("learner", {}))
-
-    section = _require_mapping(root.get("experiment", {}), "experiment")
-    allowed = {
-        "strategy", "init_mode", "init_size", "batch_size", "rounds", "trials",
-        "base_seed", "output_dir",
-    }
-    _check_keys(section, allowed, "experiment")
-    cfg = ExperimentConfig(
-        dataset=dataset,
-        learner=learner_cfg,
-        strategy=str(section.get("strategy", "random")),
-        init_mode=str(section.get("init_mode", "random")),
-        init_size=int(section.get("init_size", 128)),
-        batch_size=int(section.get("batch_size", 128)),
-        rounds=int(section.get("rounds", 20)),
-        trials=int(section.get("trials", 5)),
-        base_seed=int(section.get("base_seed", 0)),
-        output_dir=str(section["output_dir"]) if "output_dir" in section else None,
-    )
+    _check_keys(root, ("dataset", "learner", "experiment"), ("dataset",), "config")
+    dataset = _read(DatasetSource, root["dataset"], "dataset", nested={
+        "schema": partial(_read, CsvSchema),
+        "synthetic": parse_synthetic,
+        "normalize": _parse_normalize,
+    })
+    cfg = _read(ExperimentConfig, root.get("experiment", {}), "experiment", given={
+        "dataset": dataset,
+        "learner": _read(LearnerConfig, root.get("learner", {}), "learner"),
+    })
     cfg.validate()
     return cfg
 

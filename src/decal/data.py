@@ -13,7 +13,6 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .errors import (
 
 SPLIT_POOL = "pool"
 SPLIT_TEST = "test"
+_INT64_MAX = 2**63 - 1  # sample ids and labels are stored as int64
 
 
 class SampleSet:
@@ -343,13 +343,27 @@ class CsvSchema:
     split: str = "split"
     feature_prefix: str = "f"
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, str]) -> "CsvSchema":
-        allowed = {"sample_id", "patient_id", "label", "split", "feature_prefix"}
-        unknown = set(mapping) - allowed
-        if unknown:
-            raise ConfigError(f"unknown schema keys: {sorted(unknown)}")
-        return cls(**{k: str(v) for k, v in mapping.items()})
+
+def _csv_rows(path, fh):
+    """Rows of a CSV file; undecodable bytes and csv faults become CsvParseError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CsvParseError(path, reader.line_num, str(exc)) from None
+    except UnicodeDecodeError:
+        raise CsvParseError(path, _undecodable_line(path), "not valid UTF-8") from None
+
+
+def _undecodable_line(path) -> int:
+    # text files decode in chunks, so the failing read does not locate the byte
+    with open(path, "rb") as fh:
+        for line_number, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_number
+    return line_number
 
 
 def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
@@ -359,11 +373,12 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
     error with the offending line number, a patient present in both splits
     raises a disjointness error naming the patient, rows whose feature
     count disagrees with the header raise a dimension error, and a class in
-    0..max(label) with no pool sample raises a data error.
+    0..max(label) with no pool sample raises a parse error at the line of the
+    largest label.
     """
     schema = schema or CsvSchema()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         header = next(reader, None)
         if header is None:
             raise CsvParseError(path, 1, "empty file: header row required")
@@ -381,7 +396,7 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
             if i in known:
                 continue
             suffix = name[len(schema.feature_prefix):]
-            if name.startswith(schema.feature_prefix) and suffix.isdigit():
+            if name.startswith(schema.feature_prefix) and suffix.isascii() and suffix.isdigit():
                 feature_cols.append((int(suffix), i))
             else:
                 raise CsvParseError(path, 1, f"unexpected column {name!r}")
@@ -400,6 +415,7 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
             SPLIT_TEST: {"ids": [], "patients": [], "labels": [], "features": []},
         }
         seen_ids: dict[int, int] = {}
+        top_label, top_line = -1, 0
         for line_number, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -416,10 +432,12 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
                 label = int(row[col[schema.label]])
             except ValueError as exc:
                 raise CsvParseError(path, line_number, str(exc)) from None
-            if sample_id < 0:
-                raise CsvParseError(path, line_number, f"sample id must be non-negative, got {sample_id}")
-            if label < 0:
-                raise CsvParseError(path, line_number, f"label must be non-negative, got {label}")
+            if not 0 <= sample_id <= _INT64_MAX:
+                raise CsvParseError(path, line_number, f"sample id must be in 0..2**63-1, got {sample_id}")
+            if not 0 <= label <= _INT64_MAX:
+                raise CsvParseError(path, line_number, f"label must be in 0..2**63-1, got {label}")
+            if label > top_label:
+                top_label, top_line = label, line_number
             patient = row[col[schema.patient_id]].strip()
             if not patient:
                 raise CsvParseError(path, line_number, "empty patient id")
@@ -450,14 +468,16 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
         if not rows[name]["ids"]:
             raise DataError(f"{path}: the {name} split is empty")
 
-    all_labels = rows[SPLIT_POOL]["labels"] + rows[SPLIT_TEST]["labels"]
-    num_classes = max(all_labels) + 1
+    num_classes = top_label + 1
     if num_classes < 2:
         raise DataError(f"{path}: at least 2 classes required, found {num_classes}")
-    missing = sorted(set(range(num_classes)) - set(rows[SPLIT_POOL]["labels"]))
-    if missing:
-        raise DataError(
-            f"{path}: class {missing[0]} of 0..{num_classes - 1} has no sample in the pool split"
+    # O(pool size) whatever the largest label: the sorted distinct labels
+    # equal their positions up to the first missing class
+    present = np.unique(rows[SPLIT_POOL]["labels"])
+    if len(present) < num_classes:
+        missing = int(np.sum(present == np.arange(len(present))))
+        raise CsvParseError(
+            path, top_line, f"class {missing} of 0..{num_classes - 1} has no sample in the pool split"
         )
 
     def part(name: str) -> SampleSet:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -253,28 +254,38 @@ def _check_batch(batch: patients.QueryBatch, k: int, labeled: LabeledSet, pool,
             raise InvariantViolation("unique-patient batch repeats a patient")
 
 
-def _trial_worker(args: tuple[ExperimentConfig, int]) -> list[RoundRecord]:
-    cfg, trial_seed = args
-    return run_trial(cfg, trial_seed)
+_worker_trial = None  # run_trial bound to config and dataset, set once per pool worker
+
+
+def _init_worker(trial) -> None:
+    global _worker_trial
+    _worker_trial = trial
+
+
+def _run_worker_trial(trial_seed: int) -> list[RoundRecord]:
+    return _worker_trial(trial_seed)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run cfg.trials trials with seeds base_seed..base_seed+trials-1.
 
-    With workers > 1 trials run in separate processes; records are always
-    assembled in trial-seed order, so the output is scheduling-independent.
+    The dataset is built once and shared by every trial. With workers > 1
+    trials run in separate processes; records are always assembled in
+    trial-seed order, so the output is scheduling-independent.
     """
     cfg.validate()
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    seeds = list(range(cfg.base_seed, cfg.base_seed + cfg.trials))
+    seeds = range(cfg.base_seed, cfg.base_seed + cfg.trials)
+    trial = partial(run_trial, cfg, dataset=build_dataset(cfg.dataset, cfg.base_seed))
     if workers > 1 and cfg.trials > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, cfg.trials)) as executor:
-            per_trial = list(executor.map(_trial_worker, [(cfg, s) for s in seeds]))
+        # initargs reach each worker once (inherited or pickled), not with every task
+        with ProcessPoolExecutor(max_workers=min(workers, cfg.trials),
+                                 initializer=_init_worker, initargs=(trial,)) as executor:
+            per_trial = list(executor.map(_run_worker_trial, seeds))
     else:
-        dataset = build_dataset(cfg.dataset, cfg.base_seed)
-        per_trial = [run_trial(cfg, s, dataset=dataset) for s in seeds]
-    records = tuple(record for trial in per_trial for record in trial)
+        per_trial = list(map(trial, seeds))
+    records = tuple(record for trial_records in per_trial for record in trial_records)
     return ExperimentResult(config=cfg, records=records, curve=aggregate_curve(records))
 
 

@@ -82,20 +82,17 @@ def init_model(cfg: LearnerConfig, feature_dim: int, num_classes: int, seed: int
     def draw(fan_in: int, shape) -> np.ndarray:
         return rng.standard_normal(shape) / np.sqrt(fan_in)
 
-    if cfg.hidden_width == 0:
-        return Model(
-            w_hidden=None,
-            b_hidden=None,
-            w_out=draw(feature_dim, (feature_dim, num_classes)),
-            b_out=draw(feature_dim, (num_classes,)),
-            feature_dim=feature_dim,
-            num_classes=num_classes,
-        )
+    w_hidden = b_hidden = None
+    width = feature_dim  # the linear model's penultimate layer is its input
+    if cfg.hidden_width > 0:
+        w_hidden = draw(feature_dim, (feature_dim, cfg.hidden_width))
+        b_hidden = draw(feature_dim, (cfg.hidden_width,))
+        width = cfg.hidden_width
     return Model(
-        w_hidden=draw(feature_dim, (feature_dim, cfg.hidden_width)),
-        b_hidden=draw(feature_dim, (cfg.hidden_width,)),
-        w_out=draw(cfg.hidden_width, (cfg.hidden_width, num_classes)),
-        b_out=draw(cfg.hidden_width, (num_classes,)),
+        w_hidden=w_hidden,
+        b_hidden=b_hidden,
+        w_out=draw(width, (width, num_classes)),
+        b_out=draw(width, (num_classes,)),
         feature_dim=feature_dim,
         num_classes=num_classes,
     )
@@ -113,31 +110,30 @@ def _as_batch(model: Model, features) -> tuple[np.ndarray, bool]:
     return x, single
 
 
+def _forward(model: Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Penultimate activations h (x itself for the linear model) and logits z of a batch."""
+    h = x if model.w_hidden is None else np.tanh(x @ model.w_hidden + model.b_hidden)
+    return h, h @ model.w_out + model.b_out
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
 def penultimate(model: Model, features) -> np.ndarray:
-    """Hidden-layer activation, or the raw features for the linear model."""
+    """Hidden-layer activation, or a copy of the raw features for the linear model."""
     x, single = _as_batch(model, features)
-    if model.w_hidden is None:
-        h = x.copy()
-    else:
-        h = np.tanh(x @ model.w_hidden + model.b_hidden)
+    h, _ = _forward(model, x)
+    h = h.copy() if h is x else h
     return h[0] if single else h
-
-
-def _logits(model: Model, x: np.ndarray) -> np.ndarray:
-    if model.w_hidden is None:
-        h = x
-    else:
-        h = np.tanh(x @ model.w_hidden + model.b_hidden)
-    return h @ model.w_out + model.b_out
 
 
 def predict_proba(model: Model, features) -> np.ndarray:
     """Softmax class posteriors; rows are non-negative and sum to 1."""
     x, single = _as_batch(model, features)
-    z = _logits(model, x)
-    z = z - z.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
+    p = _softmax(_forward(model, x)[1])
     return p[0] if single else p
 
 
@@ -148,10 +144,9 @@ def gradient_embedding(model: Model, features) -> np.ndarray:
     (p - e_yhat)[c] * h[j]. Argmax ties break toward the lowest class index.
     """
     x, single = _as_batch(model, features)
-    p = predict_proba(model, x)
-    h = penultimate(model, x)
-    residual = p.copy()
-    yhat = np.argmax(p, axis=1)  # first occurrence = lowest class index on ties
+    h, z = _forward(model, x)
+    residual = _softmax(z)
+    yhat = np.argmax(residual, axis=1)  # first occurrence = lowest class index on ties
     residual[np.arange(len(yhat)), yhat] -= 1.0
     g = np.einsum("nc,nj->ncj", residual, h).reshape(len(yhat), -1)
     return g[0] if single else g
@@ -166,7 +161,7 @@ def evaluate(model: Model, features, labels) -> float:
     if x.shape[0] != y.shape[0]:
         raise ValueError("features and labels must have equal length")
     # argmax over logits == argmax over posteriors; first max = lowest class index
-    predictions = np.argmax(_logits(model, x), axis=1)
+    predictions = np.argmax(_forward(model, x)[1], axis=1)
     return float(np.mean(predictions == y))
 
 
@@ -181,12 +176,7 @@ def cross_entropy_loss_and_grads(model: Model, features, labels) -> tuple[float,
     if n == 0:
         raise ValueError("empty batch")
 
-    if model.w_hidden is None:
-        h = x
-    else:
-        h = np.tanh(x @ model.w_hidden + model.b_hidden)
-    z = h @ model.w_out + model.b_out
-
+    h, z = _forward(model, x)
     zmax = z.max(axis=1, keepdims=True)
     log_norm = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
     loss = float(np.mean(log_norm - z[np.arange(n), y]))

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decal.data import (
     CsvSchema,
@@ -121,6 +126,44 @@ class TestLoadDataset:
             load_dataset(write_csv(tmp_path, text))
         assert "class 2" in str(err.value)
 
+    def test_non_utf8_byte_is_parse_error_at_its_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(BASIC_CSV.encode("utf-8").replace(b"3,B,1", b"3,B\xff,1"))
+        with pytest.raises(CsvParseError) as err:
+            load_dataset(path)
+        assert err.value.line_number == 5
+
+    def test_oversized_field_is_parse_error(self, tmp_path):
+        text = BASIC_CSV.replace("2,B,0,pool", "2," + "B" * 200_000 + ",0,pool")
+        with pytest.raises(CsvParseError) as err:
+            load_dataset(write_csv(tmp_path, text))
+        assert err.value.line_number == 4
+
+    def test_sample_id_beyond_int64_is_parse_error(self, tmp_path):
+        text = BASIC_CSV.replace("3,B,1,pool", f"{2**70},B,1,pool")
+        with pytest.raises(CsvParseError) as err:
+            load_dataset(write_csv(tmp_path, text))
+        assert err.value.line_number == 5
+
+    def test_label_beyond_int64_is_parse_error(self, tmp_path):
+        text = BASIC_CSV.replace("3,B,1,pool", f"3,B,{2**70},pool")
+        with pytest.raises(CsvParseError) as err:
+            load_dataset(write_csv(tmp_path, text))
+        assert err.value.line_number == 5
+
+    def test_huge_label_is_label_gap_at_its_line(self, tmp_path):
+        # the gap check must not enumerate 0..label: this label once cost gigabytes
+        text = BASIC_CSV.replace("3,B,1,pool", f"3,B,{10**15},pool")
+        with pytest.raises(CsvParseError) as err:
+            load_dataset(write_csv(tmp_path, text))
+        assert err.value.line_number == 5
+        assert "has no sample in the pool split" in str(err.value)
+
+    def test_non_ascii_digit_column_is_unexpected(self, tmp_path):
+        text = BASIC_CSV.replace("f0,f1", "f0,f\u00b2")
+        with pytest.raises(CsvParseError, match="unexpected column"):
+            load_dataset(write_csv(tmp_path, text))
+
     def test_schema_remapping(self, tmp_path):
         text = BASIC_CSV.replace("sample_id,patient_id", "sid,subject")
         schema = CsvSchema(sample_id="sid", patient_id="subject")
@@ -137,6 +180,39 @@ class TestLoadDataset:
         out2 = tmp_path / "third.csv"
         write_dataset(reloaded, out2)
         assert out.read_bytes() == out2.read_bytes()
+
+
+# Replacement fields for the fuzz below: unbounded ints reach past int64, text
+# reaches commas, quotes, newlines and non-ASCII digits.
+FUZZ_FIELDS = st.one_of(
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(max_size=6),
+    st.sampled_from(["pool", "test", "", "f2", "f\u00b2", "0"]),
+)
+
+
+@st.composite
+def fuzzed_csv(draw) -> bytes:
+    rows = [line.split(",") for line in BASIC_CSV.splitlines()]
+    for _ in range(draw(st.integers(0, 4))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(FUZZ_FIELDS)
+    data = "\n".join(",".join(row) for row in rows).encode("utf-8")
+    cut = draw(st.integers(0, len(data)))
+    return data[:cut] + draw(st.binary(max_size=4)) + data[cut:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_csv())
+def test_fuzzed_csv_raises_only_data_errors(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(data)
+        try:
+            load_dataset(path)
+        except DataError:
+            pass
 
 
 def synth_cfg(**overrides):
