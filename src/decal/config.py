@@ -9,6 +9,7 @@ default, and every value must have its field's JSON type.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, fields, replace
 from functools import partial
 from typing import Any, Mapping
@@ -18,9 +19,9 @@ from .errors import ConfigError
 from .experiment import DatasetSource, ExperimentConfig
 from .learner import LearnerConfig
 
-# JSON name and Python types of each scalar field annotation's values: an int
-# is a valid float, and a bool is never a number although Python counts it as one.
-_JSON_TYPES = {"int": ("an integer", int), "float": ("a number", (int, float)), "str": ("a string", str)}
+# JSON name and Python types of each scalar annotation's values. An int is a valid
+# float; bools, NaN and infinities (which Python's json parses) are not numbers.
+_JSON_TYPES = {"int": ("an integer", int), "float": ("a finite number", (int, float)), "str": ("a string", str)}
 
 
 def _require_mapping(value: Any, section: str) -> dict:
@@ -42,7 +43,8 @@ def _scalar(value: Any, key: str, annotation: str):
     """``value`` checked against a field annotation such as ``"float"`` or ``"str | None"``."""
     kind = annotation.removesuffix(" | None")  # optional fields still reject null
     name, types = _JSON_TYPES[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or kind == "float" and not abs(value) <= sys.float_info.max):  # exact for huge ints
         raise ConfigError(f"{key} must be {name}, got {json.dumps(value)}")
     return float(value) if kind == "float" else value
 
@@ -77,8 +79,7 @@ def _parse_images_per_patient(value: Any, key: str) -> ImageCountSpec:
 def _parse_normalize(value: Any, key: str) -> tuple[float, float]:
     entry = _require_mapping(value, key)
     _check_keys(entry, ("mu", "sigma"), ("mu", "sigma"), key)
-    return (_scalar(entry["mu"], f"{key}.mu", "float"),
-            _scalar(entry["sigma"], f"{key}.sigma", "float"))
+    return tuple(_scalar(entry[name], f"{key}.{name}", "float") for name in ("mu", "sigma"))
 
 
 def parse_synthetic(value: Any, section: str = "dataset.synthetic") -> SyntheticConfig:

@@ -105,6 +105,9 @@ MISTYPED = [
     (("learner", "learning_rate"), "fast"),
     (("learner", "learning_rate"), False),
     (("learner", "max_epochs"), None),
+    (("learner", "learning_rate"), float("nan")),
+    (("learner", "train_accuracy_target"), float("inf")),
+    (("learner", "learning_rate"), 10**400),
     (("dataset", "synthetic", "num_patients"), "36"),
     (("dataset", "synthetic", "images_per_patient", "low"), 2.5),
     (("dataset", "synthetic", "images_per_patient", "kind"), None),
