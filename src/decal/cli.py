@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -115,12 +116,14 @@ def _cmd_compare(args) -> int:
             repr(comparison.variants["percent_change_of_means"]),
         ])
 
+    change = ("change undefined: baseline accuracy is 0" if math.isnan(comparison.percent_change)
+              else f"{comparison.percent_change:+.2f}%")
     print(
         f"round {comparison.round_index}, {comparison.strategy}: "
         f"{comparison.treatment_mode} init {comparison.treatment_mean:.4f} "
         f"+/- {comparison.treatment_std:.4f} vs {comparison.baseline_mode} init "
         f"{comparison.baseline_mean:.4f} +/- {comparison.baseline_std:.4f} "
-        f"({comparison.percent_change:+.2f}%)"
+        f"({change})"
     )
     return EXIT_OK
 

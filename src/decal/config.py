@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from functools import partial
 from typing import Any, Mapping
 
@@ -70,12 +70,6 @@ def _read(cls, value: Any, section: str, nested: Mapping = {}, given: Mapping = 
     return cls(**kwargs)
 
 
-def _parse_images_per_patient(value: Any, key: str) -> ImageCountSpec:
-    spec = _read(ImageCountSpec, value, key)
-    # an omitted high means a fixed count of low images, not the class default
-    return spec if "high" in value else replace(spec, high=spec.low)
-
-
 def _parse_normalize(value: Any, key: str) -> tuple[float, float]:
     entry = _require_mapping(value, key)
     _check_keys(entry, ("mu", "sigma"), ("mu", "sigma"), key)
@@ -83,7 +77,8 @@ def _parse_normalize(value: Any, key: str) -> tuple[float, float]:
 
 
 def parse_synthetic(value: Any, section: str = "dataset.synthetic") -> SyntheticConfig:
-    return _read(SyntheticConfig, value, section, nested={"images_per_patient": _parse_images_per_patient})
+    return _read(SyntheticConfig, value, section,
+                 nested={"images_per_patient": partial(_read, ImageCountSpec)})
 
 
 def parse_config(mapping: Mapping[str, Any]) -> ExperimentConfig:
@@ -94,12 +89,10 @@ def parse_config(mapping: Mapping[str, Any]) -> ExperimentConfig:
         "synthetic": parse_synthetic,
         "normalize": _parse_normalize,
     })
-    cfg = _read(ExperimentConfig, root.get("experiment", {}), "experiment", given={
+    return _read(ExperimentConfig, root.get("experiment", {}), "experiment", given={
         "dataset": dataset,
         "learner": _read(LearnerConfig, root.get("learner", {}), "learner"),
     })
-    cfg.validate()
-    return cfg
 
 
 def load_config_file(path) -> ExperimentConfig:

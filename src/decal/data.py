@@ -213,14 +213,17 @@ class ImageCountSpec:
 
     "uniform" draws counts from [low, high]; "heavy_tailed" draws
     low - 1 + Zipf(skew) clipped at high, so a few patients dominate the pool.
+    An omitted ``high`` equals ``low``: every patient has ``low`` images.
     """
 
     kind: str = "uniform"
     low: int = 1
-    high: int = 1
+    high: int | None = None
     skew: float = 2.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        if self.high is None:
+            object.__setattr__(self, "high", self.low)
         if self.kind not in ("uniform", "heavy_tailed"):
             raise ConfigError(f"images_per_patient kind must be 'uniform' or 'heavy_tailed', got {self.kind!r}")
         if self.low < 1:
@@ -256,7 +259,7 @@ class SyntheticConfig:
     test_fraction_of_patients: float
     noise_scale: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         if self.num_patients < self.num_classes:
@@ -273,7 +276,6 @@ class SyntheticConfig:
             raise ConfigError("test_fraction_of_patients must be in (0, 1)")
         if self.noise_scale <= 0:
             raise ConfigError("noise_scale must be > 0")
-        self.images_per_patient.validate()
 
 
 def generate_synthetic(cfg: SyntheticConfig, seed: int) -> DatasetSplit:
@@ -283,7 +285,6 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> DatasetSplit:
     ``test_fraction_of_patients`` share of patients (at least one, never all)
     is held out entirely to the test split.
     """
-    cfg.validate()
     rng = np.random.default_rng(seed)
     n_classes, n_patients, dim = cfg.num_classes, cfg.num_patients, cfg.feature_dim
 
@@ -342,6 +343,11 @@ class CsvSchema:
     label: str = "label"
     split: str = "split"
     feature_prefix: str = "f"
+
+    def __post_init__(self):
+        roles = {role: getattr(self, role) for role in ("sample_id", "patient_id", "label", "split")}
+        if len(set(roles.values())) != len(roles):
+            raise ConfigError(f"schema roles must name distinct columns, got {roles}")
 
 
 def _csv_rows(path, fh):

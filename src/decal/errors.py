@@ -36,3 +36,7 @@ class FeatureDimensionError(DataError):
 
 class InvariantViolation(DecalError):
     """An internal bookkeeping invariant failed; indicates a bug, not bad input."""
+
+
+class TrainingDiverged(DecalError):
+    """Training produced a non-finite loss, non-finite parameters or non-finite logits."""

@@ -10,6 +10,7 @@ run in any order or in parallel without changing results.
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -26,7 +27,7 @@ from .data import (
     load_dataset,
     normalize_features,
 )
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, TrainingDiverged
 from .presets import get_preset
 
 log = logging.getLogger(__name__)
@@ -57,7 +58,7 @@ class DatasetSource:
     preset: str | None = None
     normalize: tuple[float, float] | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         sources = [s is not None for s in (self.csv_path, self.synthetic, self.preset)]
         if sum(sources) != 1:
             raise ConfigError("dataset must specify exactly one of csv_path, synthetic, preset")
@@ -68,7 +69,6 @@ class DatasetSource:
 
 
 def build_dataset(source: DatasetSource, seed: int) -> DatasetSplit:
-    source.validate()
     if source.csv_path is not None:
         split = load_dataset(source.csv_path, source.schema)
     elif source.preset is not None:
@@ -95,9 +95,7 @@ class ExperimentConfig:
     base_seed: int = 0
     output_dir: str | None = None
 
-    def validate(self) -> None:
-        self.dataset.validate()
-        self.learner.validate()
+    def __post_init__(self):
         if self.strategy not in patients.STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; expected one of {patients.STRATEGIES}")
         if self.init_mode not in patients.INIT_MODES:
@@ -159,7 +157,6 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
     (stage "init") and every query batch (stage "query"), which lets callers
     audit selections without re-running them.
     """
-    cfg.validate()
     split = dataset if dataset is not None else build_dataset(cfg.dataset, cfg.base_seed)
     pool = split.pool
     budget = cfg.init_size + cfg.rounds * cfg.batch_size
@@ -195,13 +192,16 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
             cfg.learner, split.feature_dim, split.num_classes,
             derive_seed(trial_seed, round_index, _MODEL_STREAM),
         )
-        outcome = learner.train_round(
-            model,
-            labeled.features(),
-            labeled.labels(),
-            cfg.learner,
-            derive_seed(trial_seed, round_index, _TRAIN_STREAM),
-        )
+        try:
+            outcome = learner.train_round(
+                model,
+                labeled.features(),
+                labeled.labels(),
+                cfg.learner,
+                derive_seed(trial_seed, round_index, _TRAIN_STREAM),
+            )
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(f"trial {trial_seed} round {round_index}: {exc}") from None
         if not outcome.reached_target:
             log.warning(
                 "trial %d round %d: epoch cap %d reached at train accuracy %.4f (target %.4f)",
@@ -273,7 +273,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     trials run in separate processes; records are always assembled in
     trial-seed order, so the output is scheduling-independent.
     """
-    cfg.validate()
     if workers < 1:
         raise ConfigError("workers must be >= 1")
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.trials)
@@ -389,7 +388,8 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
 
     The configs must be identical apart from init_mode (output_dir is
     ignored). The config with init_mode "decal" is reported as the
-    treatment; with equal modes, cfg_a is the treatment.
+    treatment; with equal modes, cfg_a is the treatment. A baseline mean
+    accuracy of 0 makes ``percent_change`` and both variants NaN.
     """
     key_a = replace(cfg_a, init_mode="random", output_dir=None)
     key_b = replace(cfg_b, init_mode="random", output_dir=None)
@@ -407,6 +407,11 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
     baseline = run_experiment(baseline_cfg, workers=workers)
     t_mean = treatment.curve.mean_accuracy[round_index]
     b_mean = baseline.curve.mean_accuracy[round_index]
+    if b_mean > 0:
+        change, variants = percent_change(t_mean, b_mean), percent_change_variants([t_mean], [b_mean])
+    else:  # a baseline accuracy of 0 has no relative change; the runs are still reported
+        change = math.nan
+        variants = dict.fromkeys(("mean_of_percent_changes", "percent_change_of_means"), math.nan)
     return InitComparison(
         round_index=round_index,
         strategy=cfg_a.strategy,
@@ -418,8 +423,8 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
         baseline_mean=b_mean,
         baseline_std=baseline.curve.std_accuracy[round_index],
         baseline_stderr=baseline.curve.stderr_accuracy[round_index],
-        percent_change=percent_change(t_mean, b_mean),
-        variants=percent_change_variants([t_mean], [b_mean]),
+        percent_change=change,
+        variants=variants,
         treatment_result=treatment,
         baseline_result=baseline,
     )

@@ -9,11 +9,12 @@ gradient against finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, TrainingDiverged
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -36,7 +37,7 @@ class LearnerConfig:
     max_epochs: int = 500
     minibatch_size: int = 32
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.hidden_width < 0:
             raise ConfigError("hidden_width must be >= 0")
         if self.learning_rate <= 0:
@@ -72,7 +73,6 @@ class Model:
 
 def init_model(cfg: LearnerConfig, feature_dim: int, num_classes: int, seed: int) -> Model:
     """Fresh parameters from a zero-mean normal scaled by 1/sqrt(fan_in)."""
-    cfg.validate()
     if feature_dim < 1:
         raise ConfigError("feature_dim must be >= 1")
     if num_classes < 2:
@@ -210,10 +210,11 @@ def train_round(model: Model, features, labels, cfg: LearnerConfig, seed: int) -
     """Adam on cross-entropy over shuffled minibatches, mutating the model.
 
     Stops at the first epoch whose full-train accuracy reaches
-    ``cfg.train_accuracy_target``, or at ``cfg.max_epochs``. Deterministic in
-    (model, data, cfg, seed); the minibatch order is drawn from ``seed``.
+    ``cfg.train_accuracy_target``, or at ``cfg.max_epochs``. A non-finite
+    minibatch loss, or trained parameters or training-set logits that are not
+    finite, raise :class:`TrainingDiverged`. Deterministic in (model, data,
+    cfg, seed); the minibatch order is drawn from ``seed``.
     """
-    cfg.validate()
     x, _ = _as_batch(model, features)
     y = np.asarray(labels, dtype=np.int64)
     if y.shape[0] == 0:
@@ -230,12 +231,15 @@ def train_round(model: Model, features, labels, cfg: LearnerConfig, seed: int) -
     batch_size = min(cfg.minibatch_size, n)
 
     accuracy = evaluate(model, x, y)
+    epochs_used, reached_target = cfg.max_epochs, False
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            _, grads = cross_entropy_loss_and_grads(model, x[idx], y[idx])
+            loss, grads = cross_entropy_loss_and_grads(model, x[idx], y[idx])
             step += 1
+            if not math.isfinite(loss):
+                raise TrainingDiverged(f"training diverged: loss is {loss} at step {step}")
             bias1 = 1.0 - ADAM_BETA1 ** step
             bias2 = 1.0 - ADAM_BETA2 ** step
             for p, g, m1, m2 in zip(params, grads, moment1, moment2):
@@ -246,5 +250,10 @@ def train_round(model: Model, features, labels, cfg: LearnerConfig, seed: int) -
                 p -= cfg.learning_rate * (m1 / bias1) / (np.sqrt(m2 / bias2) + ADAM_EPSILON)
         accuracy = evaluate(model, x, y)
         if accuracy >= cfg.train_accuracy_target:
-            return TrainResult(epochs_used=epoch, reached_target=True, train_accuracy=accuracy)
-    return TrainResult(epochs_used=cfg.max_epochs, reached_target=False, train_accuracy=accuracy)
+            epochs_used, reached_target = epoch, True
+            break
+    # each loss is taken before its update, so only this sees the last update diverge;
+    # finite parameters near the float limit can still overflow the logits
+    if not (all(np.isfinite(p).all() for p in params) and np.isfinite(_forward(model, x)[1]).all()):
+        raise TrainingDiverged(f"training diverged: parameters or logits are not finite after step {step}")
+    return TrainResult(epochs_used=epochs_used, reached_target=reached_target, train_accuracy=accuracy)

@@ -49,3 +49,18 @@ def split_equal(a, b) -> bool:
         and part_equal(a.pool, b.pool)
         and part_equal(a.test, b.test)
     )
+
+
+def write_reversed_test_csv(path, per_class=20):
+    """A 1-feature, 2-class CSV whose pool puts class 0 at f0 < 0 and class 1 at
+    f0 > 0 while the test split has the reverse, so a model that fits the pool
+    scores 0 on the test split. Every sample is its own patient."""
+    lines = ["sample_id,patient_id,label,split,f0"]
+    for split, sign in (("pool", 1.0), ("test", -1.0)):
+        for i in range(per_class):
+            for label in (0, 1):
+                sid = len(lines) - 1
+                f0 = sign * (1.0 + 0.1 * i) * (1 if label else -1)
+                lines.append(f"{sid},p{sid},{label},{split},{f0!r}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)

@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from decal.cli import main
 from decal.data import load_dataset
+from helpers import write_reversed_test_csv
 
 
 def config_dict(**experiment_overrides):
@@ -110,6 +113,21 @@ class TestRun:
         capsys.readouterr()
 
 
+class TestDivergedTraining:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("strategy", ["entropy", "random"])
+    def test_exit_3_naming_trial_and_round(self, tmp_path, capsys, strategy, workers):
+        raw = config_dict(strategy=strategy, init_mode="random")
+        raw["dataset"] = {"preset": "skewed"}
+        raw["learner"] = {"learning_rate": 1e308}
+        out = tmp_path / "out"
+        code = main(["run", "--config", write_config(tmp_path, raw), "--out", str(out), "--workers", workers])
+        assert code == 3
+        assert "error: trial 7 round 0: training diverged: loss is nan" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCsvDatasetRun:
     def test_generated_csv_with_schema_and_normalization(self, tmp_path, capsys):
         data_csv = tmp_path / "data.csv"
@@ -143,6 +161,28 @@ class TestCompare:
         header = (out / "comparison.csv").read_text().splitlines()[0]
         assert "percent_change_of_means" in header
         capsys.readouterr()
+
+    def test_zero_baseline_writes_reports_with_nan_change(self, tmp_path, capsys):
+        data_csv = write_reversed_test_csv(tmp_path / "data.csv")
+        configs = []
+        for mode in ("decal", "random"):
+            raw = config_dict(strategy="random", init_mode=mode, init_size=10, batch_size=5, rounds=1)
+            raw["dataset"] = {"csv_path": data_csv}
+            raw["learner"] = {"hidden_width": 0, "learning_rate": 0.1, "max_epochs": 200}
+            configs.append(write_config(tmp_path, raw, f"{mode}.json"))
+        out = tmp_path / "cmp"
+        code = main([
+            "compare", "--config-a", configs[0], "--config-b", configs[1],
+            "--round", "0", "--out", str(out),
+        ])
+        assert code == 0
+        assert "change undefined: baseline accuracy is 0" in capsys.readouterr().out
+        assert (out / "raw.csv").exists() and (out / "curves_combined.svg").exists()
+        with open(out / "comparison.csv", encoding="utf-8") as fh:
+            row = dict(zip(*(line.rstrip("\n").split(",") for line in fh)))
+        assert row["baseline_mean"] == "0.0"
+        changes = ("percent_change", "mean_of_percent_changes", "percent_change_of_means")
+        assert [row[k] for k in changes] == ["nan"] * 3
 
     def test_mismatched_pair_is_config_error(self, tmp_path, capsys):
         cfg_a = write_config(tmp_path, config_dict(init_mode="decal"), "a.json")

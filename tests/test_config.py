@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,8 @@ from decal.data import CsvSchema, ImageCountSpec, SyntheticConfig
 from decal.errors import ConfigError
 from decal.experiment import DatasetSource, ExperimentConfig
 from decal.learner import LearnerConfig
-from test_cli import config_dict
+from helpers import write_reversed_test_csv
+from test_cli import config_dict, write_config
 
 CSV_DATASET = {
     "csv_path": "data.csv",
@@ -83,6 +85,17 @@ class TestDefaults:
                          {"kind": "uniform", "low": 3})
         spec = parse_config(raw).dataset.synthetic.images_per_patient
         assert spec == ImageCountSpec(kind="uniform", low=3, high=3)
+
+    def test_image_count_high_defaults_to_low(self):
+        assert ImageCountSpec(low=3) == ImageCountSpec(low=3, high=3)
+
+    def test_readme_example_spells_out_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Config file", 1)[1]
+        example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        essentials = {"dataset": example["dataset"], "experiment": {
+            key: example["experiment"][key] for key in ("strategy", "init_mode")}}
+        assert parse_config(example) == parse_config(essentials)
 
     def test_int_accepted_for_float(self):
         raw = with_value(config_dict(), ("learner", "learning_rate"), 1)
@@ -168,3 +181,38 @@ class TestRejected:
         raw = with_value(config_dict(), ("dataset", "synthetic", "images_per_patient"), 3)
         with pytest.raises(ConfigError, match="dataset.synthetic.images_per_patient"):
             parse_config(raw)
+
+
+SYNTHETIC = dict(
+    num_classes=3, num_patients=36, images_per_patient=ImageCountSpec(low=3, high=4), feature_dim=4,
+    class_separation=4.0, patient_offset_scale=0.5, test_fraction_of_patients=0.2, noise_scale=0.3,
+)
+
+
+class TestConstruction:
+    """Every config object checks itself when built, not when first used."""
+
+    @pytest.mark.parametrize("cls, kwargs, message", [
+        pytest.param(cls, kwargs, message, id=cls.__name__) for cls, kwargs, message in (
+            (LearnerConfig, {"learning_rate": 0.0}, "learning_rate must be > 0"),
+            (ImageCountSpec, {"low": 3, "high": 2}, "images_per_patient high must be >= low"),
+            (SyntheticConfig, {**SYNTHETIC, "noise_scale": 0.0}, "noise_scale must be > 0"),
+            (DatasetSource, {"preset": "skewed", "schema": CsvSchema()}, "schema is only valid together"),
+            (ExperimentConfig, {"dataset": DatasetSource(preset="skewed"), "rounds": -1}, "rounds must be"),
+            (CsvSchema, {"patient_id": "split"}, "schema roles must name distinct columns"),
+        )
+    ])
+    def test_invalid_value_fails_in_constructor(self, cls, kwargs, message):
+        with pytest.raises(ConfigError, match=message) as err:
+            cls(**kwargs)
+        assert err.traceback[-1].name == "__post_init__"
+
+    def test_schema_roles_sharing_a_column_exit_1(self, tmp_path, capsys):
+        # without the check, every pool image would get patient "pool" and every test image "test"
+        data = Path(write_reversed_test_csv(tmp_path / "data.csv"))
+        rows = [line.split(",") for line in data.read_text(encoding="utf-8").splitlines()]
+        data.write_text("".join(",".join(row[:1] + row[2:]) + "\n" for row in rows), encoding="utf-8")
+        raw = {"dataset": {"csv_path": str(data), "schema": {"patient_id": "split"}},
+               "experiment": {"init_size": 4, "batch_size": 4, "rounds": 1, "trials": 1}}
+        assert main(["run", "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "out")]) == 1
+        assert "schema roles must name distinct columns" in capsys.readouterr().err

@@ -1,12 +1,15 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from decal import patients
 from decal.acquisition import BASE_STRATEGIES
+from decal.cli import main
 from decal.data import ImageCountSpec, SyntheticConfig
-from decal.errors import ConfigError
+from decal.errors import ConfigError, InvariantViolation
 from decal.experiment import (
     DatasetSource,
     ExperimentConfig,
@@ -23,7 +26,9 @@ from decal.experiment import (
     run_trial,
 )
 from decal.learner import LearnerConfig
-from decal.patients import DECAL_PREFIX, INIT_MODES
+from decal.patients import DECAL_PREFIX, INIT_MODES, QueryBatch
+from helpers import write_reversed_test_csv
+from test_cli import config_dict, write_config
 
 SMALL_SYNTH = SyntheticConfig(
     num_classes=3,
@@ -111,6 +116,47 @@ class TestRunTrial:
     def test_accuracies_in_unit_interval(self):
         records = run_trial(small_cfg(), 100)
         assert all(0.0 <= r.test_accuracy <= 1.0 for r in records)
+
+
+def _ids(pool, rows):
+    return tuple(pool.ids[rows].tolist())
+
+
+def _repeated_patient(pool, rows, k):
+    codes = pool.patient_codes[rows]
+    repeated = codes == codes[np.argmax(np.bincount(codes)[codes] > 1)]  # first patient with 2+ rows
+    return QueryBatch(_ids(pool, rows[repeated][:2]) + _ids(pool, rows[~repeated][:k - 2]))
+
+
+# each fake selection gets the candidate rows and k; batch_size is 6 in small_cfg() and config_dict()
+BAD_BATCHES = {
+    "wrong-size": (lambda pool, rows, k: QueryBatch(_ids(pool, rows[:k - 1])),
+                   "batch has 5 members, expected 6"),
+    "duplicate-id": (lambda pool, rows, k: QueryBatch(_ids(pool, rows[[0, *range(k - 1)]])),
+                     "batch contains duplicate sample ids"),
+    "non-pool-id": (lambda pool, rows, k: QueryBatch(_ids(pool, rows[:k - 1]) + (int(pool.ids.max()) + 1,)),
+                    "batch selected ids outside the pool"),
+    "labeled-id": (lambda pool, rows, k: QueryBatch(
+                       _ids(pool, rows[:k - 1]) + _ids(pool, np.setdiff1d(np.arange(len(pool)), rows)[:1])),
+                   "batch selected ids outside the remaining pool"),
+    "relaxed-count": (lambda pool, rows, k: QueryBatch(_ids(pool, rows[:k]), relaxed_count=k + 1),
+                      "relaxed_count 7 out of range"),
+    "repeated-patient": (_repeated_patient, "unique-patient batch repeats a patient"),
+}
+
+
+class TestBatchContracts:
+    """run_trial re-checks every query batch instead of trusting the selection module."""
+
+    @pytest.mark.parametrize("make, message", BAD_BATCHES.values(), ids=BAD_BATCHES)
+    def test_bad_batch_is_invariant_violation(self, monkeypatch, tmp_path, capsys, make, message):
+        monkeypatch.setattr(patients, "select_query_batch",
+                            lambda strategy, model, pool, rows, k, seed: make(pool, rows, k))
+        with pytest.raises(InvariantViolation, match=message):
+            run_trial(small_cfg(), 100)
+        config = write_config(tmp_path, config_dict())
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 3
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 ONE_IMAGE_PER_PATIENT = replace(
@@ -247,6 +293,20 @@ class TestCompareInitializations:
             "mean_of_percent_changes", "percent_change_of_means",
         }
 
+    def test_zero_baseline_gives_nan_change(self, tmp_path):
+        cfg = small_cfg(
+            dataset=DatasetSource(csv_path=write_reversed_test_csv(tmp_path / "data.csv")),
+            learner=LearnerConfig(hidden_width=0, learning_rate=0.1, max_epochs=200),
+            strategy="random", init_size=10, batch_size=5, rounds=1,
+        )
+        comparison = compare_initializations(
+            replace(cfg, init_mode="decal"), replace(cfg, init_mode="random"), round_index=0
+        )
+        assert comparison.baseline_mean == 0.0
+        assert math.isnan(comparison.percent_change)
+        assert set(comparison.variants) == {"mean_of_percent_changes", "percent_change_of_means"}
+        assert all(math.isnan(v) for v in comparison.variants.values())
+
     def test_large_initial_training_set_protocol(self):
         # 1000-sample single-round comparison: the diverse init draws each of
         # its 1000 images from a distinct patient, so nothing is relaxed
@@ -287,9 +347,9 @@ class TestCompareInitializations:
 class TestDatasetSource:
     def test_exactly_one_source_required(self):
         with pytest.raises(ConfigError):
-            DatasetSource().validate()
+            DatasetSource()
         with pytest.raises(ConfigError):
-            DatasetSource(csv_path="x.csv", preset="skewed").validate()
+            DatasetSource(csv_path="x.csv", preset="skewed")
 
     def test_preset_builds(self):
         split = build_dataset(DatasetSource(preset="skewed"), seed=0)

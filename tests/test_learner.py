@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from decal.errors import ConfigError
+from decal.errors import ConfigError, TrainingDiverged
 from decal.learner import (
     LearnerConfig,
     cross_entropy_loss_and_grads,
@@ -228,6 +230,37 @@ class TestTrainRound:
         assert any(
             not np.array_equal(pa, pb) for pa, pb in zip(run(42), run(43))
         )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_is_training_diverged(self):
+        x, y = blobs(seed=1, per_class=20)
+        model = init_model(FAST, 2, 3, seed=2)
+        with pytest.raises(TrainingDiverged, match=r"loss is (nan|inf) at step \d+$"):
+            train_round(model, x, y, replace(FAST, learning_rate=1e308), seed=3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("target", [0.01, 1.0], ids=["target-reached", "epoch-cap"])
+    @pytest.mark.parametrize("scale, learning_rate", [(100.0, 1e307), (1.0, 1e308)],
+                             ids=["infinite-parameters", "overflowing-logits"])
+    def test_diverged_last_update_is_training_diverged(self, target, scale, learning_rate):
+        # a single step, whose loss is finite: learning_rate * gradient overflows the
+        # update, or leaves parameters near the float limit that overflow the logits
+        x = scale * np.random.default_rng(0).standard_normal((8, 2))
+        y = np.tile([0, 1], 4)
+        cfg = LearnerConfig(hidden_width=0, learning_rate=learning_rate, train_accuracy_target=target,
+                            max_epochs=1, minibatch_size=8)
+        model = init_model(cfg, 2, 2, seed=0)
+        with pytest.raises(TrainingDiverged, match="parameters or logits are not finite after step 1$"):
+            train_round(model, x, y, cfg, seed=0)
+        assert all(np.isfinite(p).all() for p in model.parameters()) == (scale == 1.0)
+
+    def test_infinite_parameter_behind_finite_logits_is_training_diverged(self):
+        # a saturated tanh unit hides an infinite input weight from the logits
+        x = 0.5 + np.abs(np.random.default_rng(0).standard_normal((8, 2)))
+        model = init_model(FAST, 2, 2, seed=0)
+        model.w_hidden[0, 0] = np.inf
+        with pytest.raises(TrainingDiverged, match="parameters or logits are not finite after step 1$"):
+            train_round(model, x, np.tile([0, 1], 4), replace(FAST, max_epochs=1), seed=0)
 
 
 class TestGradients:
