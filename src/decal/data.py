@@ -2,9 +2,11 @@
 
 Every sample carries a patient identity, and the pool and test splits never
 share a patient, so test accuracy always measures generalization to unseen
-patients. Ground-truth labels in the pool are treated as hidden until
-revealed through :func:`reveal_label`, which stands in for the human
-annotator and is the single audit point for label-budget accounting.
+patients. Ground-truth labels in the pool are treated as hidden until their
+rows join a :class:`LabeledSet`. Label spending is audited in the trial loop:
+``experiment._check_batch`` checks every batch and maps its sample ids to
+the rows that are added, and ``run_trial`` checks the labeled-set size
+against the budget every round.
 """
 
 from __future__ import annotations
@@ -85,9 +87,6 @@ class SampleSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def position(self, sample_id) -> int:
-        return int(self.positions([sample_id])[0])
-
     def positions(self, sample_ids) -> np.ndarray:
         """Row of each sample id; KeyError names the first id not in the set."""
         ids = np.asarray(sample_ids, dtype=np.int64).reshape(-1)
@@ -130,53 +129,33 @@ class DatasetSplit:
             raise PatientOverlapError(shared_patients[0])
 
 
-def patient_distribution(pool) -> dict[str, int]:
+def patient_distribution(pool: SampleSet) -> dict[str, int]:
     """Multiplicity count per patient; counts sum to the pool size."""
-    if isinstance(pool, SampleSet):
-        return dict(Counter(pool.patients))
-    return dict(Counter(s.patient for s in pool))
-
-
-def reveal_label(pool: SampleSet, sample_id) -> int:
-    """Simulated oracle: return the hidden ground-truth label of a pool sample.
-
-    Serves only the pool; any other id raises KeyError. Idempotent.
-    """
-    return int(pool.labels[pool.position(sample_id)])
+    return dict(Counter(pool.patients))
 
 
 class LabeledSet:
     """The growing training set: pool rows whose labels have been revealed.
 
-    Every addition goes through :func:`reveal_label`, so this is the one
-    place where annotation budget is spent. Membership is ordered,
-    duplicate-free, and only ever grows; ``mask`` marks the labeled rows.
+    Rows are kept in labeling order, never repeat, and only ever grow;
+    ``mask`` marks the labeled rows.
     """
 
     def __init__(self, pool: SampleSet):
         self._pool = pool
-        self._rows: list[int] = []
-        self._labels: list[int] = []
+        self._rows = np.empty(0, dtype=np.int64)
         self._mask = np.zeros(len(pool), dtype=bool)
 
-    def extend(self, sample_ids) -> None:
-        for sample_id in sample_ids:
-            row = self._pool.position(sample_id)  # rejects non-pool ids
-            if self._mask[row]:
-                raise ValueError(f"sample {int(sample_id)} is already labeled")
-            self._labels.append(reveal_label(self._pool, sample_id))
-            self._mask[row] = True
-            self._rows.append(row)
+    def add(self, rows) -> None:
+        """Reveal the labels of the given pool rows, appended in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(np.unique(rows)) != len(rows) or self._mask[rows].any():
+            raise ValueError("rows must be distinct and not yet labeled")
+        self._mask[rows] = True
+        self._rows = np.concatenate([self._rows, rows])
 
     def __len__(self) -> int:
         return len(self._rows)
-
-    def __contains__(self, sample_id) -> bool:
-        return int(sample_id) in self.ids
-
-    @property
-    def ids(self) -> list[int]:
-        return self._pool.ids[self._rows].tolist()
 
     @property
     def mask(self) -> np.ndarray:
@@ -189,7 +168,7 @@ class LabeledSet:
         return self._pool.features[self._rows]
 
     def labels(self) -> np.ndarray:
-        return np.array(self._labels, dtype=np.int64)
+        return self._pool.labels[self._rows]
 
 
 def normalize_features(split: DatasetSplit, mu: float, sigma: float) -> DatasetSplit:

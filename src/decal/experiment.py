@@ -170,12 +170,12 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
     if cfg.init_mode == "decal":
         batch = patients.decal_initialize(pool, cfg.init_size, init_seed)
     else:
-        batch = patients.random_initialize(pool, cfg.init_size, init_seed)
+        batch = patients.select_query_batch("random", None, pool, np.arange(len(pool)), cfg.init_size, init_seed)
     labeled = LabeledSet(pool)
-    _check_batch(batch, cfg.init_size, labeled, pool, constrained=cfg.init_mode == "decal")
+    rows = _check_batch(batch, cfg.init_size, labeled, pool, constrained=cfg.init_mode == "decal")
     if on_batch is not None:
         on_batch("init", 0, batch)
-    labeled.extend(batch.members)
+    labeled.add(rows)
     pending_relaxed = batch.relaxed_count
 
     records: list[RoundRecord] = []
@@ -223,19 +223,19 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
                 cfg.strategy, model, pool, candidates, cfg.batch_size,
                 derive_seed(trial_seed, round_index, _QUERY_STREAM),
             )
-            _check_batch(batch, cfg.batch_size, labeled, pool,
-                         constrained=cfg.strategy.startswith(patients.DECAL_PREFIX))
+            rows = _check_batch(batch, cfg.batch_size, labeled, pool,
+                                constrained=cfg.strategy.startswith(patients.DECAL_PREFIX))
             if on_batch is not None:
                 on_batch("query", round_index, batch)
-            labeled.extend(batch.members)
+            labeled.add(rows)
             pending_relaxed = batch.relaxed_count
 
     return records
 
 
 def _check_batch(batch: patients.QueryBatch, k: int, labeled: LabeledSet, pool,
-                 constrained: bool) -> None:
-    """Re-check batch contracts instead of trusting the selection module."""
+                 constrained: bool) -> np.ndarray:
+    """Re-check batch contracts instead of trusting the selection module; return the members' rows."""
     members = batch.members
     if len(members) != k:
         raise InvariantViolation(f"batch has {len(members)} members, expected {k}")
@@ -252,6 +252,7 @@ def _check_batch(batch: patients.QueryBatch, k: int, labeled: LabeledSet, pool,
     if constrained and batch.relaxed_count == 0:
         if len(np.unique(pool.patient_codes[rows])) != len(members):
             raise InvariantViolation("unique-patient batch repeats a patient")
+    return rows
 
 
 _worker_trial = None  # run_trial bound to config and dataset, set once per pool worker
@@ -349,16 +350,22 @@ def percent_change_variants(treatments, baselines) -> dict[str, float]:
 
     "mean_of_percent_changes" averages the per-pair percent changes;
     "percent_change_of_means" compares the pooled means. The two generally
-    differ, so both are reported and callers pick one explicitly.
+    differ, so both are reported and callers pick one explicitly. A zero
+    baseline has no relative change: in any pair it makes the first NaN, as
+    a mean the second.
     """
     treatments = [float(t) for t in treatments]
     baselines = [float(b) for b in baselines]
     if len(treatments) != len(baselines) or not treatments:
         raise ValueError("treatments and baselines must be equal-length and non-empty")
-    per_pair = [percent_change(t, b) for t, b in zip(treatments, baselines)]
+
+    def change(treatment: float, baseline: float) -> float:
+        return percent_change(treatment, baseline) if baseline > 0 else math.nan
+
+    per_pair = [change(t, b) for t, b in zip(treatments, baselines)]
     return {
         "mean_of_percent_changes": float(np.mean(per_pair)),
-        "percent_change_of_means": percent_change(float(np.mean(treatments)), float(np.mean(baselines))),
+        "percent_change_of_means": change(float(np.mean(treatments)), float(np.mean(baselines))),
     }
 
 
@@ -388,8 +395,9 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
 
     The configs must be identical apart from init_mode (output_dir is
     ignored). The config with init_mode "decal" is reported as the
-    treatment; with equal modes, cfg_a is the treatment. A baseline mean
-    accuracy of 0 makes ``percent_change`` and both variants NaN.
+    treatment; with equal modes, cfg_a is the treatment. The variants pair
+    the runs' trials by trial seed, and ``percent_change`` is their percent
+    change of means. A zero baseline gives NaN, so the runs are still reported.
     """
     key_a = replace(cfg_a, init_mode="random", output_dir=None)
     key_b = replace(cfg_b, init_mode="random", output_dir=None)
@@ -407,11 +415,12 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
     baseline = run_experiment(baseline_cfg, workers=workers)
     t_mean = treatment.curve.mean_accuracy[round_index]
     b_mean = baseline.curve.mean_accuracy[round_index]
-    if b_mean > 0:
-        change, variants = percent_change(t_mean, b_mean), percent_change_variants([t_mean], [b_mean])
-    else:  # a baseline accuracy of 0 has no relative change; the runs are still reported
-        change = math.nan
-        variants = dict.fromkeys(("mean_of_percent_changes", "percent_change_of_means"), math.nan)
+    # both configs share base_seed and trials, so their trial seeds agree
+    t_trials, b_trials = (
+        {r.trial_seed: r.test_accuracy for r in result.records if r.round_index == round_index}
+        for result in (treatment, baseline)
+    )
+    variants = percent_change_variants(t_trials.values(), [b_trials[seed] for seed in t_trials])
     return InitComparison(
         round_index=round_index,
         strategy=cfg_a.strategy,
@@ -423,7 +432,7 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
         baseline_mean=b_mean,
         baseline_std=baseline.curve.std_accuracy[round_index],
         baseline_stderr=baseline.curve.stderr_accuracy[round_index],
-        percent_change=change,
+        percent_change=variants["percent_change_of_means"],
         variants=variants,
         treatment_result=treatment,
         baseline_result=baseline,

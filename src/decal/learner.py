@@ -206,6 +206,8 @@ class TrainResult:
     train_accuracy: float
 
 
+# the loss, parameter and logit checks catch divergence; numpy's overflow warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def train_round(model: Model, features, labels, cfg: LearnerConfig, seed: int) -> TrainResult:
     """Adam on cross-entropy over shuffled minibatches, mutating the model.
 

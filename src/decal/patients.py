@@ -116,18 +116,9 @@ def decal_initialize(pool: SampleSet, n: int, seed: int) -> QueryBatch:
     return _batch(pool, np.array(rows, dtype=np.int64), relaxed)
 
 
-def random_initialize(pool: SampleSet, n: int, seed: int) -> QueryBatch:
-    """Uniform sample of n images without replacement; patients may repeat."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > len(pool):
-        raise ValueError(f"n ({n}) exceeds pool size ({len(pool)})")
-    return _batch(pool, np.random.default_rng(seed).permutation(len(pool))[:n], 0)
-
-
 def select_query_batch(
     strategy: str,
-    model: learner.Model,
+    model: learner.Model | None,
     pool: SampleSet,
     candidate_rows,
     k: int,
@@ -139,7 +130,8 @@ def select_query_batch(
     score, a random permutation, or BADGE seeding), apply the unique-patient
     step for ``decal_*`` strategies, then map rows to sample ids. Rankings
     are deduplicated by patient afterwards; decal_badge enforces the
-    constraint inside the seeding loop itself.
+    constraint inside the seeding loop itself. The random strategies ignore
+    ``model``; "random" over every pool row is the random initial batch.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")

@@ -114,17 +114,22 @@ class TestRun:
 
 
 class TestDivergedTraining:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # pytest records warnings instead of printing them, also in forked pool workers, so
+    # they are made errors here: a warning would replace the divergence message on stderr
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("strategy", ["entropy", "random"])
-    def test_exit_3_naming_trial_and_round(self, tmp_path, capsys, strategy, workers):
+    def test_exit_3_naming_trial_and_round(self, tmp_path, capfd, strategy, workers):
         raw = config_dict(strategy=strategy, init_mode="random")
         raw["dataset"] = {"preset": "skewed"}
         raw["learner"] = {"learning_rate": 1e308}
         out = tmp_path / "out"
         code = main(["run", "--config", write_config(tmp_path, raw), "--out", str(out), "--workers", workers])
+        err = capfd.readouterr().err
         assert code == 3
-        assert "error: trial 7 round 0: training diverged: loss is nan" in capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        assert err.startswith("error: trial 7 round 0: training diverged: loss is nan")
+        assert len(err.splitlines()) == 1
         assert not out.exists()
 
 

@@ -16,7 +16,6 @@ from decal.data import (
     load_dataset,
     normalize_features,
     patient_distribution,
-    reveal_label,
     write_dataset,
 )
 from decal.errors import (
@@ -53,7 +52,7 @@ class TestLoadDataset:
         assert split.num_classes == 2
         assert set(split.pool.patients) == {"A", "B"}
         assert set(split.test.patients) == {"C"}
-        assert reveal_label(split.pool, 1) == 1
+        assert split.pool.labels[split.pool.positions([1])].tolist() == [1]
         np.testing.assert_array_equal(split.pool.features[split.pool.positions([0])], [[0.1, 0.2]])
 
     def test_patient_in_both_splits_rejected(self, tmp_path):
@@ -309,9 +308,6 @@ class TestPatientDistribution:
         ])
         assert patient_distribution(pool) == {"A": 2, "B": 1}
 
-    def test_empty_iterable(self):
-        assert patient_distribution([]) == {}
-
     def test_single_patient_bulk(self):
         pool = make_sampleset([(i, "A", [0.0], 0) for i in range(1000)])
         assert patient_distribution(pool) == {"A": 1000}
@@ -325,24 +321,6 @@ class TestPatientDistribution:
             assert sum(patient_distribution(pool).values()) == n
 
 
-class TestOracle:
-    def test_reveal_and_idempotence(self):
-        split = make_split(
-            [(0, "A", [0.0, 0.0], 2), (1, "B", [1.0, 1.0], 0)],
-            [(2, "C", [2.0, 2.0], 1)],
-        )
-        assert reveal_label(split.pool, 0) == 2
-        assert reveal_label(split.pool, 0) == 2
-
-    def test_test_ids_not_served(self):
-        split = make_split(
-            [(0, "A", [0.0], 0), (1, "B", [1.0], 1)],
-            [(2, "C", [2.0], 1)],
-        )
-        with pytest.raises(KeyError):
-            reveal_label(split.pool, 2)
-
-
 class TestLabeledSet:
     def fixture_split(self):
         return make_split(
@@ -353,29 +331,34 @@ class TestLabeledSet:
     def test_grows_in_order_with_revealed_labels(self):
         split = self.fixture_split()
         labeled = LabeledSet(split.pool)
-        labeled.extend([2, 0])
-        assert labeled.ids == [2, 0]
+        assert len(labeled) == 0 and labeled.labels().dtype == np.int64
+        labeled.add(np.array([2, 0]))
         assert list(labeled.labels()) == [1, 2]
         np.testing.assert_array_equal(labeled.features(), [[2.0, 2.0], [0.0, 1.0]])
         assert labeled.mask.tolist() == [True, False, True]
         with pytest.raises(ValueError):
-            labeled.mask[1] = True  # read-only: rows enter only through extend
-        labeled.extend([1])
-        assert len(labeled) == 3 and 1 in labeled
+            labeled.mask[1] = True  # read-only: rows enter only through add
+        labeled.add([1])
+        assert len(labeled) == 3 and labeled.mask.all()
+        assert list(labeled.labels()) == [1, 2, 0]
+        np.testing.assert_array_equal(labeled.features(), [[2.0, 2.0], [0.0, 1.0], [1.0, 0.0]])
 
     def test_rejects_duplicates(self):
         split = self.fixture_split()
         labeled = LabeledSet(split.pool)
-        labeled.extend([0])
+        labeled.add([0])
         with pytest.raises(ValueError):
-            labeled.extend([0])
-        assert len(labeled) == 1
+            labeled.add([0])
+        with pytest.raises(ValueError):
+            labeled.add([1, 1])
+        assert len(labeled) == 1 and labeled.mask.tolist() == [True, False, False]
 
     def test_rejects_non_pool_ids(self):
         split = self.fixture_split()
         labeled = LabeledSet(split.pool)
-        with pytest.raises(KeyError):
-            labeled.extend([3])  # test-split id: the oracle only serves the pool
+        with pytest.raises(IndexError):
+            labeled.add([3])  # one past the last pool row
+        assert len(labeled) == 0
 
 
 class TestNormalizeFeatures:

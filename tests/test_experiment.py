@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from decal import patients
+from decal import learner, patients
 from decal.acquisition import BASE_STRATEGIES
 from decal.cli import main
 from decal.data import ImageCountSpec, SyntheticConfig
@@ -116,6 +116,27 @@ class TestRunTrial:
     def test_accuracies_in_unit_interval(self):
         records = run_trial(small_cfg(), 100)
         assert all(0.0 <= r.test_accuracy <= 1.0 for r in records)
+
+    @pytest.mark.parametrize("strategy", ["random", "decal_badge"])
+    @pytest.mark.parametrize("init_mode", INIT_MODES)
+    def test_round_trains_on_the_rows_of_the_batches_so_far(self, monkeypatch, init_mode, strategy):
+        cfg = small_cfg(init_mode=init_mode, strategy=strategy)
+        dataset = build_dataset(cfg.dataset, cfg.base_seed)
+        pool = dataset.pool
+        batches, trained = [], []
+        train_round = learner.train_round
+
+        def recording_train_round(model, features, labels, config, seed):
+            trained.append((features.copy(), labels.copy()))
+            return train_round(model, features, labels, config, seed)
+
+        monkeypatch.setattr(learner, "train_round", recording_train_round)
+        run_trial(cfg, 100, dataset=dataset, on_batch=lambda stage, r, batch: batches.append(batch.members))
+        assert len(batches) == len(trained) == cfg.rounds + 1
+        for round_index, (features, labels) in enumerate(trained):
+            rows = pool.positions([i for members in batches[:round_index + 1] for i in members])
+            np.testing.assert_array_equal(features, pool.features[rows])
+            np.testing.assert_array_equal(labels, pool.labels[rows])
 
 
 def _ids(pool, rows):
@@ -265,6 +286,12 @@ class TestMetrics:
         assert variants["mean_of_percent_changes"] == pytest.approx((100.0 - 25.0) / 2)
         assert variants["percent_change_of_means"] == pytest.approx(0.0)
 
+    def test_percent_change_variants_zero_baseline_is_nan(self):
+        variants = percent_change_variants([1.0, 2.0], [0.0, 1.0])
+        assert math.isnan(variants["mean_of_percent_changes"])
+        assert variants["percent_change_of_means"] == pytest.approx(200.0)
+        assert all(math.isnan(v) for v in percent_change_variants([1.0], [0.0]).values())
+
 
 class TestCompareInitializations:
     def test_mismatched_configs_rejected(self):
@@ -292,6 +319,22 @@ class TestCompareInitializations:
         assert set(comparison.variants) == {
             "mean_of_percent_changes", "percent_change_of_means",
         }
+
+    def test_mean_of_percent_changes_pairs_trials_by_seed(self):
+        cfg = small_cfg(strategy="random", init_mode="decal", rounds=1, trials=4)
+        comparison = compare_initializations(cfg, replace(cfg, init_mode="random"), round_index=1)
+
+        def accuracy_by_seed(result):
+            return {r.trial_seed: r.test_accuracy for r in result.records if r.round_index == 1}
+
+        treatment = accuracy_by_seed(comparison.treatment_result)
+        baseline = accuracy_by_seed(comparison.baseline_result)
+        per_trial = [percent_change(treatment[seed], baseline[seed]) for seed in range(100, 104)]
+        assert comparison.variants["mean_of_percent_changes"] == pytest.approx(np.mean(per_trial))
+        assert comparison.variants["percent_change_of_means"] == comparison.percent_change
+        assert comparison.percent_change == pytest.approx(
+            percent_change(comparison.treatment_mean, comparison.baseline_mean))
+        assert comparison.variants["mean_of_percent_changes"] != pytest.approx(comparison.percent_change)
 
     def test_zero_baseline_gives_nan_change(self, tmp_path):
         cfg = small_cfg(

@@ -10,7 +10,6 @@ from decal.patients import (
     STRATEGIES,
     constrain_unique_patients,
     decal_initialize,
-    random_initialize,
     select_query_batch,
 )
 from helpers import make_sampleset
@@ -183,19 +182,29 @@ class TestInitialization:
         assert decal_initialize(pool, 30, seed=9) == decal_initialize(pool, 30, seed=9)
         assert decal_initialize(pool, 30, seed=9) != decal_initialize(pool, 30, seed=10)
 
+    # random init is the "random" strategy over every pool row
+    @staticmethod
+    def random_init(pool, n, seed):
+        return select_query_batch("random", None, pool, np.arange(len(pool)), n, seed)
+
     def test_random_whole_pool(self):
         pool = patient_pool(5, 2)
-        batch = random_initialize(pool, 10, seed=0)
+        batch = self.random_init(pool, 10, seed=0)
         assert sorted(batch.members) == sorted(int(i) for i in pool.ids)
+        assert batch.relaxed_count == 0
 
     def test_random_deterministic(self):
         pool = patient_pool(40, 2)
-        assert random_initialize(pool, 20, seed=4) == random_initialize(pool, 20, seed=4)
+        batch = self.random_init(pool, 20, seed=4)
+        assert batch == self.random_init(pool, 20, seed=4)
+        # the first n rows of one seeded permutation of the whole pool
+        rows = np.random.default_rng(4).permutation(len(pool))[:20]
+        assert list(batch.members) == pool.ids[rows].tolist()
 
     def test_random_too_large(self):
         pool = patient_pool(4, 2)
         with pytest.raises(ValueError):
-            random_initialize(pool, 9, seed=0)
+            self.random_init(pool, 9, seed=0)
 
 
 @pytest.fixture(scope="module")
