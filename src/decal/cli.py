@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import logging
 import math
 import sys
 from dataclasses import replace
@@ -32,7 +31,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="decal", description="Patient-aware pool-based active learning engine.")
-    parser.add_argument("-v", "--verbose", action="store_true", help="enable info-level logging")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset CSV")
@@ -138,7 +136,6 @@ def main(argv=None) -> int:
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)
-        logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

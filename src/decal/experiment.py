@@ -153,9 +153,10 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
               on_batch=None) -> list[RoundRecord]:
     """Run one trial; returns rounds + 1 records.
 
-    ``on_batch(stage, round_index, batch)`` is called for the init batch
-    (stage "init") and every query batch (stage "query"), which lets callers
-    audit selections without re-running them.
+    Round 0 labels the initial batch, round r > 0 the batch round r-1's model
+    picks from the unlabeled rows; each round then trains and evaluates a
+    fresh model. ``on_batch(stage, round_index, batch)`` lets callers audit each
+    batch before it is labeled, as ("init", 0) or ("query", r-1).
     """
     split = dataset if dataset is not None else build_dataset(cfg.dataset, cfg.base_seed)
     pool = split.pool
@@ -166,20 +167,27 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
             f"exceeds pool size {len(pool)}"
         )
 
-    init_seed = derive_seed(trial_seed, 0, _INIT_STREAM)
-    if cfg.init_mode == "decal":
-        batch = patients.decal_initialize(pool, cfg.init_size, init_seed)
-    else:
-        batch = patients.select_query_batch("random", None, pool, np.arange(len(pool)), cfg.init_size, init_seed)
     labeled = LabeledSet(pool)
-    rows = _check_batch(batch, cfg.init_size, labeled, pool, constrained=cfg.init_mode == "decal")
-    if on_batch is not None:
-        on_batch("init", 0, batch)
-    labeled.add(rows)
-    pending_relaxed = batch.relaxed_count
-
+    candidates = np.arange(len(pool))
+    model = None
     records: list[RoundRecord] = []
     for round_index in range(cfg.rounds + 1):
+        if round_index == 0:
+            stage, strategy, size = "init", "random", cfg.init_size
+            constrained = cfg.init_mode == "decal"
+            seed = derive_seed(trial_seed, 0, _INIT_STREAM)
+        else:
+            stage, strategy, size = "query", cfg.strategy, cfg.batch_size
+            constrained = strategy.startswith(patients.DECAL_PREFIX)
+            seed = derive_seed(trial_seed, round_index - 1, _QUERY_STREAM)
+        if stage == "init" and constrained:
+            batch = patients.decal_initialize(pool, size, seed)
+        else:
+            batch = patients.select_query_batch(strategy, model, pool, candidates, size, seed)
+        rows = _check_batch(batch, size, labeled, pool, constrained=constrained)
+        if on_batch is not None:
+            on_batch(stage, max(round_index - 1, 0), batch)
+        labeled.add(rows)
         candidates = np.flatnonzero(~labeled.mask)
         expected = cfg.init_size + round_index * cfg.batch_size
         if len(labeled) != expected or len(candidates) != len(pool) - expected:
@@ -202,12 +210,6 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
             )
         except TrainingDiverged as exc:
             raise TrainingDiverged(f"trial {trial_seed} round {round_index}: {exc}") from None
-        if not outcome.reached_target:
-            log.warning(
-                "trial %d round %d: epoch cap %d reached at train accuracy %.4f (target %.4f)",
-                trial_seed, round_index, cfg.learner.max_epochs,
-                outcome.train_accuracy, cfg.learner.train_accuracy_target,
-            )
         accuracy = learner.evaluate(model, split.test.features, split.test.labels)
         records.append(RoundRecord(
             trial_seed=trial_seed,
@@ -215,20 +217,8 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
             train_size=len(labeled),
             test_accuracy=accuracy,
             epochs_used=outcome.epochs_used,
-            relaxed_count=pending_relaxed,
+            relaxed_count=batch.relaxed_count,
         ))
-
-        if round_index < cfg.rounds:
-            batch = patients.select_query_batch(
-                cfg.strategy, model, pool, candidates, cfg.batch_size,
-                derive_seed(trial_seed, round_index, _QUERY_STREAM),
-            )
-            rows = _check_batch(batch, cfg.batch_size, labeled, pool,
-                                constrained=cfg.strategy.startswith(patients.DECAL_PREFIX))
-            if on_batch is not None:
-                on_batch("query", round_index, batch)
-            labeled.add(rows)
-            pending_relaxed = batch.relaxed_count
 
     return records
 
@@ -272,7 +262,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
 
     The dataset is built once and shared by every trial. With workers > 1
     trials run in separate processes; records are always assembled in
-    trial-seed order, so the output is scheduling-independent.
+    trial-seed order, so the output is scheduling-independent. Rounds that
+    trained for ``max_epochs`` epochs are counted in one warning per run.
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
@@ -286,6 +277,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     else:
         per_trial = list(map(trial, seeds))
     records = tuple(record for trial_records in per_trial for record in trial_records)
+    capped = sum(record.epochs_used == cfg.learner.max_epochs for record in records)
+    if capped:
+        log.warning("%s (%s init): %d of %d rounds hit the epoch cap of %d and may have missed the target",
+                    cfg.strategy, cfg.init_mode, capped, len(records), cfg.learner.max_epochs)
     return ExperimentResult(config=cfg, records=records, curve=aggregate_curve(records))
 
 
