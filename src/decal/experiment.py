@@ -127,6 +127,13 @@ class RoundRecord:
     epochs_used: int
     relaxed_count: int
 
+    def __post_init__(self):
+        for name in ("trial_seed", "round_index", "train_size", "epochs_used", "relaxed_count"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.test_accuracy <= 1.0:
+            raise ValueError(f"test_accuracy must be in [0, 1], got {self.test_accuracy}")
+
 
 @dataclass(frozen=True)
 class LearningCurve:
@@ -296,13 +303,15 @@ def aggregate_curve(records) -> LearningCurve:
     for record in records:
         by_trial.setdefault(record.trial_seed, []).append(record)
     trials = sorted(by_trial)
-    shapes = set()
     for seed in trials:
         by_trial[seed].sort(key=lambda r: r.round_index)
-        shapes.add(tuple((r.round_index, r.train_size) for r in by_trial[seed]))
-    if len(shapes) != 1:
-        raise ValueError("trials disagree on round structure; cannot aggregate")
-    structure = shapes.pop()
+        rounds = [r.round_index for r in by_trial[seed]]
+        if rounds != list(range(len(rounds))):
+            raise ValueError(f"trial {seed} has rounds {rounds}; expected 0..R, each once")
+    structure = [(r.round_index, r.train_size) for r in by_trial[trials[0]]]
+    for seed in trials[1:]:
+        if [(r.round_index, r.train_size) for r in by_trial[seed]] != structure:
+            raise ValueError(f"trials {trials[0]} and {seed} disagree on rounds or train sizes; cannot aggregate")
 
     accuracy = np.array([[r.test_accuracy for r in by_trial[seed]] for seed in trials])
     n = len(trials)

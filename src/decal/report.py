@@ -13,6 +13,7 @@ from typing import Sequence
 
 from .errors import DataError
 from .experiment import ExperimentResult, LearningCurve, RoundRecord, aggregate_curve
+from .patients import INIT_MODES, STRATEGIES
 
 RAW_FIELDS = (
     "strategy", "init_mode", "trial_seed", "round", "train_size",
@@ -55,8 +56,13 @@ def write_aggregate_csv(groups: Sequence[tuple[GroupKey, LearningCurve]], path) 
 
 
 def read_raw_csv(path) -> dict[GroupKey, list[RoundRecord]]:
-    """Parse a raw CSV back into records grouped by (strategy, init_mode)."""
+    """Parse a raw CSV back into records grouped by (strategy, init_mode).
+
+    Every field is checked, and a (trial, round) listed twice in a group is
+    rejected at its second line.
+    """
     groups: dict[GroupKey, list[RoundRecord]] = {}
+    lines: dict[tuple, int] = {}  # (strategy, init_mode, trial_seed, round) -> first line
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != RAW_FIELDS:
@@ -64,6 +70,10 @@ def read_raw_csv(path) -> dict[GroupKey, list[RoundRecord]]:
         for line_number, row in enumerate(reader, start=2):
             try:
                 key = (row["strategy"], row["init_mode"])
+                if key[0] not in STRATEGIES:
+                    raise ValueError(f"unknown strategy {key[0]!r}")
+                if key[1] not in INIT_MODES:
+                    raise ValueError(f"unknown init_mode {key[1]!r}")
                 record = RoundRecord(
                     trial_seed=int(row["trial_seed"]),
                     round_index=int(row["round"]),
@@ -74,6 +84,11 @@ def read_raw_csv(path) -> dict[GroupKey, list[RoundRecord]]:
                 )
             except (TypeError, ValueError, KeyError) as exc:
                 raise DataError(f"{path}:{line_number}: malformed row ({exc})") from None
+            where = (*key, record.trial_seed, record.round_index)
+            if where in lines:
+                raise DataError(f"{path}:{line_number}: {_label(key)} trial {record.trial_seed} "
+                                f"round {record.round_index} repeats line {lines[where]}")
+            lines[where] = line_number
             groups.setdefault(key, []).append(record)
     if not groups:
         raise DataError(f"{path}: no data rows")
@@ -217,16 +232,25 @@ def emit_report(results: Sequence[ExperimentResult], out_dir) -> dict[str, objec
 def regenerate_report(in_dir) -> dict[str, object]:
     """Rebuild aggregate CSV and SVGs from an existing raw CSV."""
     directory = Path(in_dir)
-    groups = read_raw_csv(directory / RAW_FILENAME)
-    curves = [(key, aggregate_curve(records)) for key, records in groups.items()]
+    path = directory / RAW_FILENAME
+    curves = []
+    for key, records in read_raw_csv(path).items():
+        try:
+            curves.append((key, aggregate_curve(records)))
+        except ValueError as exc:
+            raise DataError(f"{path}: {_label(key)}: {exc}") from None
     return _write_curves(curves, directory)
+
+
+def _label(key: GroupKey) -> str:
+    return f"{key[0]} ({key[1]} init)"
 
 
 def _write_curves(curves: Sequence[tuple[GroupKey, LearningCurve]], directory: Path) -> dict[str, object]:
     """Aggregate CSV plus one SVG per experiment, and a combined overlay when there are several."""
     aggregate_path = directory / AGGREGATE_FILENAME
     write_aggregate_csv(curves, aggregate_path)
-    labeled = [(f"{key[0]} ({key[1]} init)", key, curve) for key, curve in curves]
+    labeled = [(_label(key), key, curve) for key, curve in curves]
     svg_paths: list[Path] = []
     for label, key, curve in labeled:
         svg_path = directory / f"curve_{key[0]}_{key[1]}.svg"

@@ -1,4 +1,6 @@
+import csv
 import json
+import logging
 
 import pytest
 
@@ -133,6 +135,31 @@ class TestDivergedTraining:
         assert not out.exists()
 
 
+class TestEpochCapWarning:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_one_warning_per_run(self, tmp_path, caplog, capsys, workers):
+        raw = {
+            "dataset": {"preset": "skewed"},
+            "learner": {"train_accuracy_target": 1.0, "max_epochs": 3},
+            "experiment": {"strategy": "decal_entropy", "init_mode": "decal", "init_size": 16,
+                           "batch_size": 16, "rounds": 3, "trials": 2},
+        }
+        cfg = write_config(tmp_path, raw)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--workers", workers]) == 0
+        capsys.readouterr()
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1
+        assert "decal_entropy (decal init): 8 of 8 rounds hit the epoch cap of 3" in warnings[0]
+
+    def test_no_warning_when_rounds_stop_early(self, tmp_path, caplog, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, config_dict()), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+        with open(out / "raw.csv", encoding="utf-8") as fh:
+            assert max(int(row["epochs_used"]) for row in csv.DictReader(fh)) < 40
+
+
 class TestCsvDatasetRun:
     def test_generated_csv_with_schema_and_normalization(self, tmp_path, capsys):
         data_csv = tmp_path / "data.csv"
@@ -224,3 +251,7 @@ class TestArgumentErrors:
     def test_bad_flag_is_config_error(self, capsys):
         assert main(["gen", "--nonsense"]) == 1
         capsys.readouterr()
+
+    def test_verbose_flag_is_gone(self, tmp_path, capsys):
+        assert main(["-v", "gen", "--preset", "skewed", "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 1
+        assert "unrecognized arguments: -v" in capsys.readouterr().err

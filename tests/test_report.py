@@ -9,6 +9,7 @@ from decal.experiment import (
 )
 from decal.report import (
     AGGREGATE_FILENAME,
+    RAW_FIELDS,
     RAW_FILENAME,
     emit_report,
     read_raw_csv,
@@ -118,11 +119,52 @@ class TestRegenerate:
         with pytest.raises(FileNotFoundError):
             regenerate_report(tmp_path)
 
+    @pytest.mark.parametrize("rows, message", [
+        pytest.param([(0, 0), (0, 1), (1, 0)], r"raw\.csv: random \(random init\): trials 0 and 1 disagree",
+                     id="trial-missing-a-round"),
+        pytest.param([(0, 0), (0, 0)], r"raw\.csv:3: random \(random init\) trial 0 round 0 repeats line 2",
+                     id="round-listed-twice"),
+        pytest.param([(0, 0), (0, 2)], r"raw\.csv: random \(random init\): trial 0 has rounds \[0, 2\]",
+                     id="round-gap"),
+        pytest.param([(0, 1)], r"trial 0 has rounds \[1\]", id="no-round-0"),
+    ])
+    def test_bad_round_structure_is_data_error(self, tmp_path, rows, message):
+        write_raw_rows(tmp_path, [f"random,random,{t},{r},{16 * (r + 1)},0.5,3,0" for t, r in rows])
+        with pytest.raises(DataError, match=message):
+            regenerate_report(tmp_path)
+        assert not (tmp_path / AGGREGATE_FILENAME).exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("test_accuracy", "nan"),
+        ("test_accuracy", "inf"),
+        ("test_accuracy", "7.5"),
+        ("test_accuracy", "-0.25"),
+        ("round", "-1"),
+        ("train_size", "-32"),
+        ("epochs_used", "-3"),
+        ("relaxed_count", "-1"),
+        ("strategy", "x/y"),
+        ("strategy", "decal_bogus"),
+        ("init_mode", "bogus"),
+    ])
+    def test_bad_field_is_data_error_at_its_line(self, tmp_path, field, value):
+        rows = [dict(zip(RAW_FIELDS, ["random", "random", "0", str(r), str(16 * (r + 1)), "0.5", "3", "0"]))
+                for r in range(3)]
+        rows[1][field] = value
+        write_raw_rows(tmp_path, [",".join(row.values()) for row in rows])
+        with pytest.raises(DataError, match=r"raw\.csv:3: malformed row"):
+            regenerate_report(tmp_path)
+        assert not (tmp_path / AGGREGATE_FILENAME).exists()
+
+
+def write_raw_rows(directory, lines):
+    (directory / RAW_FILENAME).write_text("\n".join([",".join(RAW_FIELDS), *lines]) + "\n", encoding="utf-8")
+
 
 class TestWriteRaw:
     def test_float_formatting_round_trips(self, tmp_path):
         records = [RoundRecord(0, 0, 16, 1 / 3, 5, 0)]
         path = tmp_path / "raw.csv"
-        write_raw_csv([(("s", "random"), records)], path)
-        back = read_raw_csv(path)[("s", "random")][0]
+        write_raw_csv([(("random", "random"), records)], path)
+        back = read_raw_csv(path)[("random", "random")][0]
         assert back.test_accuracy == 1 / 3
