@@ -286,7 +286,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     records = tuple(record for trial_records in per_trial for record in trial_records)
     capped = sum(record.epochs_used == cfg.learner.max_epochs for record in records)
     if capped:
-        log.warning("%s (%s init): %d of %d rounds hit the epoch cap of %d and may have missed the target",
+        log.warning("%s (%s init): %d of %d rounds hit the epoch cap of %d and may have missed the accuracy target",
                     cfg.strategy, cfg.init_mode, capped, len(records), cfg.learner.max_epochs)
     return ExperimentResult(config=cfg, records=records, curve=aggregate_curve(records))
 

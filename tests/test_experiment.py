@@ -117,52 +117,43 @@ class TestRunTrial:
         records = run_trial(small_cfg(), 100)
         assert all(0.0 <= r.test_accuracy <= 1.0 for r in records)
 
-    @pytest.mark.parametrize("strategy", ["random", "decal_badge"])
-    @pytest.mark.parametrize("init_mode", INIT_MODES)
-    def test_round_trains_on_the_rows_of_the_batches_so_far(self, monkeypatch, init_mode, strategy):
-        check_rounds_follow_batches(monkeypatch, small_cfg(init_mode=init_mode, strategy=strategy))
-
-    @pytest.mark.parametrize("init_mode", INIT_MODES)
-    def test_round_records_the_relaxed_count_of_its_own_batch(self, monkeypatch, init_mode):
+    @pytest.mark.parametrize("cfg, relaxed", [
+        *(pytest.param(small_cfg(init_mode=init_mode, strategy=strategy), (False,) * 4, id=f"{init_mode}-{strategy}")
+          for init_mode in INIT_MODES for strategy in ("random", "decal_badge")),
         # 64-image batches from the 45 patients of the skewed pool: every decal_* batch and
         # decal init relaxes, random init never does
-        cfg = small_cfg(dataset=DatasetSource(preset="skewed"), init_mode=init_mode, strategy="decal_badge",
-                        init_size=64, batch_size=64, rounds=2, base_seed=3)
-        batches = check_rounds_follow_batches(monkeypatch, cfg)
-        assert [batch.relaxed_count > 0 for batch in batches] == [init_mode == "decal", True, True]
+        *(pytest.param(small_cfg(dataset=DatasetSource(preset="skewed"), init_mode=init_mode, strategy="decal_badge",
+                                 init_size=64, batch_size=64, rounds=2, base_seed=3),
+                       (init_mode == "decal", True, True), id=f"relaxed-{init_mode}-decal_badge")
+          for init_mode in INIT_MODES),
+    ])
+    def test_round_trains_on_the_rows_of_the_batches_so_far(self, monkeypatch, cfg, relaxed):
+        # round r trains on the pool rows of the init batch and the first r query batches, in
+        # on_batch order, and records its own batch's relaxed_count; a query batch is reported
+        # with the round of the model that picked it
+        dataset = build_dataset(cfg.dataset, cfg.base_seed)
+        pool = dataset.pool
+        stages, batches, trained = [], [], []
+        train_round = learner.train_round
 
+        def recording_train_round(model, features, labels, config, seed):
+            trained.append((features.copy(), labels.copy()))
+            return train_round(model, features, labels, config, seed)
 
-def check_rounds_follow_batches(monkeypatch, cfg):
-    """Run one trial and check each round against the batches labeled so far; return the batches.
+        def audit(stage, round_index, batch):
+            stages.append((stage, round_index))
+            batches.append(batch)
 
-    Round r must train on the pool rows of the init batch and the first r
-    query batches, in ``on_batch`` order, and record round r's own batch's
-    ``relaxed_count``; query batches are reported with the round of the
-    model that picked them.
-    """
-    dataset = build_dataset(cfg.dataset, cfg.base_seed)
-    pool = dataset.pool
-    stages, batches, trained = [], [], []
-    train_round = learner.train_round
-
-    def recording_train_round(model, features, labels, config, seed):
-        trained.append((features.copy(), labels.copy()))
-        return train_round(model, features, labels, config, seed)
-
-    def audit(stage, round_index, batch):
-        stages.append((stage, round_index))
-        batches.append(batch)
-
-    monkeypatch.setattr(learner, "train_round", recording_train_round)
-    records = run_trial(cfg, cfg.base_seed, dataset=dataset, on_batch=audit)
-    assert stages == [("init", 0)] + [("query", r) for r in range(cfg.rounds)]
-    assert len(batches) == len(trained) == len(records) == cfg.rounds + 1
-    for round_index, (features, labels) in enumerate(trained):
-        rows = pool.positions([i for batch in batches[:round_index + 1] for i in batch.members])
-        np.testing.assert_array_equal(features, pool.features[rows])
-        np.testing.assert_array_equal(labels, pool.labels[rows])
-        assert records[round_index].relaxed_count == batches[round_index].relaxed_count
-    return batches
+        monkeypatch.setattr(learner, "train_round", recording_train_round)
+        records = run_trial(cfg, cfg.base_seed, dataset=dataset, on_batch=audit)
+        assert stages == [("init", 0)] + [("query", r) for r in range(cfg.rounds)]
+        assert len(batches) == len(trained) == len(records) == cfg.rounds + 1
+        for round_index, (features, labels) in enumerate(trained):
+            rows = pool.positions([i for batch in batches[:round_index + 1] for i in batch.members])
+            np.testing.assert_array_equal(features, pool.features[rows])
+            np.testing.assert_array_equal(labels, pool.labels[rows])
+        assert [r.relaxed_count for r in records] == [batch.relaxed_count for batch in batches]
+        assert tuple(batch.relaxed_count > 0 for batch in batches) == relaxed
 
 
 def _ids(pool, rows):
