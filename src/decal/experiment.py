@@ -308,9 +308,9 @@ def aggregate_curve(records) -> LearningCurve:
         rounds = [r.round_index for r in by_trial[seed]]
         if rounds != list(range(len(rounds))):
             raise ValueError(f"trial {seed} has rounds {rounds}; expected 0..R, each once")
-    structure = [(r.round_index, r.train_size) for r in by_trial[trials[0]]]
+    sizes = [r.train_size for r in by_trial[trials[0]]]
     for seed in trials[1:]:
-        if [(r.round_index, r.train_size) for r in by_trial[seed]] != structure:
+        if [r.train_size for r in by_trial[seed]] != sizes:
             raise ValueError(f"trials {trials[0]} and {seed} disagree on rounds or train sizes; cannot aggregate")
 
     accuracy = np.array([[r.test_accuracy for r in by_trial[seed]] for seed in trials])
@@ -319,7 +319,7 @@ def aggregate_curve(records) -> LearningCurve:
     std = accuracy.std(axis=0, ddof=1) if n > 1 else np.zeros(accuracy.shape[1])
     stderr = std / np.sqrt(n)
     return LearningCurve(
-        train_sizes=tuple(size for _, size in structure),
+        train_sizes=tuple(sizes),
         mean_accuracy=tuple(float(v) for v in mean),
         std_accuracy=tuple(float(v) for v in std),
         stderr_accuracy=tuple(float(v) for v in stderr),
