@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .config import load_config_file
-from .data import generate_synthetic, write_dataset
+from .data import generate_synthetic, write_csv, write_dataset
 from .errors import ConfigError, DataError, DecalError
 from .experiment import compare_initializations, run_experiment
 from .presets import PRESETS, get_preset
@@ -97,22 +96,19 @@ def _cmd_compare(args) -> int:
     out = Path(args.out)
     emit_report([comparison.treatment_result, comparison.baseline_result], out)
 
-    with open(out / "comparison.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([
-            "strategy", "round", "treatment_init", "baseline_init",
-            "treatment_mean", "treatment_std", "baseline_mean", "baseline_std",
-            "percent_change", "mean_of_percent_changes", "percent_change_of_means",
-        ])
-        writer.writerow([
-            comparison.strategy, comparison.round_index,
-            comparison.treatment_mode, comparison.baseline_mode,
-            repr(comparison.treatment_mean), repr(comparison.treatment_std),
-            repr(comparison.baseline_mean), repr(comparison.baseline_std),
-            repr(comparison.percent_change),
-            repr(comparison.variants["mean_of_percent_changes"]),
-            repr(comparison.variants["percent_change_of_means"]),
-        ])
+    write_csv(out / "comparison.csv", [
+        "strategy", "round", "treatment_init", "baseline_init",
+        "treatment_mean", "treatment_std", "baseline_mean", "baseline_std",
+        "percent_change", "mean_of_percent_changes", "percent_change_of_means",
+    ], [[
+        comparison.strategy, comparison.round_index,
+        comparison.treatment_mode, comparison.baseline_mode,
+        comparison.treatment_mean, comparison.treatment_std,
+        comparison.baseline_mean, comparison.baseline_std,
+        comparison.percent_change,
+        comparison.variants["mean_of_percent_changes"],
+        comparison.variants["percent_change_of_means"],
+    ]])
 
     change = ("change undefined: baseline accuracy is 0" if math.isnan(comparison.percent_change)
               else f"{comparison.percent_change:+.2f}%")

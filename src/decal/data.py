@@ -329,11 +329,13 @@ class CsvSchema:
             raise ConfigError(f"schema roles must name distinct columns, got {roles}")
 
 
-def _csv_rows(path, fh):
-    """Rows of a CSV file; undecodable bytes and csv faults become CsvParseError."""
+def csv_rows(path, fh):
+    """(physical line the row ends on, row) per non-blank row; faults become CsvParseError."""
     reader = csv.reader(fh)
     try:
-        yield from reader
+        for row in reader:
+            if row:
+                yield reader.line_num, row
     except csv.Error as exc:
         raise CsvParseError(path, reader.line_num, str(exc)) from None
     except UnicodeDecodeError:
@@ -363,16 +365,16 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
     """
     schema = schema or CsvSchema()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(path, fh)
-        header = next(reader, None)
+        reader = csv_rows(path, fh)
+        header_line, header = next(reader, (1, None))
         if header is None:
-            raise CsvParseError(path, 1, "empty file: header row required")
+            raise CsvParseError(path, header_line, "empty file: header row required")
         header = [h.strip() for h in header]
 
         col: dict[str, int] = {}
         for field in (schema.sample_id, schema.patient_id, schema.label, schema.split):
             if field not in header:
-                raise CsvParseError(path, 1, f"missing required column {field!r}")
+                raise CsvParseError(path, header_line, f"missing required column {field!r}")
             col[field] = header.index(field)
 
         feature_cols: list[tuple[int, int]] = []
@@ -384,13 +386,13 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
             if name.startswith(schema.feature_prefix) and suffix.isascii() and suffix.isdigit():
                 feature_cols.append((int(suffix), i))
             else:
-                raise CsvParseError(path, 1, f"unexpected column {name!r}")
+                raise CsvParseError(path, header_line, f"unexpected column {name!r}")
         feature_cols.sort()
         if not feature_cols:
-            raise CsvParseError(path, 1, f"no feature columns ({schema.feature_prefix}0, ...) found")
+            raise CsvParseError(path, header_line, f"no feature columns ({schema.feature_prefix}0, ...) found")
         if [k for k, _ in feature_cols] != list(range(len(feature_cols))):
             raise CsvParseError(
-                path, 1, f"feature columns must be contiguous {schema.feature_prefix}0..{schema.feature_prefix}{{d-1}}"
+                path, header_line, f"feature columns must be contiguous {schema.feature_prefix}0..{schema.feature_prefix}{{d-1}}"
             )
         dim = len(feature_cols)
         feature_idx = [i for _, i in feature_cols]
@@ -401,9 +403,7 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
         }
         seen_ids: dict[int, int] = {}
         top_label, top_line = -1, 0
-        for line_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for line_number, row in reader:
             if len(row) > len(header):
                 raise FeatureDimensionError(
                     f"{path}:{line_number}: expected {dim} feature values, found {len(row) - len(header) + dim}"
@@ -475,16 +475,22 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
     )
 
 
-def write_dataset(split: DatasetSplit, path, schema: CsvSchema | None = None) -> None:
+def write_dataset(split: DatasetSplit, path) -> None:
     """Serialize a split to CSV such that load_dataset round-trips it exactly."""
-    schema = schema or CsvSchema()
+    schema = CsvSchema()
     header = [schema.sample_id, schema.patient_id, schema.label, schema.split]
     header += [f"{schema.feature_prefix}{i}" for i in range(split.feature_dim)]
+    write_csv(path, header, (
+        [part.ids[i], part.patients[i], part.labels[i], split_name, *part.features[i]]
+        for split_name, part in ((SPLIT_POOL, split.pool), (SPLIT_TEST, split.test))
+        for i in range(len(part))
+    ))
+
+
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer: UTF-8, LF line ends, floats (numpy's too) as ``repr(float(v))``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for split_name, part in ((SPLIT_POOL, split.pool), (SPLIT_TEST, split.test)):
-            for i in range(len(part)):
-                row = [int(part.ids[i]), part.patients[i], int(part.labels[i]), split_name]
-                row += [repr(float(v)) for v in part.features[i]]
-                writer.writerow(row)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])

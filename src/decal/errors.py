@@ -14,7 +14,7 @@ class DataError(DecalError):
 
 
 class CsvParseError(DataError):
-    """A dataset CSV row or header could not be parsed."""
+    """A CSV row or header could not be parsed."""
 
     def __init__(self, path, line_number: int, message: str):
         super().__init__(f"{path}:{line_number}: {message}")

@@ -7,10 +7,10 @@ emitter formats coordinates with fixed precision.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Sequence
 
+from .data import csv_rows, write_csv
 from .errors import DataError
 from .experiment import ExperimentResult, LearningCurve, RoundRecord, aggregate_curve
 from .patients import INIT_MODES, STRATEGIES
@@ -30,29 +30,21 @@ GroupKey = tuple[str, str]  # (strategy, init_mode)
 
 
 def write_raw_csv(groups: Sequence[tuple[GroupKey, Sequence[RoundRecord]]], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RAW_FIELDS)
-        for (strategy, init_mode), records in groups:
-            for r in records:
-                writer.writerow([
-                    strategy, init_mode, r.trial_seed, r.round_index, r.train_size,
-                    repr(float(r.test_accuracy)), r.epochs_used, r.relaxed_count,
-                ])
+    write_csv(path, RAW_FIELDS, (
+        [strategy, init_mode, r.trial_seed, r.round_index, r.train_size,
+         r.test_accuracy, r.epochs_used, r.relaxed_count]
+        for (strategy, init_mode), records in groups
+        for r in records
+    ))
 
 
 def write_aggregate_csv(groups: Sequence[tuple[GroupKey, LearningCurve]], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AGGREGATE_FIELDS)
-        for (strategy, init_mode), curve in groups:
-            for i, size in enumerate(curve.train_sizes):
-                writer.writerow([
-                    strategy, init_mode, i, size,
-                    repr(float(curve.mean_accuracy[i])),
-                    repr(float(curve.std_accuracy[i])),
-                    repr(float(curve.stderr_accuracy[i])),
-                ])
+    write_csv(path, AGGREGATE_FIELDS, (
+        [strategy, init_mode, i, size,
+         curve.mean_accuracy[i], curve.std_accuracy[i], curve.stderr_accuracy[i]]
+        for (strategy, init_mode), curve in groups
+        for i, size in enumerate(curve.train_sizes)
+    ))
 
 
 def read_raw_csv(path) -> dict[GroupKey, list[RoundRecord]]:
@@ -64,11 +56,15 @@ def read_raw_csv(path) -> dict[GroupKey, list[RoundRecord]]:
     groups: dict[GroupKey, list[RoundRecord]] = {}
     lines: dict[tuple, int] = {}  # (strategy, init_mode, trial_seed, round) -> first line
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != RAW_FIELDS:
+        rows = csv_rows(path, fh)
+        _, header = next(rows, (1, []))
+        if tuple(header) != RAW_FIELDS:
             raise DataError(f"{path}: expected header {','.join(RAW_FIELDS)}")
-        for line_number, row in enumerate(reader, start=2):
+        for line_number, fields in rows:
             try:
+                if len(fields) != len(RAW_FIELDS):
+                    raise ValueError(f"expected {len(RAW_FIELDS)} fields, found {len(fields)}")
+                row = dict(zip(RAW_FIELDS, fields))
                 key = (row["strategy"], row["init_mode"])
                 if key[0] not in STRATEGIES:
                     raise ValueError(f"unknown strategy {key[0]!r}")
@@ -82,7 +78,7 @@ def read_raw_csv(path) -> dict[GroupKey, list[RoundRecord]]:
                     epochs_used=int(row["epochs_used"]),
                     relaxed_count=int(row["relaxed_count"]),
                 )
-            except (TypeError, ValueError, KeyError) as exc:
+            except ValueError as exc:
                 raise DataError(f"{path}:{line_number}: malformed row ({exc})") from None
             where = (*key, record.trial_seed, record.round_index)
             if where in lines:

@@ -73,6 +73,19 @@ class TestLoadDataset:
             load_dataset(write_csv(tmp_path, text))
         assert err.value.line_number == 5
 
+    def test_line_number_is_the_physical_line(self, tmp_path):
+        # a quoted patient id spans lines 2-3, so the row with feature abc ends on line 6
+        text = BASIC_CSV.replace("0,A,0,pool", '0,"A\nA",0,pool').replace("3,B,1,pool,0.7", "3,B,1,pool,abc")
+        with pytest.raises(CsvParseError, match=r"data\.csv:6: ") as err:
+            load_dataset(write_csv(tmp_path, text))
+        assert err.value.line_number == 6
+
+    def test_header_fault_names_the_header_line(self, tmp_path):
+        text = "\n" + BASIC_CSV.replace("patient_id", "who")
+        with pytest.raises(CsvParseError, match="missing required column") as err:
+            load_dataset(write_csv(tmp_path, text))
+        assert err.value.line_number == 2
+
     def test_short_row_is_parse_error(self, tmp_path):
         text = BASIC_CSV.replace("1,A,1,pool,0.3,0.4", "1,A,1,pool,0.3")
         with pytest.raises(CsvParseError) as err:

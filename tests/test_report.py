@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from decal.cli import main
 from decal.errors import DataError
 from decal.experiment import (
     ExperimentResult,
@@ -154,6 +157,21 @@ class TestRegenerate:
         write_raw_rows(tmp_path, [",".join(row.values()) for row in rows])
         with pytest.raises(DataError, match=r"raw\.csv:3: malformed row"):
             regenerate_report(tmp_path)
+        assert not (tmp_path / AGGREGATE_FILENAME).exists()
+
+    @pytest.mark.parametrize("line3, message", [
+        pytest.param(b"random,random,0,1,32,0.5,3,\xff", r"raw\.csv:3: not valid UTF-8", id="non-utf8-byte"),
+        pytest.param(b"random,random,0,1,32,0.5,3," + b"0" * 200_000, r"raw\.csv:3: field larger than field limit",
+                     id="oversized-field"),
+        pytest.param(b"random,random,0,1,32,0.5,3,0,9", r"raw\.csv:3: malformed row \(expected 8 fields, found 9\)",
+                     id="nine-fields"),
+        pytest.param(b"\n\nrandom,random,0,1,32,7.5,3,0", r"raw\.csv:5: malformed row", id="after-two-blank-lines"),
+    ])
+    def test_unreadable_row_is_exit_2_at_its_physical_line(self, tmp_path, capsys, line3, message):
+        lines = [",".join(RAW_FIELDS).encode(), b"random,random,0,0,16,0.5,3,0", line3, b"random,random,0,2,48,0.5,3,0"]
+        (tmp_path / RAW_FILENAME).write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["report", "--in", str(tmp_path)]) == 2
+        assert re.match(r"data error: .*" + message, capsys.readouterr().err)
         assert not (tmp_path / AGGREGATE_FILENAME).exists()
 
 
