@@ -81,12 +81,14 @@ def _cmd_run(args) -> int:
     final = result.curve.mean_accuracy[-1]
     stderr = result.curve.stderr_accuracy[-1]
     print(
-        f"{cfg.strategy} ({cfg.init_mode} init): {cfg.trials} trials, "
+        f"{cfg.strategy} ({cfg.init_mode} init): {result.curve.trials} trials, "
         f"final mean accuracy {final:.4f} +/- {stderr:.4f} (stderr) at train size "
         f"{result.curve.train_sizes[-1]}"
     )
     print(f"report written to {paths['raw'].parent}")
-    return EXIT_OK
+    for failure in result.failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return EXIT_RUNTIME_ERROR if result.failures else EXIT_OK
 
 
 def _cmd_compare(args) -> int:

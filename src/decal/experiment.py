@@ -151,9 +151,12 @@ class LearningCurve:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """The records and curve of the trials that finished, and one message per diverged trial."""
+
     config: ExperimentConfig
     records: tuple[RoundRecord, ...]
     curve: LearningCurve
+    failures: tuple[str, ...] = ()
 
 
 def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | None = None,
@@ -260,8 +263,16 @@ def _init_worker(trial) -> None:
     _worker_trial = trial
 
 
-def _run_worker_trial(trial_seed: int) -> list[RoundRecord]:
-    return _worker_trial(trial_seed)
+def _run_worker_trial(trial_seed: int) -> tuple[list[RoundRecord], str | None]:
+    return _trial_outcome(_worker_trial, trial_seed)
+
+
+def _trial_outcome(trial, trial_seed: int) -> tuple[list[RoundRecord], str | None]:
+    # a diverged trial becomes a message, so it cannot discard the trials that finished
+    try:
+        return trial(trial_seed), None
+    except TrainingDiverged as exc:
+        return [], str(exc)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
@@ -269,8 +280,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
 
     The dataset is built once and shared by every trial. With workers > 1
     trials run in separate processes; records are always assembled in
-    trial-seed order, so the output is scheduling-independent. Rounds that
-    trained for ``max_epochs`` epochs are counted in one warning per run.
+    trial-seed order, so the output is scheduling-independent. A trial whose
+    training diverges leaves its message in ``failures``, in seed order; when
+    no trial finishes, the first of them is raised as TrainingDiverged. Rounds
+    that trained for ``max_epochs`` epochs are counted in one warning per run.
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
@@ -280,15 +293,18 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         # initargs reach each worker once (inherited or pickled), not with every task
         with ProcessPoolExecutor(max_workers=min(workers, cfg.trials),
                                  initializer=_init_worker, initargs=(trial,)) as executor:
-            per_trial = list(executor.map(_run_worker_trial, seeds))
+            outcomes = list(executor.map(_run_worker_trial, seeds))
     else:
-        per_trial = list(map(trial, seeds))
-    records = tuple(record for trial_records in per_trial for record in trial_records)
+        outcomes = [_trial_outcome(trial, seed) for seed in seeds]
+    records = tuple(record for trial_records, _ in outcomes for record in trial_records)
+    failures = tuple(error for _, error in outcomes if error is not None)
+    if not records:
+        raise TrainingDiverged(failures[0])
     capped = sum(record.epochs_used == cfg.learner.max_epochs for record in records)
     if capped:
         log.warning("%s (%s init): %d of %d rounds hit the epoch cap of %d and may have missed the accuracy target",
                     cfg.strategy, cfg.init_mode, capped, len(records), cfg.learner.max_epochs)
-    return ExperimentResult(config=cfg, records=records, curve=aggregate_curve(records))
+    return ExperimentResult(config=cfg, records=records, curve=aggregate_curve(records), failures=failures)
 
 
 def aggregate_curve(records) -> LearningCurve:
@@ -373,6 +389,13 @@ def percent_change_variants(treatments, baselines) -> dict[str, float]:
     }
 
 
+def _every_trial_finished(result: ExperimentResult) -> ExperimentResult:
+    # trials are paired by seed, so a comparison needs all of them
+    if result.failures:
+        raise TrainingDiverged(result.failures[0])
+    return result
+
+
 @dataclass(frozen=True)
 class InitComparison:
     """Side-by-side result of two experiments that differ only in init_mode."""
@@ -415,8 +438,8 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
     else:
         treatment_cfg, baseline_cfg = cfg_a, cfg_b
 
-    treatment = run_experiment(treatment_cfg, workers=workers)
-    baseline = run_experiment(baseline_cfg, workers=workers)
+    treatment = _every_trial_finished(run_experiment(treatment_cfg, workers=workers))
+    baseline = _every_trial_finished(run_experiment(baseline_cfg, workers=workers))
     t_mean = treatment.curve.mean_accuracy[round_index]
     b_mean = baseline.curve.mean_accuracy[round_index]
     # both configs share base_seed and trials, so their trial seeds agree

@@ -5,7 +5,10 @@ import logging
 import pytest
 
 from decal.cli import main
+from decal.config import load_config_file
 from decal.data import load_dataset
+from decal.experiment import build_dataset, run_trial
+from decal.report import write_raw_csv
 from helpers import write_reversed_test_csv
 
 
@@ -132,6 +135,42 @@ class TestDivergedTraining:
         assert "RuntimeWarning" not in err
         assert err.startswith("error: trial 7 round 0: training diverged: loss is nan")
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+    # preset skewed at learning rate 1e306: trials 0, 1 and 3 finish, trial 2 diverges in round 1
+    PARTLY_DIVERGING = {
+        "dataset": {"preset": "skewed"},
+        "learner": {"learning_rate": 1e306, "max_epochs": 3},
+        "experiment": {"strategy": "random", "init_mode": "random", "init_size": 16, "batch_size": 16,
+                       "rounds": 1, "trials": 4},
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_finished_trials_are_reported(self, tmp_path, capfd, workers):
+        config = write_config(tmp_path, self.PARTLY_DIVERGING)
+        out = tmp_path / "out"
+        code = main(["run", "--config", config, "--out", str(out), "--workers", workers])
+        err = capfd.readouterr().err
+        assert code == 3
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: trial 2 round 1: training diverged: loss is inf at step 2"
+        ]
+        cfg = load_config_file(config)
+        dataset = build_dataset(cfg.dataset, cfg.base_seed)
+        expected = tmp_path / "expected.csv"
+        write_raw_csv([(("random", "random"), [r for s in (0, 1, 3) for r in run_trial(cfg, s, dataset)])], expected)
+        assert (out / "raw.csv").read_bytes() == expected.read_bytes()
+        assert (out / "aggregate.csv").exists() and (out / "curve_random_random.svg").exists()
+
+    def test_compare_aborts_on_the_first_failure(self, tmp_path, capfd):
+        config = write_config(tmp_path, self.PARTLY_DIVERGING)
+        out = tmp_path / "cmp"
+        code = main(["compare", "--config-a", config, "--config-b", config, "--round", "0", "--out", str(out)])
+        assert code == 3
+        assert [line for line in capfd.readouterr().err.splitlines() if line.startswith("error:")] == [
+            "error: trial 2 round 1: training diverged: loss is inf at step 2"
+        ]
         assert not out.exists()
 
 
