@@ -59,6 +59,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_out_dir(out) -> None:
+    """Reject, before any trial runs, an output directory that cannot be made; make nothing yet."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"output directory {out}: {path} exists and is not a directory")
+            return
+
+
 def _cmd_gen(args) -> int:
     split = generate_synthetic(get_preset(args.preset), args.seed)
     write_dataset(split, args.out)
@@ -76,6 +85,7 @@ def _cmd_run(args) -> int:
         cfg = replace(cfg, output_dir=args.out)
     if cfg.output_dir is None:
         raise ConfigError("output directory required: pass --out or set experiment.output_dir")
+    _check_out_dir(cfg.output_dir)
     result = run_experiment(cfg, workers=args.workers)
     paths = emit_report([result], cfg.output_dir)
     final = result.curve.mean_accuracy[-1]
@@ -94,6 +104,7 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     cfg_a = load_config_file(args.config_a)
     cfg_b = load_config_file(args.config_b)
+    _check_out_dir(args.out)
     comparison = compare_initializations(cfg_a, cfg_b, args.round, workers=args.workers)
     out = Path(args.out)
     emit_report([comparison.treatment_result, comparison.baseline_result], out)

@@ -117,6 +117,25 @@ class TestRun:
         assert main(["run", "--config", cfg]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("below", [None, "sub"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_out_that_cannot_be_a_directory_fails_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                                    command, below):
+        def fail(*args, **kwargs):
+            raise AssertionError("trials ran despite a bad --out")
+
+        monkeypatch.setattr("decal.cli.run_experiment", fail)
+        monkeypatch.setattr("decal.cli.compare_initializations", fail)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / below if below else blocker
+        cfg = write_config(tmp_path, config_dict())
+        args = (["run", "--config", cfg] if command == "run"
+                else ["compare", "--config-a", cfg, "--config-b", cfg, "--round", "0"])
+        assert main([*args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: output directory {out}: {blocker} exists and is not a directory" in err
+
 
 class TestDivergedTraining:
     # pytest records warnings instead of printing them, also in forked pool workers, so
