@@ -60,7 +60,7 @@ def _build_parser() -> _Parser:
 
 
 def _check_out_dir(out) -> None:
-    """Reject, before any trial runs, an output directory that cannot be made; make nothing yet."""
+    """Reject an output directory that cannot be made, before any trial runs; create nothing."""
     for path in (Path(out), *Path(out).parents):
         if path.exists():
             if not path.is_dir():
