@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from .data import csv_rows, write_csv
+from .data import write_csv, csv_rows
 from .errors import DataError
 from .experiment import ExperimentResult, LearningCurve, RoundRecord, aggregate_curve
 from .patients import INIT_MODES, STRATEGIES
