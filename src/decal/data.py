@@ -2,11 +2,11 @@
 
 Every sample carries a patient identity, and the pool and test splits never
 share a patient, so test accuracy always measures generalization to unseen
-patients. Ground-truth labels in the pool are treated as hidden until their
-rows join a :class:`LabeledSet`. Label spending is audited in the trial loop:
-``experiment._check_batch`` checks every batch and maps its sample ids to
-the rows that are added, and ``run_trial`` checks the labeled-set size
-against the budget every round.
+patients. Ground-truth labels in the pool are treated as hidden until
+``experiment.run_trial`` labels their rows. Label spending is audited in the
+trial loop: ``experiment._check_batch`` checks every batch and maps its
+sample ids to the rows that are added, and ``run_trial`` checks the number
+of labeled rows against the budget every round.
 """
 
 from __future__ import annotations
@@ -132,43 +132,6 @@ class DatasetSplit:
 def patient_distribution(pool: SampleSet) -> dict[str, int]:
     """Multiplicity count per patient; counts sum to the pool size."""
     return dict(Counter(pool.patients))
-
-
-class LabeledSet:
-    """The growing training set: pool rows whose labels have been revealed.
-
-    Rows are kept in labeling order, never repeat, and only ever grow;
-    ``mask`` marks the labeled rows.
-    """
-
-    def __init__(self, pool: SampleSet):
-        self._pool = pool
-        self._rows = np.empty(0, dtype=np.int64)
-        self._mask = np.zeros(len(pool), dtype=bool)
-
-    def add(self, rows) -> None:
-        """Reveal the labels of the given pool rows, appended in the given order."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if len(np.unique(rows)) != len(rows) or self._mask[rows].any():
-            raise ValueError("rows must be distinct and not yet labeled")
-        self._mask[rows] = True
-        self._rows = np.concatenate([self._rows, rows])
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    @property
-    def mask(self) -> np.ndarray:
-        """Read-only boolean mask over pool rows, True where the label is revealed."""
-        view = self._mask.view()
-        view.setflags(write=False)
-        return view
-
-    def features(self) -> np.ndarray:
-        return self._pool.features[self._rows]
-
-    def labels(self) -> np.ndarray:
-        return self._pool.labels[self._rows]
 
 
 def normalize_features(split: DatasetSplit, mu: float, sigma: float) -> DatasetSplit:

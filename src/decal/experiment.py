@@ -21,7 +21,6 @@ from . import learner, patients
 from .data import (
     CsvSchema,
     DatasetSplit,
-    LabeledSet,
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
@@ -177,7 +176,8 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
             f"exceeds pool size {len(pool)}"
         )
 
-    labeled = LabeledSet(pool)
+    labeled_rows = np.empty(0, dtype=np.int64)  # pool rows in labeling order
+    labeled_mask = np.zeros(len(pool), dtype=bool)
     candidates = np.arange(len(pool))
     model = None
     records: list[RoundRecord] = []
@@ -194,16 +194,17 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
             batch = patients.decal_initialize(pool, size, seed)
         else:
             batch = patients.select_query_batch(strategy, model, pool, candidates, size, seed)
-        rows = _check_batch(batch, size, labeled, pool, constrained=constrained)
+        rows = _check_batch(batch, size, labeled_mask, pool, constrained=constrained)
         if on_batch is not None:
             on_batch(stage, max(round_index - 1, 0), batch)
-        labeled.add(rows)
-        candidates = np.flatnonzero(~labeled.mask)
+        labeled_mask[rows] = True
+        labeled_rows = np.concatenate([labeled_rows, rows])
+        candidates = np.flatnonzero(~labeled_mask)
         expected = cfg.init_size + round_index * cfg.batch_size
-        if len(labeled) != expected or len(candidates) != len(pool) - expected:
+        if len(labeled_rows) != expected or len(candidates) != len(pool) - expected:
             raise InvariantViolation(
                 f"budget bookkeeping broken at round {round_index}: "
-                f"labeled {len(labeled)}, remaining {len(candidates)}, expected train size {expected}"
+                f"labeled {len(labeled_rows)}, remaining {len(candidates)}, expected train size {expected}"
             )
 
         model = learner.init_model(
@@ -213,8 +214,8 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
         try:
             outcome = learner.train_round(
                 model,
-                labeled.features(),
-                labeled.labels(),
+                pool.features[labeled_rows],
+                pool.labels[labeled_rows],
                 cfg.learner,
                 derive_seed(trial_seed, round_index, _TRAIN_STREAM),
             )
@@ -224,7 +225,7 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
         records.append(RoundRecord(
             trial_seed=trial_seed,
             round_index=round_index,
-            train_size=len(labeled),
+            train_size=len(labeled_rows),
             test_accuracy=accuracy,
             epochs_used=outcome.epochs_used,
             relaxed_count=batch.relaxed_count,
@@ -233,7 +234,7 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
     return records
 
 
-def _check_batch(batch: patients.QueryBatch, k: int, labeled: LabeledSet, pool,
+def _check_batch(batch: patients.QueryBatch, k: int, labeled_mask: np.ndarray, pool,
                  constrained: bool) -> np.ndarray:
     """Re-check batch contracts instead of trusting the selection module; return the members' rows."""
     members = batch.members
@@ -245,7 +246,7 @@ def _check_batch(batch: patients.QueryBatch, k: int, labeled: LabeledSet, pool,
         rows = pool.positions(members)
     except KeyError:
         raise InvariantViolation("batch selected ids outside the pool") from None
-    if labeled.mask[rows].any():
+    if labeled_mask[rows].any():
         raise InvariantViolation("batch selected ids outside the remaining pool")
     if batch.relaxed_count < 0 or batch.relaxed_count > k:
         raise InvariantViolation(f"relaxed_count {batch.relaxed_count} out of range")

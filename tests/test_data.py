@@ -10,7 +10,6 @@ from decal.data import (
     CsvSchema,
     DatasetSplit,
     ImageCountSpec,
-    LabeledSet,
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
@@ -332,46 +331,6 @@ class TestPatientDistribution:
             rows = [(i, f"p{rng.integers(8)}", [0.0], 0) for i in range(n)]
             pool = make_sampleset(rows)
             assert sum(patient_distribution(pool).values()) == n
-
-
-class TestLabeledSet:
-    def fixture_split(self):
-        return make_split(
-            [(0, "A", [0.0, 1.0], 2), (1, "B", [1.0, 0.0], 0), (2, "B", [2.0, 2.0], 1)],
-            [(3, "C", [3.0, 3.0], 1)],
-        )
-
-    def test_grows_in_order_with_revealed_labels(self):
-        split = self.fixture_split()
-        labeled = LabeledSet(split.pool)
-        assert len(labeled) == 0 and labeled.labels().dtype == np.int64
-        labeled.add(np.array([2, 0]))
-        assert list(labeled.labels()) == [1, 2]
-        np.testing.assert_array_equal(labeled.features(), [[2.0, 2.0], [0.0, 1.0]])
-        assert labeled.mask.tolist() == [True, False, True]
-        with pytest.raises(ValueError):
-            labeled.mask[1] = True  # read-only: rows enter only through add
-        labeled.add([1])
-        assert len(labeled) == 3 and labeled.mask.all()
-        assert list(labeled.labels()) == [1, 2, 0]
-        np.testing.assert_array_equal(labeled.features(), [[2.0, 2.0], [0.0, 1.0], [1.0, 0.0]])
-
-    def test_rejects_duplicates(self):
-        split = self.fixture_split()
-        labeled = LabeledSet(split.pool)
-        labeled.add([0])
-        with pytest.raises(ValueError):
-            labeled.add([0])
-        with pytest.raises(ValueError):
-            labeled.add([1, 1])
-        assert len(labeled) == 1 and labeled.mask.tolist() == [True, False, False]
-
-    def test_rejects_non_pool_ids(self):
-        split = self.fixture_split()
-        labeled = LabeledSet(split.pool)
-        with pytest.raises(IndexError):
-            labeled.add([3])  # one past the last pool row
-        assert len(labeled) == 0
 
 
 class TestNormalizeFeatures:
