@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import load_config_file
@@ -40,7 +39,7 @@ def _build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="run one experiment from a config file")
     run.add_argument("--config", required=True, help="JSON config file")
-    run.add_argument("--out", help="output directory (overrides config)")
+    run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--workers", type=int, default=1, help="parallel trial workers")
     run.set_defaults(handler=_cmd_run)
 
@@ -60,7 +59,7 @@ def _build_parser() -> _Parser:
 
 
 def _check_out_dir(out) -> None:
-    """Reject an output directory that cannot be made, before any trial runs; create nothing."""
+    """Reject an output directory that cannot be made, before any work starts; create nothing."""
     for path in (Path(out), *Path(out).parents):
         if path.exists():
             if not path.is_dir():
@@ -69,6 +68,9 @@ def _check_out_dir(out) -> None:
 
 
 def _cmd_gen(args) -> int:
+    if Path(args.out).is_dir():
+        raise ConfigError(f"output file {args.out} is a directory")
+    _check_out_dir(Path(args.out).parent)
     split = generate_synthetic(get_preset(args.preset), args.seed)
     write_dataset(split, args.out)
     print(
@@ -81,13 +83,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = load_config_file(args.config)
-    if args.out:
-        cfg = replace(cfg, output_dir=args.out)
-    if cfg.output_dir is None:
-        raise ConfigError("output directory required: pass --out or set experiment.output_dir")
-    _check_out_dir(cfg.output_dir)
+    _check_out_dir(args.out)
     result = run_experiment(cfg, workers=args.workers)
-    paths = emit_report([result], cfg.output_dir)
+    paths = emit_report([result], args.out)
     final = result.curve.mean_accuracy[-1]
     stderr = result.curve.stderr_accuracy[-1]
     print(
@@ -149,7 +147,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (DataError, FileNotFoundError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
     except DecalError as exc:

@@ -15,6 +15,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -292,17 +293,25 @@ class CsvSchema:
             raise ConfigError(f"schema roles must name distinct columns, got {roles}")
 
 
-def csv_rows(path, fh):
-    """(physical line the row ends on, row) per non-blank row; faults become CsvParseError."""
-    reader = csv.reader(fh)
+def csv_rows(path):
+    """(physical line the row ends on, row) per non-blank row of the UTF-8 file at ``path``.
+
+    A file that cannot be opened is a DataError naming it; csv and decoding faults are CsvParseError.
+    """
     try:
-        for row in reader:
-            if row:
-                yield reader.line_num, row
-    except csv.Error as exc:
-        raise CsvParseError(path, reader.line_num, str(exc)) from None
-    except UnicodeDecodeError:
-        raise CsvParseError(path, _undecodable_line(path), "not valid UTF-8") from None
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
+        except csv.Error as exc:
+            raise CsvParseError(path, reader.line_num, str(exc)) from None
+        except UnicodeDecodeError:
+            raise CsvParseError(path, _undecodable_line(path), "not valid UTF-8") from None
 
 
 def _undecodable_line(path) -> int:
@@ -327,90 +336,89 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
     largest label.
     """
     schema = schema or CsvSchema()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv_rows(path, fh)
-        header_line, header = next(reader, (1, None))
-        if header is None:
-            raise CsvParseError(path, header_line, "empty file: header row required")
-        header = [h.strip() for h in header]
+    reader = csv_rows(path)
+    header_line, header = next(reader, (1, None))
+    if header is None:
+        raise CsvParseError(path, header_line, "empty file: header row required")
+    header = [h.strip() for h in header]
 
-        col: dict[str, int] = {}
-        for field in (schema.sample_id, schema.patient_id, schema.label, schema.split):
-            if field not in header:
-                raise CsvParseError(path, header_line, f"missing required column {field!r}")
-            col[field] = header.index(field)
+    col: dict[str, int] = {}
+    for field in (schema.sample_id, schema.patient_id, schema.label, schema.split):
+        if field not in header:
+            raise CsvParseError(path, header_line, f"missing required column {field!r}")
+        col[field] = header.index(field)
 
-        feature_cols: list[tuple[int, int]] = []
-        known = set(col.values())
-        for i, name in enumerate(header):
-            if i in known:
-                continue
-            suffix = name[len(schema.feature_prefix):]
-            if name.startswith(schema.feature_prefix) and suffix.isascii() and suffix.isdigit():
-                feature_cols.append((int(suffix), i))
-            else:
-                raise CsvParseError(path, header_line, f"unexpected column {name!r}")
-        feature_cols.sort()
-        if not feature_cols:
-            raise CsvParseError(path, header_line, f"no feature columns ({schema.feature_prefix}0, ...) found")
-        if [k for k, _ in feature_cols] != list(range(len(feature_cols))):
-            raise CsvParseError(
-                path, header_line, f"feature columns must be contiguous {schema.feature_prefix}0..{schema.feature_prefix}{{d-1}}"
+    feature_cols: list[tuple[int, int]] = []
+    known = set(col.values())
+    for i, name in enumerate(header):
+        if i in known:
+            continue
+        suffix = name[len(schema.feature_prefix):]
+        if name.startswith(schema.feature_prefix) and suffix.isascii() and suffix.isdigit():
+            feature_cols.append((int(suffix), i))
+        else:
+            raise CsvParseError(path, header_line, f"unexpected column {name!r}")
+    feature_cols.sort()
+    if not feature_cols:
+        raise CsvParseError(path, header_line, f"no feature columns ({schema.feature_prefix}0, ...) found")
+    if [k for k, _ in feature_cols] != list(range(len(feature_cols))):
+        raise CsvParseError(
+            path, header_line, f"feature columns must be contiguous {schema.feature_prefix}0..{schema.feature_prefix}{{d-1}}"
+        )
+    dim = len(feature_cols)
+    feature_idx = [i for _, i in feature_cols]
+
+    rows: dict[str, dict[str, list]] = {
+        SPLIT_POOL: {"ids": [], "patients": [], "labels": [], "features": []},
+        SPLIT_TEST: {"ids": [], "patients": [], "labels": [], "features": []},
+    }
+    seen_ids: dict[int, int] = {}
+    top_label, top_line = -1, 0
+    for line_number, row in reader:
+        if len(row) > len(header):
+            raise FeatureDimensionError(
+                f"{path}:{line_number}: expected {dim} feature values, found {len(row) - len(header) + dim}"
             )
-        dim = len(feature_cols)
-        feature_idx = [i for _, i in feature_cols]
-
-        rows: dict[str, dict[str, list]] = {
-            SPLIT_POOL: {"ids": [], "patients": [], "labels": [], "features": []},
-            SPLIT_TEST: {"ids": [], "patients": [], "labels": [], "features": []},
-        }
-        seen_ids: dict[int, int] = {}
-        top_label, top_line = -1, 0
-        for line_number, row in reader:
-            if len(row) > len(header):
-                raise FeatureDimensionError(
-                    f"{path}:{line_number}: expected {dim} feature values, found {len(row) - len(header) + dim}"
-                )
-            if len(row) < len(header):
-                raise CsvParseError(
-                    path, line_number, f"expected {len(header)} columns, found {len(row)}"
-                )
-            try:
-                sample_id = int(row[col[schema.sample_id]])
-                label = int(row[col[schema.label]])
-            except ValueError as exc:
-                raise CsvParseError(path, line_number, str(exc)) from None
-            if not 0 <= sample_id <= _INT64_MAX:
-                raise CsvParseError(path, line_number, f"sample id must be in 0..2**63-1, got {sample_id}")
-            if not 0 <= label <= _INT64_MAX:
-                raise CsvParseError(path, line_number, f"label must be in 0..2**63-1, got {label}")
-            if label > top_label:
-                top_label, top_line = label, line_number
-            patient = row[col[schema.patient_id]].strip()
-            if not patient:
-                raise CsvParseError(path, line_number, "empty patient id")
-            split_value = row[col[schema.split]].strip()
-            if split_value not in (SPLIT_POOL, SPLIT_TEST):
-                raise CsvParseError(
-                    path, line_number, f"split must be 'pool' or 'test', got {split_value!r}"
-                )
-            try:
-                feats = [float(row[i]) for i in feature_idx]
-            except ValueError as exc:
-                raise CsvParseError(path, line_number, str(exc)) from None
-            if not all(np.isfinite(feats)):
-                raise CsvParseError(path, line_number, "non-finite feature value")
-            if sample_id in seen_ids:
-                raise CsvParseError(
-                    path, line_number,
-                    f"duplicate sample id {sample_id} (first seen on line {seen_ids[sample_id]})",
-                )
-            seen_ids[sample_id] = line_number
-            bucket = rows[split_value]
-            bucket["ids"].append(sample_id)
-            bucket["patients"].append(patient)
-            bucket["labels"].append(label)
-            bucket["features"].append(feats)
+        if len(row) < len(header):
+            raise CsvParseError(
+                path, line_number, f"expected {len(header)} columns, found {len(row)}"
+            )
+        try:
+            sample_id = int(row[col[schema.sample_id]])
+            label = int(row[col[schema.label]])
+        except ValueError as exc:
+            raise CsvParseError(path, line_number, str(exc)) from None
+        if not 0 <= sample_id <= _INT64_MAX:
+            raise CsvParseError(path, line_number, f"sample id must be in 0..2**63-1, got {sample_id}")
+        if not 0 <= label <= _INT64_MAX:
+            raise CsvParseError(path, line_number, f"label must be in 0..2**63-1, got {label}")
+        if label > top_label:
+            top_label, top_line = label, line_number
+        patient = row[col[schema.patient_id]].strip()
+        if not patient:
+            raise CsvParseError(path, line_number, "empty patient id")
+        split_value = row[col[schema.split]].strip()
+        if split_value not in (SPLIT_POOL, SPLIT_TEST):
+            raise CsvParseError(
+                path, line_number, f"split must be 'pool' or 'test', got {split_value!r}"
+            )
+        try:
+            feats = [float(row[i]) for i in feature_idx]
+        except ValueError as exc:
+            raise CsvParseError(path, line_number, str(exc)) from None
+        if not all(np.isfinite(feats)):
+            raise CsvParseError(path, line_number, "non-finite feature value")
+        if sample_id in seen_ids:
+            raise CsvParseError(
+                path, line_number,
+                f"duplicate sample id {sample_id} (first seen on line {seen_ids[sample_id]})",
+            )
+        seen_ids[sample_id] = line_number
+        bucket = rows[split_value]
+        bucket["ids"].append(sample_id)
+        bucket["patients"].append(patient)
+        bucket["labels"].append(label)
+        bucket["features"].append(feats)
 
     for name in (SPLIT_POOL, SPLIT_TEST):
         if not rows[name]["ids"]:
@@ -451,7 +459,8 @@ def write_dataset(split: DatasetSplit, path) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """The one CSV writer: UTF-8, LF line ends, floats (numpy's too) as ``repr(float(v))``."""
+    """The one CSV writer: UTF-8, LF line ends, floats (numpy's too) as ``repr(float(v))``; makes the directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

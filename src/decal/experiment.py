@@ -92,7 +92,6 @@ class ExperimentConfig:
     rounds: int = 20
     trials: int = 5
     base_seed: int = 0
-    output_dir: str | None = None
 
     def __post_init__(self):
         if self.strategy not in patients.STRATEGIES:
@@ -421,15 +420,13 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
                             round_index: int, workers: int = 1) -> InitComparison:
     """Run both configs and compare accuracy at one round.
 
-    The configs must be identical apart from init_mode (output_dir is
-    ignored). The config with init_mode "decal" is reported as the
-    treatment; with equal modes, cfg_a is the treatment. The variants pair
-    the runs' trials by trial seed, and ``percent_change`` is their percent
-    change of means. A zero baseline gives NaN, so the runs are still reported.
+    The configs must be identical apart from init_mode. The config with
+    init_mode "decal" is reported as the treatment; with equal modes, cfg_a
+    is the treatment. The variants pair the runs' trials by trial seed, and
+    ``percent_change`` is their percent change of means. A zero baseline
+    gives NaN, so the runs are still reported.
     """
-    key_a = replace(cfg_a, init_mode="random", output_dir=None)
-    key_b = replace(cfg_b, init_mode="random", output_dir=None)
-    if key_a != key_b:
+    if replace(cfg_a, init_mode="random") != replace(cfg_b, init_mode="random"):
         raise ConfigError("configs must be identical except for init_mode")
     if not 0 <= round_index <= cfg_a.rounds:
         raise ConfigError(f"round {round_index} outside 0..{cfg_a.rounds}")

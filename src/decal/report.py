@@ -55,37 +55,36 @@ def read_raw_csv(path) -> dict[GroupKey, list[RoundRecord]]:
     """
     groups: dict[GroupKey, list[RoundRecord]] = {}
     lines: dict[tuple, int] = {}  # (strategy, init_mode, trial_seed, round) -> first line
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv_rows(path, fh)
-        _, header = next(rows, (1, []))
-        if tuple(header) != RAW_FIELDS:
-            raise DataError(f"{path}: expected header {','.join(RAW_FIELDS)}")
-        for line_number, fields in rows:
-            try:
-                if len(fields) != len(RAW_FIELDS):
-                    raise ValueError(f"expected {len(RAW_FIELDS)} fields, found {len(fields)}")
-                row = dict(zip(RAW_FIELDS, fields))
-                key = (row["strategy"], row["init_mode"])
-                if key[0] not in STRATEGIES:
-                    raise ValueError(f"unknown strategy {key[0]!r}")
-                if key[1] not in INIT_MODES:
-                    raise ValueError(f"unknown init_mode {key[1]!r}")
-                record = RoundRecord(
-                    trial_seed=int(row["trial_seed"]),
-                    round_index=int(row["round"]),
-                    train_size=int(row["train_size"]),
-                    test_accuracy=float(row["test_accuracy"]),
-                    epochs_used=int(row["epochs_used"]),
-                    relaxed_count=int(row["relaxed_count"]),
-                )
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_number}: malformed row ({exc})") from None
-            where = (*key, record.trial_seed, record.round_index)
-            if where in lines:
-                raise DataError(f"{path}:{line_number}: {_label(key)} trial {record.trial_seed} "
-                                f"round {record.round_index} repeats line {lines[where]}")
-            lines[where] = line_number
-            groups.setdefault(key, []).append(record)
+    rows = csv_rows(path)
+    _, header = next(rows, (1, []))
+    if tuple(header) != RAW_FIELDS:
+        raise DataError(f"{path}: expected header {','.join(RAW_FIELDS)}")
+    for line_number, fields in rows:
+        try:
+            if len(fields) != len(RAW_FIELDS):
+                raise ValueError(f"expected {len(RAW_FIELDS)} fields, found {len(fields)}")
+            row = dict(zip(RAW_FIELDS, fields))
+            key = (row["strategy"], row["init_mode"])
+            if key[0] not in STRATEGIES:
+                raise ValueError(f"unknown strategy {key[0]!r}")
+            if key[1] not in INIT_MODES:
+                raise ValueError(f"unknown init_mode {key[1]!r}")
+            record = RoundRecord(
+                trial_seed=int(row["trial_seed"]),
+                round_index=int(row["round"]),
+                train_size=int(row["train_size"]),
+                test_accuracy=float(row["test_accuracy"]),
+                epochs_used=int(row["epochs_used"]),
+                relaxed_count=int(row["relaxed_count"]),
+            )
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_number}: malformed row ({exc})") from None
+        where = (*key, record.trial_seed, record.round_index)
+        if where in lines:
+            raise DataError(f"{path}:{line_number}: {_label(key)} trial {record.trial_seed} "
+                            f"round {record.round_index} repeats line {lines[where]}")
+        lines[where] = line_number
+        groups.setdefault(key, []).append(record)
     if not groups:
         raise DataError(f"{path}: no data rows")
     return groups
@@ -213,7 +212,6 @@ def emit_report(results: Sequence[ExperimentResult], out_dir) -> dict[str, objec
     if not results:
         raise ValueError("no results to report")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     keys = [(res.config.strategy, res.config.init_mode) for res in results]
     if len(set(keys)) != len(keys):

@@ -74,6 +74,27 @@ class TestGen:
         capsys.readouterr()
 
 
+    def test_missing_parent_directory_is_created(self, tmp_path, capsys):
+        out = tmp_path / "new" / "dir" / "data.csv"
+        assert main(["gen", "--preset", "skewed", "--seed", "3", "--out", str(out)]) == 0
+        assert load_dataset(out).num_classes == 3
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("target", ["directory", "below-a-file"])
+    def test_out_that_cannot_be_a_file_fails_before_generating(self, tmp_path, capsys, monkeypatch, target):
+        def fail(*args, **kwargs):
+            raise AssertionError("generated despite a bad --out")
+
+        monkeypatch.setattr("decal.cli.generate_synthetic", fail)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out, message = ((tmp_path, f"output file {tmp_path} is a directory") if target == "directory" else
+                        (blocker / "x.csv", f"output directory {blocker}: {blocker} exists and is not a directory"))
+        assert main(["gen", "--preset", "skewed", "--seed", "3", "--out", str(out)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert blocker.read_text(encoding="utf-8") == ""
+
+
 class TestRun:
     def test_end_to_end(self, tmp_path, capsys):
         cfg = write_config(tmp_path, config_dict())
@@ -107,6 +128,14 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         capsys.readouterr()
 
+    def test_dataset_path_naming_a_directory_is_data_error(self, tmp_path, capsys):
+        raw = config_dict()
+        raw["dataset"] = {"csv_path": str(tmp_path)}
+        cfg = write_config(tmp_path, raw)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: cannot read {tmp_path}: ")
+        assert not (tmp_path / "o").exists()
+
     def test_budget_overflow_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, config_dict(rounds=1000))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -116,6 +145,11 @@ class TestRun:
         cfg = write_config(tmp_path, config_dict())
         assert main(["run", "--config", cfg]) == 1
         capsys.readouterr()
+
+    def test_output_dir_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, config_dict(output_dir=str(tmp_path / "o")))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "unknown keys in experiment: ['output_dir']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("below", [None, "sub"])
     @pytest.mark.parametrize("command", ["run", "compare"])
@@ -299,6 +333,12 @@ class TestReport:
     def test_missing_dir_is_data_error(self, tmp_path, capsys):
         assert main(["report", "--in", str(tmp_path / "missing")]) == 2
         capsys.readouterr()
+
+    def test_in_naming_a_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "file"
+        path.write_text("", encoding="utf-8")
+        assert main(["report", "--in", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: cannot read {path / 'raw.csv'}: ")
 
 
 class TestArgumentErrors:

@@ -72,13 +72,12 @@ class TestDefaults:
         )
 
     def test_csv_schema_and_normalize(self):
-        cfg = parse_config({"dataset": CSV_DATASET, "experiment": {"output_dir": "out"}})
+        cfg = parse_config({"dataset": CSV_DATASET})
         assert cfg.dataset == DatasetSource(
             csv_path="data.csv",
             schema=CsvSchema(sample_id="sid", label="y"),
             normalize=(0.5, 2.0),
         )
-        assert cfg.output_dir == "out"
 
     def test_high_defaults_to_low(self):
         raw = with_value(config_dict(), ("dataset", "synthetic", "images_per_patient"),
@@ -114,7 +113,6 @@ MISTYPED = [
     (("experiment", "rounds"), "1"),
     (("experiment", "trials"), True),
     (("experiment", "strategy"), 3),
-    (("experiment", "output_dir"), None),
     (("learner", "learning_rate"), "fast"),
     (("learner", "learning_rate"), False),
     (("learner", "max_epochs"), None),

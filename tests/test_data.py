@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -174,6 +175,23 @@ class TestLoadDataset:
         text = BASIC_CSV.replace("f0,f1", "f0,f\u00b2")
         with pytest.raises(CsvParseError, match="unexpected column"):
             load_dataset(write_csv(tmp_path, text))
+
+    def test_unopenable_path_is_data_error_naming_it(self, tmp_path):
+        for path in (tmp_path, tmp_path / "missing.csv", write_csv(tmp_path, BASIC_CSV) / "x.csv"):
+            with pytest.raises(DataError, match=f"cannot read {re.escape(str(path))}: "):
+                load_dataset(path)
+
+    def test_file_is_closed_when_a_row_is_rejected(self, tmp_path, monkeypatch):
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr("decal.data.open", recording_open, raising=False)
+        with pytest.raises(CsvParseError, match=":3: "):
+            load_dataset(write_csv(tmp_path, BASIC_CSV.replace("1,A,1,pool", "1,A,one,pool")))
+        assert len(handles) == 1 and handles[0].closed
 
     def test_schema_remapping(self, tmp_path):
         text = BASIC_CSV.replace("sample_id,patient_id", "sid,subject")

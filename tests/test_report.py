@@ -119,7 +119,7 @@ class TestRegenerate:
         assert (tmp_path / AGGREGATE_FILENAME).read_bytes() == original_aggregate
 
     def test_missing_raw_is_data_error(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(DataError):
             regenerate_report(tmp_path)
 
     @pytest.mark.parametrize("rows, message", [
