@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -26,7 +27,7 @@ from .data import (
     load_dataset,
     normalize_features,
 )
-from .errors import ConfigError, InvariantViolation, TrainingDiverged
+from .errors import ConfigError, DecalError, InvariantViolation, TrainingDiverged
 from .presets import get_preset
 
 log = logging.getLogger(__name__)
@@ -149,7 +150,7 @@ class LearningCurve:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """The records and curve of the trials that finished, and one message per diverged trial."""
+    """The records and curve of the trials that finished, and one message per failed trial."""
 
     config: ExperimentConfig
     records: tuple[RoundRecord, ...]
@@ -275,15 +276,24 @@ def _trial_outcome(trial, trial_seed: int) -> tuple[list[RoundRecord], str | Non
         return [], str(exc)
 
 
+def _future_outcome(future, trial_seed: int) -> tuple[list[RoundRecord], str | None]:
+    # likewise a trial lost with its worker process; trials that finished before keep their results
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        return [], f"trial {trial_seed}: {type(exc).__name__}: {exc}"
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run cfg.trials trials with seeds base_seed..base_seed+trials-1.
 
     The dataset is built once and shared by every trial. With workers > 1
     trials run in separate processes; records are always assembled in
     trial-seed order, so the output is scheduling-independent. A trial whose
-    training diverges leaves its message in ``failures``, in seed order; when
-    no trial finishes, the first of them is raised as TrainingDiverged. Rounds
-    that trained for ``max_epochs`` epochs are counted in one warning per run.
+    training diverges, or whose worker process dies, leaves its message in
+    ``failures``, in seed order; when no trial finishes, the first of them is
+    raised as a DecalError. Rounds that trained for ``max_epochs`` epochs are
+    counted in one warning per run.
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
@@ -293,13 +303,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         # initargs reach each worker once (inherited or pickled), not with every task
         with ProcessPoolExecutor(max_workers=min(workers, cfg.trials),
                                  initializer=_init_worker, initargs=(trial,)) as executor:
-            outcomes = list(executor.map(_run_worker_trial, seeds))
+            futures = [executor.submit(_run_worker_trial, seed) for seed in seeds]
+            outcomes = [_future_outcome(future, seed) for future, seed in zip(futures, seeds)]
     else:
         outcomes = [_trial_outcome(trial, seed) for seed in seeds]
     records = tuple(record for trial_records, _ in outcomes for record in trial_records)
     failures = tuple(error for _, error in outcomes if error is not None)
     if not records:
-        raise TrainingDiverged(failures[0])
+        raise DecalError(failures[0])
     capped = sum(record.epochs_used == cfg.learner.max_epochs for record in records)
     if capped:
         log.warning("%s (%s init): %d of %d rounds hit the epoch cap of %d and may have missed the accuracy target",
@@ -392,7 +403,7 @@ def percent_change_variants(treatments, baselines) -> dict[str, float]:
 def _every_trial_finished(result: ExperimentResult) -> ExperimentResult:
     # trials are paired by seed, so a comparison needs all of them
     if result.failures:
-        raise TrainingDiverged(result.failures[0])
+        raise DecalError(result.failures[0])
     return result
 
 

@@ -1,6 +1,8 @@
 import csv
 import json
 import logging
+import os
+import re
 
 import pytest
 
@@ -225,6 +227,38 @@ class TestDivergedTraining:
             "error: trial 2 round 1: training diverged: loss is inf at step 2"
         ]
         assert not out.exists()
+
+
+class TestCrashedWorker:
+    def test_finished_trials_are_kept(self, tmp_path, capfd, monkeypatch):
+        # the fork start method carries the patched run_trial into the pool workers
+        def crash_on_trial_2(cfg, trial_seed, *args, **kwargs):
+            if trial_seed == 2:
+                os._exit(1)
+            return run_trial(cfg, trial_seed, *args, **kwargs)
+
+        monkeypatch.setattr("decal.experiment.run_trial", crash_on_trial_2)
+        raw = {
+            "dataset": {"preset": "skewed"},
+            "learner": {"max_epochs": 3},
+            "experiment": {"strategy": "random", "init_mode": "random", "init_size": 16, "batch_size": 16,
+                           "rounds": 1, "trials": 4},
+        }
+        config = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        code = main(["run", "--config", config, "--out", str(out), "--workers", "2"])
+        errors = [line for line in capfd.readouterr().err.splitlines() if line.startswith("error:")]
+        assert code == 3
+        assert "error: trial 2: BrokenProcessPool: " in "\n".join(errors)
+        failed = [int(re.match(r"error: trial (\d+): BrokenProcessPool: ", line).group(1)) for line in errors]
+        with open(out / "raw.csv", encoding="utf-8") as fh:
+            kept = sorted({int(row["trial_seed"]) for row in csv.DictReader(fh)})
+        assert sorted(kept + failed) == [0, 1, 2, 3]
+        cfg = load_config_file(config)
+        dataset = build_dataset(cfg.dataset, cfg.base_seed)
+        expected = tmp_path / "expected.csv"
+        write_raw_csv([(("random", "random"), [r for s in kept for r in run_trial(cfg, s, dataset)])], expected)
+        assert (out / "raw.csv").read_bytes() == expected.read_bytes()
 
 
 class TestEpochCapWarning:
