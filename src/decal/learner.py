@@ -153,14 +153,18 @@ def gradient_embedding(model: Model, features) -> np.ndarray:
 
 
 def evaluate(model: Model, features, labels) -> float:
-    """Fraction of samples whose argmax posterior equals the label."""
+    """Fraction of samples whose argmax logit equals the label.
+
+    This is not always the argmax posterior: at a near tie softmax can round
+    the top two posteriors to the same value.
+    """
     x, _ = _as_batch(model, features)
     y = np.asarray(labels, dtype=np.int64)
     if x.shape[0] == 0 or y.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty sample set")
     if x.shape[0] != y.shape[0]:
         raise ValueError("features and labels must have equal length")
-    # argmax over logits == argmax over posteriors; first max = lowest class index
+    # argmax over the logits; ties go to the first max, the lowest class index
     predictions = np.argmax(_forward(model, x)[1], axis=1)
     return float(np.mean(predictions == y))
 

@@ -180,6 +180,17 @@ class TestEvaluate:
         assert evaluate(model, x, np.ones(4, dtype=int)) == 0.0
 
 
+    def test_follows_the_logits_where_posteriors_round_to_a_tie(self):
+        # logits (0, 1e-17, -3): class 1 has the larger logit, but softmax rounds
+        # the top two posteriors to the same value, whose first argmax is class 0
+        model = linear_model([[0.0, 1e-17, -3.0]], np.zeros(3))
+        x = np.ones((1, 1))
+        posteriors = predict_proba(model, x)
+        assert posteriors[0, 0] == posteriors[0, 1] and np.argmax(posteriors) == 0
+        assert evaluate(model, x, [1]) == 1.0
+        assert evaluate(model, x, [0]) == 0.0
+
+
 class TestTrainRound:
     def test_separable_blobs_reach_target(self):
         x, y = blobs(seed=1, per_class=20)
