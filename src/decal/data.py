@@ -135,6 +135,13 @@ def patient_distribution(pool: SampleSet) -> dict[str, int]:
     return dict(Counter(pool.patients))
 
 
+class LabeledSet:
+    """Empty stand-in: ``perfbench/spans.py`` resolves ``LabeledSet.features`` and lists it missing.
+
+    The labeled set is two arrays in ``experiment.run_trial``; delete this with that span.
+    """
+
+
 def normalize_features(split: DatasetSplit, mu: float, sigma: float) -> DatasetSplit:
     """Replace every feature x with (x - mu) / sigma, identically in pool and test."""
     if sigma <= 0:
