@@ -249,11 +249,10 @@ class TestCrashedWorker:
         code = main(["run", "--config", config, "--out", str(out), "--workers", "2"])
         errors = [line for line in capfd.readouterr().err.splitlines() if line.startswith("error:")]
         assert code == 3
-        assert "error: trial 2: BrokenProcessPool: " in "\n".join(errors)
         failed = [int(re.match(r"error: trial (\d+): BrokenProcessPool: ", line).group(1)) for line in errors]
         with open(out / "raw.csv", encoding="utf-8") as fh:
             kept = sorted({int(row["trial_seed"]) for row in csv.DictReader(fh)})
-        assert sorted(kept + failed) == [0, 1, 2, 3]
+        assert 2 in failed and sorted(kept + failed) == [0, 1, 2, 3]
         cfg = load_config_file(config)
         dataset = build_dataset(cfg.dataset, cfg.base_seed)
         expected = tmp_path / "expected.csv"
