@@ -105,7 +105,8 @@ def _cmd_compare(args) -> int:
     _check_out_dir(args.out)
     comparison = compare_initializations(cfg_a, cfg_b, args.round, workers=args.workers)
     out = Path(args.out)
-    emit_report([comparison.treatment_result, comparison.baseline_result], out)
+    results = (comparison.treatment_result, comparison.baseline_result)
+    emit_report(results, out)
 
     write_csv(out / "comparison.csv", [
         "strategy", "round", "treatment_init", "baseline_init",
@@ -130,7 +131,10 @@ def _cmd_compare(args) -> int:
         f"{comparison.baseline_mean:.4f} +/- {comparison.baseline_std:.4f} "
         f"({change})"
     )
-    return EXIT_OK
+    for result in results:
+        for failure in result.failures:
+            print(f"error: {result.config.init_mode} init: {failure}", file=sys.stderr)
+    return EXIT_RUNTIME_ERROR if any(result.failures for result in results) else EXIT_OK
 
 
 def _cmd_report(args) -> int:

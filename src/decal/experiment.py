@@ -276,8 +276,18 @@ def _trial_outcome(trial, trial_seed: int) -> tuple[list[RoundRecord], str | Non
         return [], str(exc)
 
 
-def _future_outcome(future, trial_seed: int) -> tuple[list[RoundRecord], str | None]:
-    # likewise a trial lost with its worker process; trials that finished before keep their results
+def _pool_futures(trial, seeds, workers: int) -> list:
+    """Run the seeds' trials on a fresh process pool; returns their futures, all done."""
+    # initargs reach each worker once (inherited or pickled), not with every task
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(trial,)) as executor:
+        return [executor.submit(_run_worker_trial, seed) for seed in seeds]
+
+
+def _future_outcome(future, trial, trial_seed: int) -> tuple[list[RoundRecord], str | None]:
+    # a dying worker fails every trial still pending with it, so each of those reruns alone:
+    # only a trial that breaks its own pool is lost, as a message like a diverged one
+    if isinstance(future.exception(), BrokenProcessPool):
+        future = _pool_futures(trial, [trial_seed], workers=1)[0]
     try:
         return future.result()
     except BrokenProcessPool as exc:
@@ -290,21 +300,18 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     The dataset is built once and shared by every trial. With workers > 1
     trials run in separate processes; records are always assembled in
     trial-seed order, so the output is scheduling-independent. A trial whose
-    training diverges, or whose worker process dies, leaves its message in
-    ``failures``, in seed order; when no trial finishes, the first of them is
-    raised as a DecalError. Rounds that trained for ``max_epochs`` epochs are
-    counted in one warning per run.
+    training diverges, or that kills its worker process also when rerun
+    alone, leaves its message in ``failures``, in seed order; when no trial
+    finishes, the first of them is raised as a DecalError. Rounds that trained
+    for ``max_epochs`` epochs are counted in one warning per run.
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.trials)
     trial = partial(run_trial, cfg, dataset=build_dataset(cfg.dataset, cfg.base_seed))
     if workers > 1 and cfg.trials > 1:
-        # initargs reach each worker once (inherited or pickled), not with every task
-        with ProcessPoolExecutor(max_workers=min(workers, cfg.trials),
-                                 initializer=_init_worker, initargs=(trial,)) as executor:
-            futures = [executor.submit(_run_worker_trial, seed) for seed in seeds]
-            outcomes = [_future_outcome(future, seed) for future, seed in zip(futures, seeds)]
+        futures = _pool_futures(trial, seeds, min(workers, cfg.trials))
+        outcomes = [_future_outcome(future, trial, seed) for future, seed in zip(futures, seeds)]
     else:
         outcomes = [_trial_outcome(trial, seed) for seed in seeds]
     records = tuple(record for trial_records, _ in outcomes for record in trial_records)
@@ -400,11 +407,9 @@ def percent_change_variants(treatments, baselines) -> dict[str, float]:
     }
 
 
-def _every_trial_finished(result: ExperimentResult) -> ExperimentResult:
-    # trials are paired by seed, so a comparison needs all of them
-    if result.failures:
-        raise DecalError(result.failures[0])
-    return result
+def _only_seeds(result: ExperimentResult, seeds) -> ExperimentResult:
+    records = tuple(record for record in result.records if record.trial_seed in seeds)
+    return replace(result, records=records, curve=aggregate_curve(records))
 
 
 @dataclass(frozen=True)
@@ -433,7 +438,10 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
 
     The configs must be identical apart from init_mode. The config with
     init_mode "decal" is reported as the treatment; with equal modes, cfg_a
-    is the treatment. The variants pair the runs' trials by trial seed, and
+    is the treatment. Both results keep only the trial seeds that finished in
+    both runs, with their curves aggregated over those seeds, and their
+    ``failures``; when no seed finished in both, the first failure is raised
+    as a DecalError. The variants pair the trials by seed, and
     ``percent_change`` is their percent change of means. A zero baseline
     gives NaN, so the runs are still reported.
     """
@@ -447,11 +455,14 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
     else:
         treatment_cfg, baseline_cfg = cfg_a, cfg_b
 
-    treatment = _every_trial_finished(run_experiment(treatment_cfg, workers=workers))
-    baseline = _every_trial_finished(run_experiment(baseline_cfg, workers=workers))
+    treatment = run_experiment(treatment_cfg, workers=workers)
+    baseline = run_experiment(baseline_cfg, workers=workers)
+    paired = {r.trial_seed for r in treatment.records} & {r.trial_seed for r in baseline.records}
+    if not paired:
+        raise DecalError((treatment.failures + baseline.failures)[0])
+    treatment, baseline = _only_seeds(treatment, paired), _only_seeds(baseline, paired)
     t_mean = treatment.curve.mean_accuracy[round_index]
     b_mean = baseline.curve.mean_accuracy[round_index]
-    # both configs share base_seed and trials, so their trial seeds agree
     t_trials, b_trials = (
         {r.trial_seed: r.test_accuracy for r in result.records if r.round_index == round_index}
         for result in (treatment, baseline)

@@ -169,32 +169,39 @@ def evaluate(model: Model, features, labels) -> float:
     return float(np.mean(predictions == y))
 
 
-def cross_entropy_loss_and_grads(model: Model, features, labels) -> tuple[float, list[np.ndarray]]:
+def cross_entropy_loss_and_grads(model: Model, features, labels,
+                                 out: list[np.ndarray] | None = None) -> tuple[float, list[np.ndarray]]:
     """Mean cross-entropy over a batch plus analytic parameter gradients.
 
-    Gradients are returned in the order of ``model.parameters()``.
+    Gradients are returned in the order of ``model.parameters()``. Given
+    ``out``, arrays of those shapes, they are written into it and it is
+    returned; otherwise they are fresh arrays.
     """
     x, _ = _as_batch(model, features)
     y = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty batch")
+    if out is None:
+        out = [np.empty_like(p) for p in model.parameters()]
 
     h, z = _forward(model, x)
     zmax = z.max(axis=1, keepdims=True)
     log_norm = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-    loss = float(np.mean(log_norm - z[np.arange(n), y]))
+    rows = np.arange(n)
+    loss = float((log_norm - z[rows, y]).sum() / n)  # the bits of np.mean, without its overhead
 
-    dz = np.exp(z - log_norm[:, None])
-    dz[np.arange(n), y] -= 1.0
+    dz = np.exp(np.subtract(z, log_norm[:, None], out=z), out=z)  # the logits are not needed again
+    dz[rows, y] -= 1.0
     dz /= n
-    dw_out = h.T @ dz
-    db_out = dz.sum(axis=0)
-    if model.w_hidden is None:
-        return loss, [dw_out, db_out]
-    dh = dz @ model.w_out.T
-    dz1 = dh * (1.0 - h * h)
-    return loss, [x.T @ dz1, dz1.sum(axis=0), dw_out, db_out]
+    np.matmul(h.T, dz, out=out[-2])
+    dz.sum(axis=0, out=out[-1])
+    if model.w_hidden is not None:
+        dz1 = dz @ model.w_out.T
+        dz1 *= 1.0 - h * h
+        np.matmul(x.T, dz1, out=out[0])
+        dz1.sum(axis=0, out=out[1])
+    return loss, out
 
 
 @dataclass(frozen=True)
@@ -215,6 +222,10 @@ class TrainResult:
 def train_round(model: Model, features, labels, cfg: LearnerConfig, seed: int) -> TrainResult:
     """Adam on cross-entropy over shuffled minibatches, mutating the model.
 
+    The model's arrays are rebound to views of one flat parameter buffer,
+    which a single Adam update per step reads and writes; arrays fetched from
+    the model before the call keep their old values and are not updated.
+
     Stops at the first epoch whose full-train accuracy reaches
     ``cfg.train_accuracy_target``, or at ``cfg.max_epochs``. A non-finite
     minibatch loss, or trained parameters or training-set logits that are not
@@ -230,8 +241,17 @@ def train_round(model: Model, features, labels, cfg: LearnerConfig, seed: int) -
 
     rng = np.random.default_rng(seed)
     params = model.parameters()
-    moment1 = [np.zeros_like(p) for p in params]
-    moment2 = [np.zeros_like(p) for p in params]
+    offsets = np.cumsum([p.size for p in params])[:-1]
+
+    def views(buffer: np.ndarray) -> list[np.ndarray]:
+        return [part.reshape(p.shape) for part, p in zip(np.split(buffer, offsets), params)]
+
+    flat = np.concatenate([p.ravel() for p in params])
+    names = ("w_out", "b_out") if model.w_hidden is None else ("w_hidden", "b_hidden", "w_out", "b_out")
+    for name, view in zip(names, views(flat)):
+        setattr(model, name, view)
+    grad, moment1, moment2 = np.zeros_like(flat), np.zeros_like(flat), np.zeros_like(flat)
+    grads = views(grad)
     step = 0
     n = y.shape[0]
     batch_size = min(cfg.minibatch_size, n)
@@ -242,24 +262,24 @@ def train_round(model: Model, features, labels, cfg: LearnerConfig, seed: int) -
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            loss, grads = cross_entropy_loss_and_grads(model, x[idx], y[idx])
+            loss, _ = cross_entropy_loss_and_grads(model, x[idx], y[idx], out=grads)
             step += 1
             if not math.isfinite(loss):
                 raise TrainingDiverged(f"training diverged: loss is {loss} at step {step}")
             bias1 = 1.0 - ADAM_BETA1 ** step
             bias2 = 1.0 - ADAM_BETA2 ** step
-            for p, g, m1, m2 in zip(params, grads, moment1, moment2):
-                m1 *= ADAM_BETA1
-                m1 += (1.0 - ADAM_BETA1) * g
-                m2 *= ADAM_BETA2
-                m2 += (1.0 - ADAM_BETA2) * (g * g)
-                p -= cfg.learning_rate * (m1 / bias1) / (np.sqrt(m2 / bias2) + ADAM_EPSILON)
+            # elementwise, so one update over the flat buffer has the bits of one per parameter
+            moment1 *= ADAM_BETA1
+            moment1 += (1.0 - ADAM_BETA1) * grad
+            moment2 *= ADAM_BETA2
+            moment2 += (1.0 - ADAM_BETA2) * (grad * grad)
+            flat -= cfg.learning_rate * (moment1 / bias1) / (np.sqrt(moment2 / bias2) + ADAM_EPSILON)
         accuracy = evaluate(model, x, y)
         if accuracy >= cfg.train_accuracy_target:
             epochs_used, reached_target = epoch, True
             break
     # each loss is taken before its update, so only this sees the last update diverge;
     # finite parameters near the float limit can still overflow the logits
-    if not (all(np.isfinite(p).all() for p in params) and np.isfinite(_forward(model, x)[1]).all()):
+    if not (np.isfinite(flat).all() and np.isfinite(_forward(model, x)[1]).all()):
         raise TrainingDiverged(f"training diverged: parameters or logits are not finite after step {step}")
     return TrainResult(epochs_used=epochs_used, reached_target=reached_target, train_accuracy=accuracy)

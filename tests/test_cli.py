@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import logging
@@ -9,6 +10,7 @@ import pytest
 from decal.cli import main
 from decal.config import load_config_file
 from decal.data import load_dataset
+from decal.errors import TrainingDiverged
 from decal.experiment import build_dataset, run_trial
 from decal.report import write_raw_csv
 from helpers import write_reversed_test_csv
@@ -218,13 +220,49 @@ class TestDivergedTraining:
         assert (out / "raw.csv").read_bytes() == expected.read_bytes()
         assert (out / "aggregate.csv").exists() and (out / "curve_random_random.svg").exists()
 
-    def test_compare_aborts_on_the_first_failure(self, tmp_path, capfd):
-        config = write_config(tmp_path, self.PARTLY_DIVERGING)
+    def test_compare_reports_the_seeds_both_runs_finished(self, tmp_path, capfd):
+        configs = []
+        for init_mode in ("decal", "random"):
+            raw = copy.deepcopy(self.PARTLY_DIVERGING)
+            raw["experiment"]["init_mode"] = init_mode
+            configs.append(write_config(tmp_path, raw, f"{init_mode}.json"))
         out = tmp_path / "cmp"
-        code = main(["compare", "--config-a", config, "--config-b", config, "--round", "0", "--out", str(out)])
+        code = main(["compare", "--config-a", configs[0], "--config-b", configs[1], "--round", "1",
+                     "--out", str(out)])
         assert code == 3
         assert [line for line in capfd.readouterr().err.splitlines() if line.startswith("error:")] == [
-            "error: trial 2 round 1: training diverged: loss is inf at step 2"
+            f"error: {init_mode} init: trial 2 round 1: training diverged: loss is inf at step 2"
+            for init_mode in ("decal", "random")
+        ]
+        groups = []
+        for config in configs:
+            cfg = load_config_file(config)
+            dataset = build_dataset(cfg.dataset, cfg.base_seed)
+            groups.append(((cfg.strategy, cfg.init_mode), [r for s in (0, 1, 3) for r in run_trial(cfg, s, dataset)]))
+        expected = tmp_path / "expected.csv"
+        write_raw_csv(groups, expected)
+        assert (out / "raw.csv").read_bytes() == expected.read_bytes()
+        assert (out / "comparison.csv").exists() and (out / "curves_combined.svg").exists()
+
+    def test_compare_without_a_seed_both_runs_finished_leaves_no_directory(self, tmp_path, capfd, monkeypatch):
+        def diverge(cfg, trial_seed, *args, **kwargs):
+            if trial_seed == {"decal": 0, "random": 1}[cfg.init_mode]:
+                raise TrainingDiverged(f"trial {trial_seed} round 0: training diverged: stand-in")
+            return run_trial(cfg, trial_seed, *args, **kwargs)
+
+        monkeypatch.setattr("decal.experiment.run_trial", diverge)
+        configs = []
+        for init_mode in ("decal", "random"):
+            raw = copy.deepcopy(self.PARTLY_DIVERGING)
+            raw["learner"] = {"max_epochs": 3}
+            raw["experiment"].update(init_mode=init_mode, rounds=0, trials=2)
+            configs.append(write_config(tmp_path, raw, f"{init_mode}.json"))
+        out = tmp_path / "cmp"
+        code = main(["compare", "--config-a", configs[0], "--config-b", configs[1], "--round", "0",
+                     "--out", str(out)])
+        assert code == 3
+        assert [line for line in capfd.readouterr().err.splitlines() if line.startswith("error:")] == [
+            "error: trial 0 round 0: training diverged: stand-in"
         ]
         assert not out.exists()
 
@@ -252,7 +290,7 @@ class TestCrashedWorker:
         failed = [int(re.match(r"error: trial (\d+): BrokenProcessPool: ", line).group(1)) for line in errors]
         with open(out / "raw.csv", encoding="utf-8") as fh:
             kept = sorted({int(row["trial_seed"]) for row in csv.DictReader(fh)})
-        assert 2 in failed and sorted(kept + failed) == [0, 1, 2, 3]
+        assert failed == [2] and kept == [0, 1, 3]
         cfg = load_config_file(config)
         dataset = build_dataset(cfg.dataset, cfg.base_seed)
         expected = tmp_path / "expected.csv"

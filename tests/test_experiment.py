@@ -9,7 +9,7 @@ from decal import learner, patients
 from decal.acquisition import BASE_STRATEGIES
 from decal.cli import main
 from decal.data import ImageCountSpec, SyntheticConfig
-from decal.errors import ConfigError, InvariantViolation
+from decal.errors import ConfigError, DecalError, InvariantViolation, TrainingDiverged
 from decal.experiment import (
     DatasetSource,
     ExperimentConfig,
@@ -352,6 +352,41 @@ class TestCompareInitializations:
         assert comparison.percent_change == pytest.approx(
             percent_change(comparison.treatment_mean, comparison.baseline_mean))
         assert comparison.variants["mean_of_percent_changes"] != pytest.approx(comparison.percent_change)
+
+    @staticmethod
+    def diverge(monkeypatch, seed_by_init_mode):
+        def trial(cfg, trial_seed, *args, **kwargs):
+            if trial_seed == seed_by_init_mode[cfg.init_mode]:
+                raise TrainingDiverged(f"trial {trial_seed} round 0: training diverged: stand-in")
+            return run_trial(cfg, trial_seed, *args, **kwargs)
+
+        monkeypatch.setattr("decal.experiment.run_trial", trial)
+
+    def test_pairs_the_seeds_both_runs_finished(self, monkeypatch):
+        cfg = small_cfg(strategy="random", init_mode="decal", rounds=1, trials=4)
+        full = compare_initializations(cfg, replace(cfg, init_mode="random"), round_index=1)
+        self.diverge(monkeypatch, {"decal": 101, "random": 102})
+        comparison = compare_initializations(cfg, replace(cfg, init_mode="random"), round_index=1)
+
+        paired = {100, 103}
+        accuracies = []
+        for result, whole, seed in ((comparison.treatment_result, full.treatment_result, 101),
+                                    (comparison.baseline_result, full.baseline_result, 102)):
+            records = tuple(r for r in whole.records if r.trial_seed in paired)
+            assert result.records == records
+            assert result.curve == aggregate_curve(records)
+            assert result.failures == (f"trial {seed} round 0: training diverged: stand-in",)
+            accuracies.append([r.test_accuracy for r in records if r.round_index == 1])
+        assert comparison.treatment_mean == comparison.treatment_result.curve.mean_accuracy[1]
+        assert comparison.baseline_stderr == comparison.baseline_result.curve.stderr_accuracy[1]
+        assert comparison.variants == percent_change_variants(*accuracies)
+        assert comparison.percent_change == comparison.variants["percent_change_of_means"]
+
+    def test_no_seed_finished_in_both_raises_the_first_failure(self, monkeypatch):
+        cfg = small_cfg(strategy="random", init_mode="decal", rounds=0, trials=2)
+        self.diverge(monkeypatch, {"decal": 100, "random": 101})
+        with pytest.raises(DecalError, match="^trial 100 round 0: training diverged: stand-in$"):
+            compare_initializations(cfg, replace(cfg, init_mode="random"), 0)
 
     def test_zero_baseline_gives_nan_change(self, tmp_path):
         cfg = small_cfg(

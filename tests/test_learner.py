@@ -5,7 +5,11 @@ import pytest
 
 from decal.errors import ConfigError, TrainingDiverged
 from decal.learner import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     LearnerConfig,
+    TrainResult,
     cross_entropy_loss_and_grads,
     evaluate,
     gradient_embedding,
@@ -274,7 +278,103 @@ class TestTrainRound:
             train_round(model, x, np.tile([0, 1], 4), replace(FAST, max_epochs=1), seed=0)
 
 
+def reference_loss_and_grads(model, x, y):
+    """Cross-entropy gradients as separate fresh arrays, computed as before the fused trainer."""
+    n = x.shape[0]
+    h = x if model.w_hidden is None else np.tanh(x @ model.w_hidden + model.b_hidden)
+    z = h @ model.w_out + model.b_out
+    zmax = z.max(axis=1, keepdims=True)
+    log_norm = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+    dz = np.exp(z - log_norm[:, None])
+    dz[np.arange(n), y] -= 1.0
+    dz /= n
+    dw_out = h.T @ dz
+    db_out = dz.sum(axis=0)
+    if model.w_hidden is None:
+        return [dw_out, db_out]
+    dh = dz @ model.w_out.T
+    dz1 = dh * (1.0 - h * h)
+    return [x.T @ dz1, dz1.sum(axis=0), dw_out, db_out]
+
+
+def reference_train_round(model, x, y, cfg, seed):
+    """The per-parameter Adam loop the fused trainer replaced, for finite runs."""
+    rng = np.random.default_rng(seed)
+    params = model.parameters()
+    moment1 = [np.zeros_like(p) for p in params]
+    moment2 = [np.zeros_like(p) for p in params]
+    step = 0
+    n = y.shape[0]
+    batch_size = min(cfg.minibatch_size, n)
+    accuracy = evaluate(model, x, y)
+    epochs_used, reached_target = cfg.max_epochs, False
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            grads = reference_loss_and_grads(model, x[idx], y[idx])
+            step += 1
+            bias1 = 1.0 - ADAM_BETA1 ** step
+            bias2 = 1.0 - ADAM_BETA2 ** step
+            for p, g, m1, m2 in zip(params, grads, moment1, moment2):
+                m1 *= ADAM_BETA1
+                m1 += (1.0 - ADAM_BETA1) * g
+                m2 *= ADAM_BETA2
+                m2 += (1.0 - ADAM_BETA2) * (g * g)
+                p -= cfg.learning_rate * (m1 / bias1) / (np.sqrt(m2 / bias2) + ADAM_EPSILON)
+        accuracy = evaluate(model, x, y)
+        if accuracy >= cfg.train_accuracy_target:
+            epochs_used, reached_target = epoch, True
+            break
+    return TrainResult(epochs_used=epochs_used, reached_target=reached_target, train_accuracy=accuracy)
+
+
+class TestFusedTrainer:
+    # minibatch 16: 48 rows fill three batches, 45 leave a short last batch, 9 make one short batch
+    @pytest.mark.parametrize("per_class", [16, 15, 3], ids=["n-multiple", "n-not-multiple", "n-below-batch"])
+    @pytest.mark.parametrize("hidden_width", [8, 0], ids=["hidden", "linear"])
+    @pytest.mark.parametrize("capped", [False, True], ids=["target", "epoch-cap"])
+    def test_bitwise_equal_to_per_parameter_adam(self, per_class, hidden_width, capped):
+        x, y = blobs(seed=5, per_class=per_class)
+        if capped:  # the first two rows become one point with two labels
+            x[1], y[1] = x[0], 1
+        cfg = replace(FAST, hidden_width=hidden_width, learning_rate=0.01, train_accuracy_target=1.0, max_epochs=150)
+        fused, reference = (init_model(cfg, 2, 3, seed=9) for _ in range(2))
+        fetched = [p.copy() for p in fused.parameters()], fused.parameters()
+
+        result = train_round(fused, x, y, cfg, seed=4)
+        assert result == reference_train_round(reference, x, y, cfg, seed=4)
+        assert result.reached_target != capped and result.epochs_used > 1
+        for p, q in zip(fused.parameters(), reference.parameters()):
+            assert p.shape == q.shape and p.tobytes() == q.tobytes()
+        # the model now holds views of one buffer; arrays fetched before the call are not updated
+        for before, stale in zip(*fetched):
+            np.testing.assert_array_equal(stale, before)
+
+
 class TestGradients:
+    def test_out_receives_and_is_returned(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((7, 4)), rng.integers(0, 3, size=7)
+        for hidden_width in (8, 0):
+            model = init_model(LearnerConfig(hidden_width=hidden_width), 4, 3, seed=1)
+            out = [np.full_like(p, np.nan) for p in model.parameters()]
+            _, grads = cross_entropy_loss_and_grads(model, x, y, out=out)
+            assert grads is out
+            for g, expected in zip(out, reference_loss_and_grads(model, x, y)):
+                assert g.tobytes() == expected.tobytes()
+
+    def test_fresh_arrays_without_out(self):
+        rng = np.random.default_rng(4)
+        x, y = rng.standard_normal((7, 4)), rng.integers(0, 3, size=7)
+        for hidden_width in (8, 0):
+            model = init_model(LearnerConfig(hidden_width=hidden_width), 4, 3, seed=1)
+            _, first = cross_entropy_loss_and_grads(model, x, y)
+            _, second = cross_entropy_loss_and_grads(model, x, y)
+            arrays = [*first, *second, *model.parameters(), x]
+            for i, a in enumerate(arrays):
+                assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
     def test_matches_central_finite_differences(self):
         rng = np.random.default_rng(12)
         step = 1e-5
