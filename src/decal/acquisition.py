@@ -127,6 +127,13 @@ def badge_seeding(matrix: np.ndarray, k: int, seed: int,
     constraint is relaxed for that slot and seeding continues over all
     unpicked rows. With all-distinct groups the picks equal the unconstrained
     ones. Returns the picked rows in pick order and the relaxed-slot count.
+
+    Each pick measures only the rows it can move (Elkan's triangle-inequality
+    bound). Every row keeps the pick its distance was measured to; if the new
+    pick is more than twice as far from that pick, ``|x-new| >= |new-a| -
+    |x-a| > |x-a|``, so the row is skipped. The bound carries a margin for
+    rounding and underflow, so every distance and every pick is bitwise the
+    one a full measurement of every row would give.
     """
     n = len(matrix)
     if k < 0:
@@ -145,7 +152,8 @@ def badge_seeding(matrix: np.ndarray, k: int, seed: int,
     current = int(np.argmax(norms_sq))  # first occurrence = lowest row
     order = [current]
     relaxed = 0
-    dist_sq = _sq_distances(matrix, matrix[current])
+    dist_sq = _sq_distances(matrix, matrix[current], np.arange(n))
+    nearest = np.zeros(n, dtype=np.intp)  # dist_sq[i] is to matrix[order[nearest[i]]]
     while True:
         picked[current] = True
         blocked[current] = True
@@ -163,13 +171,42 @@ def badge_seeding(matrix: np.ndarray, k: int, seed: int,
             current = int(rng.choice(n, p=weights / total))
         else:
             current = int(np.flatnonzero(eligible)[0])
+        between = _sq_distances(matrix, matrix[current], np.array(order))
         order.append(current)
-        dist_sq = np.minimum(dist_sq, _sq_distances(matrix, matrix[current]))
+        rows = np.flatnonzero(between[nearest] <= _PRUNE_FACTOR * dist_sq + _PRUNE_FLOOR)
+        moved = _sq_distances(matrix, matrix[current], rows)
+        closer = moved < dist_sq[rows]
+        dist_sq[rows[closer]] = moved[closer]
+        nearest[rows[closer]] = len(order) - 1
 
     return np.array(order, dtype=np.int64), relaxed
 
 
-def _sq_distances(matrix: np.ndarray, center: np.ndarray) -> np.ndarray:
-    # a helper, so the (n, d) difference buffer is freed before the next pick
-    diff = matrix - center
-    return np.einsum("ij,ij->i", diff, diff)
+# A row is measured against a new pick unless its nearest pick is more than
+# 4 times as far (squared) from the new pick as from the row. Over d columns a
+# computed squared distance is within about (d + 2) * 1.1e-16 of the true one,
+# relatively, plus d half-ulps of the smallest subnormal where squares
+# underflow: the factor's margin covers the first for d up to about 1e9, the
+# floor the second (pools scaled by 1e-160 need it).
+_PRUNE_FACTOR = 4.0 + 1e-6
+_PRUNE_FLOOR = np.finfo(np.float64).tiny
+_BLOCK_ROWS = 2048
+
+
+def _sq_distances(matrix: np.ndarray, center: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Squared distances from ``center`` to ``matrix[rows]``.
+
+    Works in blocks of rows through one reused buffer, so no ``(len(rows), d)``
+    array is made; each row's arithmetic is that of ``diff = matrix[rows] -
+    center; einsum("ij,ij->i", diff, diff)``, bit for bit.
+    """
+    out = np.empty(len(rows))
+    buf = np.empty((min(len(rows), _BLOCK_ROWS), matrix.shape[1]))
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        part = rows[start:start + _BLOCK_ROWS]
+        block = buf[:len(part)]
+        # the rows are valid; "clip" spares take the buffered copy of its bounds check
+        np.take(matrix, part, axis=0, out=block, mode="clip")
+        np.subtract(block, center, out=block)
+        np.einsum("ij,ij->i", block, block, out=out[start:start + len(part)])
+    return out

@@ -436,24 +436,23 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
                             round_index: int, workers: int = 1) -> InitComparison:
     """Run both configs and compare accuracy at one round.
 
-    The configs must be identical apart from init_mode. The config with
-    init_mode "decal" is reported as the treatment; with equal modes, cfg_a
-    is the treatment. Both results keep only the trial seeds that finished in
-    both runs, with their curves aggregated over those seeds, and their
-    ``failures``; when no seed finished in both, the first failure is raised
-    as a DecalError. The variants pair the trials by seed, and
-    ``percent_change`` is their percent change of means. A zero baseline
-    gives NaN, so the runs are still reported.
+    The configs must be identical apart from init_mode, and their init modes
+    must differ; both are checked before any trial runs. The config with
+    init_mode "decal" is reported as the treatment. Both results keep only
+    the trial seeds that finished in both runs, with their curves aggregated
+    over those seeds, and their ``failures``; when no seed finished in both,
+    the first failure is raised as a DecalError. The variants pair the
+    trials by seed, and ``percent_change`` is their percent change of means.
+    A zero baseline gives NaN, so the runs are still reported.
     """
     if replace(cfg_a, init_mode="random") != replace(cfg_b, init_mode="random"):
         raise ConfigError("configs must be identical except for init_mode")
+    if cfg_a.init_mode == cfg_b.init_mode:
+        raise ConfigError(f"configs must differ in init_mode; both are {cfg_a.init_mode!r}")
     if not 0 <= round_index <= cfg_a.rounds:
         raise ConfigError(f"round {round_index} outside 0..{cfg_a.rounds}")
 
-    if cfg_b.init_mode == "decal" and cfg_a.init_mode != "decal":
-        treatment_cfg, baseline_cfg = cfg_b, cfg_a
-    else:
-        treatment_cfg, baseline_cfg = cfg_a, cfg_b
+    treatment_cfg, baseline_cfg = (cfg_a, cfg_b) if cfg_a.init_mode == "decal" else (cfg_b, cfg_a)
 
     treatment = run_experiment(treatment_cfg, workers=workers)
     baseline = run_experiment(baseline_cfg, workers=workers)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from decal import acquisition
 from decal.acquisition import (
+    badge_seeding,
     score_entropy,
     score_least_confidence,
     score_margin,
@@ -178,6 +180,129 @@ class TestSelectBadge:
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             select_badge({1: np.array([1.0])}, 2, seed=0)
+
+
+def reference_badge_seeding(matrix, k, seed, groups=None):
+    """The seeding loop before pruning: every pick measures every row."""
+    n = len(matrix)
+    if k == 0:
+        return np.zeros(0, dtype=np.int64), 0
+    rng = np.random.default_rng(seed)
+    picked = np.zeros(n, dtype=bool)
+    blocked = np.zeros(n, dtype=bool)
+    norms_sq = np.einsum("ij,ij->i", matrix, matrix)
+    current = int(np.argmax(norms_sq))
+    order = [current]
+    relaxed = 0
+    diff = matrix - matrix[current]
+    dist_sq = np.einsum("ij,ij->i", diff, diff)
+    while True:
+        picked[current] = True
+        blocked[current] = True
+        if groups is not None:
+            blocked |= groups == groups[current]
+        if len(order) == k:
+            break
+        eligible = ~blocked
+        if not eligible.any():
+            relaxed += 1
+            eligible = ~picked
+        weights = np.where(eligible, dist_sq, 0.0)
+        total = weights.sum()
+        if total > 0.0:
+            current = int(rng.choice(n, p=weights / total))
+        else:
+            current = int(np.flatnonzero(eligible)[0])
+        order.append(current)
+        diff = matrix - matrix[current]
+        dist_sq = np.minimum(dist_sq, np.einsum("ij,ij->i", diff, diff))
+    return np.array(order, dtype=np.int64), relaxed
+
+
+@st.composite
+def seeding_inputs(draw):
+    """Pools of few distinct rows (so duplicates of picked rows), some all zero, at extreme scales."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.standard_normal((draw(st.integers(1, n)), draw(st.integers(1, 6))))
+    if draw(st.booleans()):  # small integer coordinates: ties between distances
+        points = np.round(2 * points)
+    matrix = points[rng.integers(len(points), size=n)]
+    matrix[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    # squared distances: subnormal at 1e-160, a few ulps of the smallest subnormal or 0 at 1e-162
+    matrix *= draw(st.sampled_from([1e-162, 1e-160, 1.0, 1e150]))
+    num_groups = draw(st.integers(0, n))  # 0: unconstrained; few groups force relaxed slots
+    groups = rng.integers(num_groups, size=n) if num_groups else None
+    k = draw(st.sampled_from([n, 0]) | st.integers(0, n))
+    return matrix, k, draw(st.integers(0, 1000)), groups
+
+
+def _same_picks(matrix, k, seed, groups):
+    rows, relaxed = badge_seeding(matrix, k, seed, groups)
+    expected, expected_relaxed = reference_badge_seeding(matrix, k, seed, groups)
+    assert rows.tolist() == expected.tolist() and relaxed == expected_relaxed
+    return relaxed
+
+
+class TestBadgePruning:
+    @settings(max_examples=400, deadline=None)
+    @given(seeding_inputs())
+    def test_picks_equal_the_unpruned_loop(self, case):
+        _same_picks(*case)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e150])
+    def test_named_cases_equal_the_unpruned_loop(self, scale):
+        rng = np.random.default_rng(11)
+        points = rng.standard_normal((4, 3)) * scale
+        duplicates = points[np.arange(60) % 4]  # mass is all zero once every point is picked
+        with_zeros = np.vstack([points, np.zeros((5, 3)), rng.standard_normal((20, 3)) * scale])
+        groups = np.arange(len(with_zeros)) % 3
+        for matrix, k, groups_or_none in [(duplicates, 10, None), (with_zeros, 12, None),
+                                          (with_zeros, len(with_zeros), None),
+                                          (with_zeros, 7, groups), (duplicates, len(duplicates), None)]:
+            for seed in range(5):
+                _same_picks(matrix, k, seed, groups_or_none)
+        assert _same_picks(with_zeros, 7, 0, groups) == 4
+
+    @pytest.mark.parametrize("matrix, k", [
+        # in units of the smallest subnormal, row 1 is 1 from the first pick (row 0) and
+        # 0 from the second (row 3), which is 5 from the first: only the floor measures it
+        (np.random.default_rng(47).standard_normal((6, 6)) * 1e-162, 3),
+        # points on a line: a bound factor of 3.9 instead of 4 changes the picks
+        (np.random.default_rng(6).standard_normal((20, 1)), 20),
+    ], ids=["underflow", "collinear"])
+    def test_rows_at_the_bound_equal_the_unpruned_loop(self, matrix, k):
+        _same_picks(matrix, k, 0, None)
+
+    @pytest.mark.parametrize("n", [0, 1, "B-1", "B", "B+1", "2B+7"])
+    def test_sq_distances_bitwise_equal_to_one_einsum(self, n):
+        block = acquisition._BLOCK_ROWS
+        n = {"B-1": block - 1, "B": block, "B+1": block + 1, "2B+7": 2 * block + 7}.get(n, n)
+        rng = np.random.default_rng(3)
+        matrix, center = rng.standard_normal((n, 48)), rng.standard_normal(48)
+        diff = matrix - center
+        expected = np.einsum("ij,ij->i", diff, diff)
+        assert acquisition._sq_distances(matrix, center, np.arange(n)).tobytes() == expected.tobytes()
+        rows = rng.permutation(n)[: n // 2 + 1] if n else np.zeros(0, dtype=np.intp)
+        assert acquisition._sq_distances(matrix, center, rows).tobytes() == expected[rows].tobytes()
+
+    def test_well_separated_clusters_measure_under_half_the_rows(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        centers = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [0.0, 100.0, 0.0]])
+        matrix = centers[np.arange(3000) % 3] + rng.standard_normal((3000, 3))
+        measured = []
+        full = acquisition._sq_distances
+
+        def counting(matrix, center, rows):
+            measured.append(len(rows))
+            return full(matrix, center, rows)
+
+        monkeypatch.setattr(acquisition, "_sq_distances", counting)
+        k = 32
+        rows, _ = badge_seeding(matrix, k, seed=2)
+        monkeypatch.undo()
+        assert rows.tolist() == reference_badge_seeding(matrix, k, seed=2)[0].tolist()
+        assert sum(measured) < len(matrix) * (k - 1) / 2
 
 
 class TestMakeRanking:

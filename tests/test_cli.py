@@ -379,6 +379,18 @@ class TestCompare:
         changes = ("percent_change", "mean_of_percent_changes", "percent_change_of_means")
         assert [row[k] for k in changes] == ["nan"] * 3
 
+    def test_equal_init_modes_are_config_error_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("decal.experiment.run_trial", fail)
+        cfg = write_config(tmp_path, config_dict(init_mode="random"))
+        out = tmp_path / "cmp"
+        code = main(["compare", "--config-a", cfg, "--config-b", cfg, "--round", "0", "--out", str(out)])
+        assert code == 1
+        assert "config error: configs must differ in init_mode; both are 'random'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mismatched_pair_is_config_error(self, tmp_path, capsys):
         cfg_a = write_config(tmp_path, config_dict(init_mode="decal"), "a.json")
         cfg_b = write_config(tmp_path, config_dict(init_mode="random", batch_size=5), "b.json")

@@ -321,11 +321,15 @@ class TestCompareInitializations:
         with pytest.raises(ConfigError):
             compare_initializations(a, b, 9)
 
-    def test_identical_streams_give_zero_change(self):
-        cfg = small_cfg(init_mode="random", rounds=0, trials=1)
-        comparison = compare_initializations(cfg, cfg, 0)
-        assert comparison.percent_change == 0.0
-        assert comparison.treatment_mean == comparison.baseline_mean
+    @pytest.mark.parametrize("mode", ["random", "decal"])
+    def test_equal_init_modes_rejected_before_any_trial(self, monkeypatch, mode):
+        def fail(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("decal.experiment.run_experiment", fail)
+        cfg = small_cfg(init_mode=mode, rounds=0, trials=1)
+        with pytest.raises(ConfigError, match=f"configs must differ in init_mode; both are '{mode}'"):
+            compare_initializations(cfg, cfg, 0)
 
     def test_orients_decal_as_treatment(self):
         a = small_cfg(init_mode="random", rounds=0, trials=1)
