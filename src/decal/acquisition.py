@@ -187,7 +187,7 @@ def badge_seeding(matrix: np.ndarray, k: int, seed: int,
 # computed squared distance is within about (d + 2) * 1.1e-16 of the true one,
 # relatively, plus d half-ulps of the smallest subnormal where squares
 # underflow: the factor's margin covers the first for d up to about 1e9, the
-# floor the second (pools scaled by 1e-160 need it).
+# floor the second (a pool scaled by 1e-162 needs it).
 _PRUNE_FACTOR = 4.0 + 1e-6
 _PRUNE_FLOOR = np.finfo(np.float64).tiny
 _BLOCK_ROWS = 2048
