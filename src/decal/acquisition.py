@@ -113,6 +113,7 @@ def select_badge(embeddings: Mapping[int, np.ndarray], k: int, seed: int) -> lis
     return [ids[row] for row in rows]
 
 
+@np.errstate(over="ignore")  # an overflowing weight total is a ValueError below
 def badge_seeding(matrix: np.ndarray, k: int, seed: int,
                   groups: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """k-means++ seeding over the rows of a gradient-embedding matrix.
@@ -134,6 +135,9 @@ def badge_seeding(matrix: np.ndarray, k: int, seed: int,
     |x-a| > |x-a|``, so the row is skipped. The bound carries a margin for
     rounding and underflow, so every distance and every pick is bitwise the
     one a full measurement of every row would give.
+
+    Embeddings whose squared distances (or their sum) overflow float64 raise
+    a ValueError that says so.
     """
     n = len(matrix)
     if k < 0:
@@ -167,6 +171,8 @@ def badge_seeding(matrix: np.ndarray, k: int, seed: int,
             eligible = ~picked
         weights = np.where(eligible, dist_sq, 0.0)
         total = weights.sum()
+        if total == np.inf:
+            raise ValueError("squared distances between embeddings overflow float64; scale the embeddings down")
         if total > 0.0:
             current = int(rng.choice(n, p=weights / total))
         else:

@@ -15,7 +15,9 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -24,12 +26,14 @@ from .errors import (
     CsvParseError,
     DataError,
     FeatureDimensionError,
+    InvariantViolation,
     PatientOverlapError,
 )
 
 SPLIT_POOL = "pool"
 SPLIT_TEST = "test"
 _INT64_MAX = 2**63 - 1  # sample ids and labels are stored as int64
+_CHUNK_ROWS = 4096  # CSV rows converted per step: bounds the Python objects alive at once
 
 
 class SampleSet:
@@ -46,7 +50,7 @@ class SampleSet:
         ids = np.array(ids, dtype=np.int64)
         features = np.array(features, dtype=np.float64)
         labels = np.array(labels, dtype=np.int64)
-        patients = tuple(str(p) for p in patients)
+        patients = tuple(map(str, patients))
         if features.ndim != 2:
             raise DataError("features must be a 2-D array of shape (n_samples, feature_dim)")
         n = features.shape[0]
@@ -56,15 +60,16 @@ class SampleSet:
             raise DataError("a sample set must contain at least one sample")
         if ids.min() < 0:
             raise DataError("sample ids must be non-negative")
-        if len(np.unique(ids)) != n:
+        order = np.argsort(ids) if np.any(ids[1:] < ids[:-1]) else None
+        sorted_ids = ids if order is None else ids[order]
+        if np.any(sorted_ids[1:] == sorted_ids[:-1]):
             raise DataError("sample ids must be unique")
         if labels.min() < 0:
             raise DataError("labels must be non-negative")
         if not np.all(np.isfinite(features)):
             raise DataError("features must be finite (no NaN or Inf)")
-        if np.any(ids[1:] < ids[:-1]):
-            order = np.argsort(ids)
-            ids, features, labels = ids[order], features[order], labels[order]
+        if order is not None:
+            ids, features, labels = sorted_ids, features[order], labels[order]
             patients = tuple(patients[i] for i in order)
         for arr in (ids, features, labels):
             arr.setflags(write=False)
@@ -122,7 +127,7 @@ class DatasetSplit:
                 raise DataError(
                     f"{name} contains label {int(part.labels.max())} outside [0, {self.num_classes})"
                 )
-        shared_ids = np.intersect1d(self.pool.ids, self.test.ids)
+        shared_ids = np.intersect1d(self.pool.ids, self.test.ids, assume_unique=True)
         if len(shared_ids):
             raise DataError(f"sample id {int(shared_ids[0])} appears in both pool and test")
         shared_patients = sorted(set(self.pool.patients) & set(self.test.patients))
@@ -148,7 +153,11 @@ def normalize_features(split: DatasetSplit, mu: float, sigma: float) -> DatasetS
         raise ConfigError(f"sigma must be > 0, got {sigma}")
 
     def transform(part: SampleSet) -> SampleSet:
-        return SampleSet(part.ids, part.patients, (part.features - mu) / sigma, part.labels)
+        with np.errstate(over="ignore"):
+            features = (part.features - mu) / sigma
+        if not np.isfinite(features).all():
+            raise ConfigError(f"normalize mu {mu}, sigma {sigma} makes features non-finite")
+        return SampleSet(part.ids, part.patients, features, part.labels)
 
     return replace(split, pool=transform(split.pool), test=transform(split.test))
 
@@ -156,6 +165,10 @@ def normalize_features(split: DatasetSplit, mu: float, sigma: float) -> DatasetS
 # ---------------------------------------------------------------------------
 # Synthetic patient-structured benchmarks
 # ---------------------------------------------------------------------------
+
+# Bound on generated feature values (images x feature_dim): 800 MB as float64,
+# over 250 times the largest preset or benchmark pool (60k images x 6).
+_MAX_FEATURE_VALUES = 10**8
 
 @dataclass(frozen=True)
 class ImageCountSpec:
@@ -233,20 +246,20 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> DatasetSplit:
 
     Patients are assigned classes round-robin; per class, a
     ``test_fraction_of_patients`` share of patients (at least one, never all)
-    is held out entirely to the test split.
+    is held out entirely to the test split. A config that would draw more than
+    ``_MAX_FEATURE_VALUES`` feature values, or non-finite ones, is a ConfigError.
     """
     rng = np.random.default_rng(seed)
     n_classes, n_patients, dim = cfg.num_classes, cfg.num_patients, cfg.feature_dim
 
     # Class means: random directions at distance class_separation from the origin.
-    means = rng.standard_normal((n_classes, dim))
-    norms = np.linalg.norm(means, axis=1, keepdims=True)
+    directions = rng.standard_normal((n_classes, dim))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    means = cfg.class_separation * means / norms
 
     patient_class = np.arange(n_patients) % n_classes
     counts = np.array([cfg.images_per_patient.draw(rng) for _ in range(n_patients)])
-    offsets = cfg.patient_offset_scale * rng.standard_normal((n_patients, dim))
+    offsets = rng.standard_normal((n_patients, dim))  # scaled by patient_offset_scale below
 
     test_patients: set[int] = set()
     for c in range(n_classes):
@@ -259,12 +272,22 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> DatasetSplit:
         n_test = min(max(n_test, 1), len(members) - 1)
         test_patients.update(int(p) for p in rng.choice(members, size=n_test, replace=False))
 
-    blocks = [
-        means[patient_class[p]] + offsets[p] + cfg.noise_scale * rng.standard_normal((counts[p], dim))
-        for p in range(n_patients)
-    ]
-    features = np.concatenate(blocks, axis=0)
+    n_images = sum(counts.tolist())
+    if n_images * dim > _MAX_FEATURE_VALUES:
+        raise ConfigError(
+            f"images_per_patient and num_patients drew {n_images} images of feature_dim {dim}, "
+            f"{n_images * dim} feature values; at most {_MAX_FEATURE_VALUES} are generated"
+        )
     owner = np.repeat(np.arange(n_patients), counts)  # patient of each row; sample id = row
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite features are reported below
+        means = cfg.class_separation * directions / norms
+        features = (means[patient_class] + cfg.patient_offset_scale * offsets)[owner]
+        # one draw for all images, patient after patient, is the stream of one draw per patient
+        features += cfg.noise_scale * rng.standard_normal((n_images, dim))
+    if not np.isfinite(features).all():
+        raise ConfigError(
+            "generated features are not finite; lower class_separation, patient_offset_scale or noise_scale"
+        )
     in_test = np.isin(owner, sorted(test_patients))
     names = np.array([f"p{p:04d}" for p in range(n_patients)], dtype=object)
 
@@ -341,6 +364,10 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
     count disagrees with the header raise a dimension error, and a class in
     0..max(label) with no pool sample raises a parse error at the line of the
     largest label.
+
+    Rows are read ``_CHUNK_ROWS`` at a time and converted a column at a time.
+    A chunk with a faulty row is walked again row by row (:func:`_row_fault`),
+    so an error names the first faulty physical line, as a row-by-row read would.
     """
     schema = schema or CsvSchema()
     reader = csv_rows(path)
@@ -373,62 +400,29 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
             path, header_line, f"feature columns must be contiguous {schema.feature_prefix}0..{schema.feature_prefix}{{d-1}}"
         )
     dim = len(feature_cols)
-    feature_idx = [i for _, i in feature_cols]
 
-    rows: dict[str, dict[str, list]] = {
-        SPLIT_POOL: {"ids": [], "patients": [], "labels": [], "features": []},
-        SPLIT_TEST: {"ids": [], "patients": [], "labels": [], "features": []},
-    }
-    seen_ids: dict[int, int] = {}
+    layout = _Layout(len(header), *col.values(), [i for _, i in feature_cols])  # col is in role order
+
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, dim)), np.zeros(0, bool))]
+    patients: list[str] = []
+    seen: dict[int, int] = {}  # sample id -> the line it was read on
     top_label, top_line = -1, 0
-    for line_number, row in reader:
-        if len(row) > len(header):
-            raise FeatureDimensionError(
-                f"{path}:{line_number}: expected {dim} feature values, found {len(row) - len(header) + dim}"
-            )
-        if len(row) < len(header):
-            raise CsvParseError(
-                path, line_number, f"expected {len(header)} columns, found {len(row)}"
-            )
-        try:
-            sample_id = int(row[col[schema.sample_id]])
-            label = int(row[col[schema.label]])
-        except ValueError as exc:
-            raise CsvParseError(path, line_number, str(exc)) from None
-        if not 0 <= sample_id <= _INT64_MAX:
-            raise CsvParseError(path, line_number, f"sample id must be in 0..2**63-1, got {sample_id}")
-        if not 0 <= label <= _INT64_MAX:
-            raise CsvParseError(path, line_number, f"label must be in 0..2**63-1, got {label}")
-        if label > top_label:
-            top_label, top_line = label, line_number
-        patient = row[col[schema.patient_id]].strip()
-        if not patient:
-            raise CsvParseError(path, line_number, "empty patient id")
-        split_value = row[col[schema.split]].strip()
-        if split_value not in (SPLIT_POOL, SPLIT_TEST):
-            raise CsvParseError(
-                path, line_number, f"split must be 'pool' or 'test', got {split_value!r}"
-            )
-        try:
-            feats = [float(row[i]) for i in feature_idx]
-        except ValueError as exc:
-            raise CsvParseError(path, line_number, str(exc)) from None
-        if not all(np.isfinite(feats)):
-            raise CsvParseError(path, line_number, "non-finite feature value")
-        if sample_id in seen_ids:
-            raise CsvParseError(
-                path, line_number,
-                f"duplicate sample id {sample_id} (first seen on line {seen_ids[sample_id]})",
-            )
-        seen_ids[sample_id] = line_number
-        bucket = rows[split_value]
-        bucket["ids"].append(sample_id)
-        bucket["patients"].append(patient)
-        bucket["labels"].append(label)
-        bucket["features"].append(feats)
+    for chunk in _chunks(reader):
+        lines, rows = zip(*chunk)
+        columns = _chunk_columns(layout, rows, seen)
+        if columns is None:
+            _row_fault(path, layout, chunk, seen)
+        ids, labels, features, chunk_patients, in_test = columns
+        seen.update(zip(ids.tolist(), lines))
+        if labels.max() > top_label:
+            top_label, top_line = int(labels.max()), lines[int(labels.argmax())]
+        parts.append((ids, labels, features, in_test))
+        patients += chunk_patients
+    ids, labels, features, in_test = (np.concatenate(column) for column in zip(*parts))
+    in_pool = ~in_test
 
-    for name in (SPLIT_POOL, SPLIT_TEST):
-        if not rows[name]["ids"]:
+    for name, mask in ((SPLIT_POOL, in_pool), (SPLIT_TEST, in_test)):
+        if not mask.any():
             raise DataError(f"{path}: the {name} split is empty")
 
     num_classes = top_label + 1
@@ -436,21 +430,126 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
         raise DataError(f"{path}: at least 2 classes required, found {num_classes}")
     # O(pool size) whatever the largest label: the sorted distinct labels
     # equal their positions up to the first missing class
-    present = np.unique(rows[SPLIT_POOL]["labels"])
+    present = np.unique(labels[in_pool])
     if len(present) < num_classes:
         missing = int(np.sum(present == np.arange(len(present))))
         raise CsvParseError(
             path, top_line, f"class {missing} of 0..{num_classes - 1} has no sample in the pool split"
         )
 
-    def part(name: str) -> SampleSet:
-        b = rows[name]
-        return SampleSet(b["ids"], b["patients"], np.array(b["features"], dtype=np.float64), b["labels"])
+    def part(mask: np.ndarray) -> SampleSet:
+        return SampleSet(ids[mask], list(compress(patients, mask.tolist())), features[mask], labels[mask])
 
     return DatasetSplit(
-        pool=part(SPLIT_POOL), test=part(SPLIT_TEST),
+        pool=part(in_pool), test=part(in_test),
         num_classes=num_classes, feature_dim=dim,
     )
+
+
+class _Layout(NamedTuple):
+    """The header's width and the column of each field."""
+
+    width: int
+    sample_id: int
+    patient_id: int
+    label: int
+    split: int
+    features: list[int]
+
+
+def _chunks(rows):
+    """``rows`` in lists of ``_CHUNK_ROWS``; a reader fault is raised after the rows read before it."""
+    chunk, fault = [], None
+    try:
+        for item in rows:
+            chunk.append(item)
+            if len(chunk) == _CHUNK_ROWS:
+                yield chunk
+                chunk = []
+    except CsvParseError as exc:
+        fault = exc
+    if chunk:
+        yield chunk
+    if fault is not None:
+        raise fault
+
+
+def _chunk_columns(layout: _Layout, rows, seen: dict[int, int]):
+    """(ids, labels, features, patients, in_test) of a chunk of rows, or None if a row is faulty.
+
+    Each column is converted once, by Python's own ``int`` and ``float``, and
+    the checks of :func:`_row_fault` run on whole columns; ``seen`` holds the
+    sample ids of the earlier chunks.
+    """
+    n = len(rows)
+    if set(map(len, rows)) != {layout.width}:
+        return None
+    columns = list(zip(*rows))
+    try:
+        id_list = list(map(int, columns[layout.sample_id]))
+        ids = np.array(id_list, dtype=np.int64)
+        labels = np.fromiter(map(int, columns[layout.label]), np.int64, n)
+        features = np.empty((n, len(layout.features)))
+        for j, i in enumerate(layout.features):
+            features[:, j] = np.fromiter(map(float, columns[i]), np.float64, n)
+    except (ValueError, OverflowError):  # not a number, or outside int64
+        return None
+    patients = list(map(str.strip, columns[layout.patient_id]))
+    splits = list(map(str.strip, columns[layout.split]))
+    if (ids.min() < 0 or labels.min() < 0 or "" in patients
+            or splits.count(SPLIT_POOL) + splits.count(SPLIT_TEST) != n
+            or not np.isfinite(features).all()
+            or len(set(id_list)) != n or not seen.keys().isdisjoint(id_list)):
+        return None
+    in_test = np.fromiter(map(SPLIT_TEST.__eq__, splits), bool, n)
+    return ids, labels, features, patients, in_test
+
+
+def _row_fault(path, layout: _Layout, chunk, seen: dict[int, int]) -> NoReturn:
+    """Raise the error of the first faulty row of ``chunk``, a list of (line, row).
+
+    The one source of row error messages; ``seen`` maps the sample ids of the
+    earlier chunks to their lines, and gains this chunk's as the walk goes.
+    """
+    dim = len(layout.features)
+    for line_number, row in chunk:
+        if len(row) > layout.width:
+            raise FeatureDimensionError(
+                f"{path}:{line_number}: expected {dim} feature values, found {len(row) - layout.width + dim}"
+            )
+        if len(row) < layout.width:
+            raise CsvParseError(
+                path, line_number, f"expected {layout.width} columns, found {len(row)}"
+            )
+        try:
+            sample_id = int(row[layout.sample_id])
+            label = int(row[layout.label])
+        except ValueError as exc:
+            raise CsvParseError(path, line_number, str(exc)) from None
+        if not 0 <= sample_id <= _INT64_MAX:
+            raise CsvParseError(path, line_number, f"sample id must be in 0..2**63-1, got {sample_id}")
+        if not 0 <= label <= _INT64_MAX:
+            raise CsvParseError(path, line_number, f"label must be in 0..2**63-1, got {label}")
+        if not row[layout.patient_id].strip():
+            raise CsvParseError(path, line_number, "empty patient id")
+        split_value = row[layout.split].strip()
+        if split_value not in (SPLIT_POOL, SPLIT_TEST):
+            raise CsvParseError(
+                path, line_number, f"split must be 'pool' or 'test', got {split_value!r}"
+            )
+        try:
+            feats = [float(row[i]) for i in layout.features]
+        except ValueError as exc:
+            raise CsvParseError(path, line_number, str(exc)) from None
+        if not all(np.isfinite(feats)):
+            raise CsvParseError(path, line_number, "non-finite feature value")
+        if sample_id in seen:
+            raise CsvParseError(
+                path, line_number,
+                f"duplicate sample id {sample_id} (first seen on line {seen[sample_id]})",
+            )
+        seen[sample_id] = line_number
+    raise InvariantViolation(f"{path}: a column check failed on lines {chunk[0][0]}-{chunk[-1][0]}, no row check did")
 
 
 def write_dataset(split: DatasetSplit, path) -> None:

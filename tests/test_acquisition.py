@@ -286,6 +286,14 @@ class TestBadgePruning:
         rows = rng.permutation(n)[: n // 2 + 1] if n else np.zeros(0, dtype=np.intp)
         assert acquisition._sq_distances(matrix, center, rows).tobytes() == expected[rows].tobytes()
 
+    @pytest.mark.parametrize("scale", [1e153, 1e154])
+    def test_overflowing_weight_total_is_a_value_error_that_says_so(self, scale):
+        # 1e153: each squared distance is finite but their sum is not; 1e154: distances overflow
+        rng = np.random.default_rng(8)
+        embeddings = {i: row for i, row in enumerate(rng.standard_normal((60, 4)) * scale)}
+        with pytest.raises(ValueError, match="squared distances between embeddings overflow float64"):
+            select_badge(embeddings, 4, seed=0)
+
     def test_well_separated_clusters_measure_under_half_the_rows(self, monkeypatch):
         rng = np.random.default_rng(4)
         centers = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [0.0, 100.0, 0.0]])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decal import data
 from decal.data import (
     CsvSchema,
     DatasetSplit,
@@ -25,6 +26,7 @@ from decal.errors import (
     FeatureDimensionError,
     PatientOverlapError,
 )
+from decal.presets import PRESETS
 from helpers import make_sampleset, make_split, split_equal
 
 BASIC_CSV = """sample_id,patient_id,label,split,f0,f1
@@ -304,6 +306,26 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError):
             generate_synthetic(synth_cfg(test_fraction_of_patients=1.0), seed=0)
 
+    def test_pool_past_the_bound_is_config_error_naming_the_keys(self):
+        # at seed 0 the first patient draws 10**12 images: the per-patient draw failed
+        # with MemoryError there; the bound is checked before anything that size exists
+        cfg = synth_cfg(images_per_patient=ImageCountSpec(kind="heavy_tailed", low=1, high=10**12, skew=1.0001))
+        with pytest.raises(ConfigError, match="images_per_patient and num_patients drew") as err:
+            generate_synthetic(cfg, seed=0)
+        assert f"at most {10**8} are generated" in str(err.value)
+
+    def test_presets_and_a_60k_image_pool_are_far_below_the_bound(self):
+        configs = [*PRESETS.values(), synth_cfg(num_patients=7500, images_per_patient=ImageCountSpec(low=8))]
+        for cfg in configs:
+            split = generate_synthetic(cfg, seed=0)
+            assert (len(split.pool) + len(split.test)) * split.feature_dim * 250 < data._MAX_FEATURE_VALUES
+
+    # at seed 2 a class-mean direction has an entry past 1.8, so a separation of 1e308 overflows
+    @pytest.mark.parametrize("key", ["class_separation", "patient_offset_scale", "noise_scale"])
+    def test_non_finite_features_name_the_scale_keys(self, key):
+        with pytest.raises(ConfigError, match="class_separation, patient_offset_scale or noise_scale"):
+            generate_synthetic(synth_cfg(**{key: 1e308}), seed=2)
+
     def test_round_trips_through_csv(self, tmp_path):
         split = generate_synthetic(synth_cfg(), seed=21)
         path = tmp_path / "synth.csv"
@@ -374,6 +396,11 @@ class TestNormalizeFeatures:
         )
         normalized = normalize_features(split, 0.1987, 0.0786)
         assert abs(normalized.pool.features[0, 0] - 1.0) < 1e-12
+
+    def test_non_finite_result_is_config_error_naming_normalize(self):
+        split = generate_synthetic(synth_cfg(), seed=2)
+        with pytest.raises(ConfigError, match=r"normalize mu 0\.0, sigma 1e-308 makes features non-finite"):
+            normalize_features(split, 0.0, 1e-308)
 
     def test_invalid_sigma(self):
         split = generate_synthetic(synth_cfg(), seed=2)
