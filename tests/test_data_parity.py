@@ -199,7 +199,6 @@ def reference_generate_synthetic(cfg, seed):
 
 
 
-
 def bitwise_equal(a: DatasetSplit, b: DatasetSplit) -> bool:
     def same(x: SampleSet, y: SampleSet) -> bool:
         return all(
