@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
@@ -365,9 +366,12 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
     0..max(label) with no pool sample raises a parse error at the line of the
     largest label.
 
-    Rows are read ``_CHUNK_ROWS`` at a time and converted a column at a time.
-    A chunk with a faulty row is walked again row by row (:func:`_row_fault`),
-    so an error names the first faulty physical line, as a row-by-row read would.
+    Rows are read ``_CHUNK_ROWS`` at a time and converted a column at a time,
+    and sample ids are checked for duplicates once at the end. A file with a
+    faulty row is read again from the top, row by row (:func:`_row_fault`), so
+    ``path`` must be a file that can be opened twice. An error then names the
+    first faulty physical line, with one exception: text decodes in 8 KB blocks,
+    so an undecodable byte is reported ahead of a row fault earlier in its block.
     """
     schema = schema or CsvSchema()
     reader = csv_rows(path)
@@ -405,20 +409,27 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
 
     parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, dim)), np.zeros(0, bool))]
     patients: list[str] = []
-    seen: dict[int, int] = {}  # sample id -> the line it was read on
     top_label, top_line = -1, 0
-    for chunk in _chunks(reader):
-        lines, rows = zip(*chunk)
-        columns = _chunk_columns(layout, rows, seen)
-        if columns is None:
-            _row_fault(path, layout, chunk, seen)
-        ids, labels, features, chunk_patients, in_test = columns
-        seen.update(zip(ids.tolist(), lines))
-        if labels.max() > top_label:
-            top_label, top_line = int(labels.max()), lines[int(labels.argmax())]
-        parts.append((ids, labels, features, in_test))
-        patients += chunk_patients
+    faulty = False
+    try:
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            lines, rows = zip(*chunk)
+            columns = _chunk_columns(layout, rows)
+            if columns is None:
+                faulty = True
+                break
+            ids, labels, features, chunk_patients, in_test = columns
+            if labels.max() > top_label:
+                top_label, top_line = int(labels.max()), lines[int(labels.argmax())]
+            parts.append((ids, labels, features, in_test))
+            patients += chunk_patients
+    except CsvParseError:  # a csv or decoding fault of the reader
+        faulty = True
     ids, labels, features, in_test = (np.concatenate(column) for column in zip(*parts))
+    sorted_ids = np.sort(ids)
+    if faulty or np.any(sorted_ids[1:] == sorted_ids[:-1]):
+        reader.close()
+        _row_fault(path, layout)
     in_pool = ~in_test
 
     for name, mask in ((SPLIT_POOL, in_pool), (SPLIT_TEST, in_test)):
@@ -457,37 +468,18 @@ class _Layout(NamedTuple):
     features: list[int]
 
 
-def _chunks(rows):
-    """``rows`` in lists of ``_CHUNK_ROWS``; a reader fault is raised after the rows read before it."""
-    chunk, fault = [], None
-    try:
-        for item in rows:
-            chunk.append(item)
-            if len(chunk) == _CHUNK_ROWS:
-                yield chunk
-                chunk = []
-    except CsvParseError as exc:
-        fault = exc
-    if chunk:
-        yield chunk
-    if fault is not None:
-        raise fault
-
-
-def _chunk_columns(layout: _Layout, rows, seen: dict[int, int]):
+def _chunk_columns(layout: _Layout, rows):
     """(ids, labels, features, patients, in_test) of a chunk of rows, or None if a row is faulty.
 
     Each column is converted once, by Python's own ``int`` and ``float``, and
-    the checks of :func:`_row_fault` run on whole columns; ``seen`` holds the
-    sample ids of the earlier chunks.
+    every check of :func:`_row_fault` but the duplicate-id one runs on whole columns.
     """
     n = len(rows)
     if set(map(len, rows)) != {layout.width}:
         return None
     columns = list(zip(*rows))
     try:
-        id_list = list(map(int, columns[layout.sample_id]))
-        ids = np.array(id_list, dtype=np.int64)
+        ids = np.fromiter(map(int, columns[layout.sample_id]), np.int64, n)
         labels = np.fromiter(map(int, columns[layout.label]), np.int64, n)
         features = np.empty((n, len(layout.features)))
         for j, i in enumerate(layout.features):
@@ -498,58 +490,59 @@ def _chunk_columns(layout: _Layout, rows, seen: dict[int, int]):
     splits = list(map(str.strip, columns[layout.split]))
     if (ids.min() < 0 or labels.min() < 0 or "" in patients
             or splits.count(SPLIT_POOL) + splits.count(SPLIT_TEST) != n
-            or not np.isfinite(features).all()
-            or len(set(id_list)) != n or not seen.keys().isdisjoint(id_list)):
+            or not np.isfinite(features).all()):
         return None
     in_test = np.fromiter(map(SPLIT_TEST.__eq__, splits), bool, n)
     return ids, labels, features, patients, in_test
 
 
-def _row_fault(path, layout: _Layout, chunk, seen: dict[int, int]) -> NoReturn:
-    """Raise the error of the first faulty row of ``chunk``, a list of (line, row).
+def _row_fault(path, layout: _Layout) -> NoReturn:
+    """Read the file at ``path`` again from the top and raise the error of its first faulty row.
 
-    The one source of row error messages; ``seen`` maps the sample ids of the
-    earlier chunks to their lines, and gains this chunk's as the walk goes.
+    The one source of row error messages, and the only place that maps sample ids to lines.
     """
     dim = len(layout.features)
-    for line_number, row in chunk:
-        if len(row) > layout.width:
-            raise FeatureDimensionError(
-                f"{path}:{line_number}: expected {dim} feature values, found {len(row) - layout.width + dim}"
-            )
-        if len(row) < layout.width:
-            raise CsvParseError(
-                path, line_number, f"expected {layout.width} columns, found {len(row)}"
-            )
-        try:
-            sample_id = int(row[layout.sample_id])
-            label = int(row[layout.label])
-        except ValueError as exc:
-            raise CsvParseError(path, line_number, str(exc)) from None
-        if not 0 <= sample_id <= _INT64_MAX:
-            raise CsvParseError(path, line_number, f"sample id must be in 0..2**63-1, got {sample_id}")
-        if not 0 <= label <= _INT64_MAX:
-            raise CsvParseError(path, line_number, f"label must be in 0..2**63-1, got {label}")
-        if not row[layout.patient_id].strip():
-            raise CsvParseError(path, line_number, "empty patient id")
-        split_value = row[layout.split].strip()
-        if split_value not in (SPLIT_POOL, SPLIT_TEST):
-            raise CsvParseError(
-                path, line_number, f"split must be 'pool' or 'test', got {split_value!r}"
-            )
-        try:
-            feats = [float(row[i]) for i in layout.features]
-        except ValueError as exc:
-            raise CsvParseError(path, line_number, str(exc)) from None
-        if not all(np.isfinite(feats)):
-            raise CsvParseError(path, line_number, "non-finite feature value")
-        if sample_id in seen:
-            raise CsvParseError(
-                path, line_number,
-                f"duplicate sample id {sample_id} (first seen on line {seen[sample_id]})",
-            )
-        seen[sample_id] = line_number
-    raise InvariantViolation(f"{path}: a column check failed on lines {chunk[0][0]}-{chunk[-1][0]}, no row check did")
+    seen: dict[int, int] = {}  # sample id -> the line it was read on
+    with closing(csv_rows(path)) as reader:
+        next(reader, None)  # the header
+        for line_number, row in reader:
+            if len(row) > layout.width:
+                raise FeatureDimensionError(
+                    f"{path}:{line_number}: expected {dim} feature values, found {len(row) - layout.width + dim}"
+                )
+            if len(row) < layout.width:
+                raise CsvParseError(
+                    path, line_number, f"expected {layout.width} columns, found {len(row)}"
+                )
+            try:
+                sample_id = int(row[layout.sample_id])
+                label = int(row[layout.label])
+            except ValueError as exc:
+                raise CsvParseError(path, line_number, str(exc)) from None
+            if not 0 <= sample_id <= _INT64_MAX:
+                raise CsvParseError(path, line_number, f"sample id must be in 0..2**63-1, got {sample_id}")
+            if not 0 <= label <= _INT64_MAX:
+                raise CsvParseError(path, line_number, f"label must be in 0..2**63-1, got {label}")
+            if not row[layout.patient_id].strip():
+                raise CsvParseError(path, line_number, "empty patient id")
+            split_value = row[layout.split].strip()
+            if split_value not in (SPLIT_POOL, SPLIT_TEST):
+                raise CsvParseError(
+                    path, line_number, f"split must be 'pool' or 'test', got {split_value!r}"
+                )
+            try:
+                feats = [float(row[i]) for i in layout.features]
+            except ValueError as exc:
+                raise CsvParseError(path, line_number, str(exc)) from None
+            if not all(np.isfinite(feats)):
+                raise CsvParseError(path, line_number, "non-finite feature value")
+            if sample_id in seen:
+                raise CsvParseError(
+                    path, line_number,
+                    f"duplicate sample id {sample_id} (first seen on line {seen[sample_id]})",
+                )
+            seen[sample_id] = line_number
+    raise InvariantViolation(f"{path}: a column check failed, but no row check did")
 
 
 def write_dataset(split: DatasetSplit, path) -> None:

@@ -24,6 +24,7 @@ from decal.errors import (
     CsvParseError,
     DataError,
     FeatureDimensionError,
+    InvariantViolation,
     PatientOverlapError,
 )
 from decal.presets import PRESETS
@@ -191,9 +192,19 @@ class TestLoadDataset:
             return handles[-1]
 
         monkeypatch.setattr("decal.data.open", recording_open, raising=False)
-        with pytest.raises(CsvParseError, match=":3: "):
+        monkeypatch.setattr(data, "_CHUNK_ROWS", 1)  # the first read stops mid-file
+        with pytest.raises(CsvParseError, match=":3: ") as caught:
             load_dataset(write_csv(tmp_path, BASIC_CSV.replace("1,A,1,pool", "1,A,one,pool")))
-        assert len(handles) == 1 and handles[0].closed
+        # the faulty file is read a second time, from the top; both reads are
+        # closed while the error, and the frames it holds, are still alive
+        assert len(handles) == 2 and all(fh.closed for fh in handles)
+        assert caught.value.line_number == 3
+
+    def test_column_fault_that_no_row_check_finds_is_an_invariant_violation(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_chunk_columns", lambda layout, rows: None)
+        path = write_csv(tmp_path, BASIC_CSV)
+        with pytest.raises(InvariantViolation, match=f"{re.escape(str(path))}: a column check failed"):
+            load_dataset(path)
 
     def test_schema_remapping(self, tmp_path):
         text = BASIC_CSV.replace("sample_id,patient_id", "sid,subject")
