@@ -68,6 +68,8 @@ def _check_out_dir(out) -> None:
 
 
 def _cmd_gen(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if Path(args.out).is_dir():
         raise ConfigError(f"output file {args.out} is a directory")
     _check_out_dir(Path(args.out).parent)

@@ -194,6 +194,8 @@ class ImageCountSpec:
             raise ConfigError("images_per_patient low must be >= 1")
         if self.high < self.low:
             raise ConfigError("images_per_patient high must be >= low")
+        if self.high > _INT64_MAX:
+            raise ConfigError(f"images_per_patient high (default: low) must be <= 2**63-1, got {self.high}")
         if self.kind == "heavy_tailed" and self.skew <= 1.0:
             raise ConfigError("heavy_tailed skew must be > 1")
 
@@ -232,6 +234,9 @@ class SyntheticConfig:
             )
         if self.feature_dim < 1:
             raise ConfigError("feature_dim must be >= 1")
+        if self.num_patients * self.feature_dim > _MAX_FEATURE_VALUES:  # each patient has an image
+            raise ConfigError(f"num_patients x feature_dim must be <= {_MAX_FEATURE_VALUES} feature values, "
+                              f"got {self.num_patients} x {self.feature_dim}")
         if self.class_separation <= 0:
             raise ConfigError("class_separation must be > 0")
         if self.patient_offset_scale < 0:

@@ -19,6 +19,7 @@ from .errors import ConfigError, TrainingDiverged
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+_MAX_HIDDEN_WIDTH = 4096  # 128 times the widest preset, benchmark or test model (32)
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class LearnerConfig:
     minibatch_size: int = 32
 
     def __post_init__(self):
-        if self.hidden_width < 0:
-            raise ConfigError("hidden_width must be >= 0")
+        if not 0 <= self.hidden_width <= _MAX_HIDDEN_WIDTH:
+            raise ConfigError(f"hidden_width must be in 0..{_MAX_HIDDEN_WIDTH}, got {self.hidden_width}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if not 0.0 < self.train_accuracy_target <= 1.0:

@@ -1,17 +1,24 @@
+import contextlib
 import copy
 import csv
+import io
 import json
 import logging
 import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decal.cli import main
 from decal.config import load_config_file
 from decal.data import load_dataset
 from decal.errors import TrainingDiverged
 from decal.experiment import build_dataset, run_trial
+from decal.patients import INIT_MODES, STRATEGIES
+from decal.presets import PRESETS
 from decal.report import write_raw_csv
 from helpers import write_reversed_test_csv
 
@@ -436,3 +443,134 @@ class TestArgumentErrors:
     def test_verbose_flag_is_gone(self, tmp_path, capsys):
         assert main(["-v", "gen", "--preset", "skewed", "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 1
         assert "unrecognized arguments: -v" in capsys.readouterr().err
+
+
+class TestOutOfRangeInts:
+    """Ints that JSON and argparse accept but numpy cannot draw or allocate are config errors."""
+
+    @pytest.mark.parametrize("keys, value, named", [
+        (("dataset", "synthetic", "images_per_patient", "high"), 2**64, "images_per_patient high"),
+        (("dataset", "synthetic", "images_per_patient", "low"), 2**64, "images_per_patient high (default: low)"),
+        (("dataset", "synthetic", "num_patients"), 2**64, "num_patients"),
+        (("dataset", "synthetic", "feature_dim"), 2**64, "feature_dim"),
+        (("learner", "hidden_width"), 2**64, "hidden_width"),
+    ], ids=["high", "low", "num_patients", "feature_dim", "hidden_width"])
+    def test_run_exits_1_naming_the_key(self, tmp_path, capsys, keys, value, named):
+        raw = config_dict()
+        section = raw
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
+        if keys[-1] == "low":
+            del section["high"]
+        cfg = write_config(tmp_path, raw)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+
+    def test_negative_gen_seed_exits_1_before_generating(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("generated despite a bad --seed")
+
+        monkeypatch.setattr("decal.cli.generate_synthetic", fail)
+        out = tmp_path / "x.csv"
+        assert main(["gen", "--preset", "skewed", "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+
+# Values the config reader accepts for any int or float field: each is rejected by a check, or is
+# harmless. Mid-size values that pass the checks and then allocate are left out on purpose, and
+# loop counts take only the values that end a run at once, so every example finishes quickly.
+_EXTREMES = [-1, -(2**64), 0, 2**63, 2**64, 10**30]
+_LOOP_COUNTS = {"max_epochs", "rounds", "trials"}
+
+_SYNTHETIC = st.fixed_dictionaries({
+    "num_classes": st.integers(2, 4),
+    "num_patients": st.integers(2, 16),
+    "images_per_patient": st.fixed_dictionaries(
+        {"kind": st.sampled_from(["uniform", "heavy_tailed"]), "low": st.integers(1, 4)},
+        optional={"high": st.integers(4, 6), "skew": st.floats(1.1, 3.0)},
+    ),
+    "feature_dim": st.integers(1, 6),
+    "class_separation": st.floats(0.5, 5.0),
+    "patient_offset_scale": st.floats(0.0, 2.0),
+    "test_fraction_of_patients": st.floats(0.1, 0.9),
+    "noise_scale": st.floats(0.05, 1.0),
+})
+
+_VALID_RUN_CONFIGS = st.fixed_dictionaries({
+    "dataset": st.one_of(
+        st.fixed_dictionaries({"preset": st.sampled_from(sorted(PRESETS))}),
+        st.fixed_dictionaries({"synthetic": _SYNTHETIC}, optional={
+            "normalize": st.fixed_dictionaries({"mu": st.floats(-1.0, 1.0), "sigma": st.floats(0.1, 2.0)}),
+        }),
+    ),
+    "learner": st.fixed_dictionaries({
+        "hidden_width": st.integers(0, 8),
+        "learning_rate": st.floats(1e-3, 0.5),
+        "train_accuracy_target": st.floats(0.5, 1.0),
+        "max_epochs": st.integers(0, 2),
+        "minibatch_size": st.integers(1, 16),
+    }),
+    "experiment": st.fixed_dictionaries({
+        "strategy": st.sampled_from(STRATEGIES),
+        "init_mode": st.sampled_from(INIT_MODES),
+        "init_size": st.integers(1, 8),
+        "batch_size": st.integers(1, 4),
+        "rounds": st.integers(0, 2),
+        "trials": st.integers(1, 2),
+        "base_seed": st.integers(0, 5),
+    }),
+})
+
+
+def _numeric_fields(section):
+    """(object, key) of every int or float value in a nested config section."""
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from _numeric_fields(value)
+        elif isinstance(value, (int, float)):
+            yield section, key
+
+
+@st.composite
+def _run_configs(draw):
+    """A valid small config with up to two of its numbers replaced by extremes."""
+    raw = draw(_VALID_RUN_CONFIGS)
+    fields = list(_numeric_fields(raw))
+    for i in draw(st.lists(st.integers(0, len(fields) - 1), max_size=2, unique=True)):
+        section, key = fields[i]
+        section[key] = draw(st.sampled_from(_EXTREMES[:3] if key in _LOOP_COUNTS else _EXTREMES))
+    return raw
+
+
+_UNTYPED_ERROR = re.compile(r"^error: [A-Za-z_]\w*: ", re.MULTILINE)
+
+
+class TestCliFuzz:
+    """``decal run`` and ``decal gen`` end every input with exit 0-3 and never with an untyped error."""
+
+    @staticmethod
+    def check_main(argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), stderr.getvalue()
+        assert not _UNTYPED_ERROR.search(stderr.getvalue()), stderr.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=_run_configs(), workers=st.one_of(st.just(1), st.sampled_from([-1, 0])))  # no pool starts
+    def test_run(self, raw, workers):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(raw, fh)
+            self.check_main(["run", "--config", path, "--out", os.path.join(tmp, "out"),
+                             "--workers", str(workers)])
+
+    @settings(max_examples=15, deadline=None)
+    @given(preset=st.sampled_from(sorted(PRESETS)), seed=st.one_of(st.integers(0, 5), st.sampled_from(_EXTREMES)))
+    def test_gen(self, preset, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.check_main(["gen", "--preset", preset, "--seed", str(seed), "--out", os.path.join(tmp, "d.csv")])
