@@ -12,6 +12,7 @@ of labeled rows against the budget every round.
 from __future__ import annotations
 
 import csv
+import re
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -332,33 +333,30 @@ class CsvSchema:
 def csv_rows(path):
     """(physical line the row ends on, row) per non-blank row of the UTF-8 file at ``path``.
 
-    A file that cannot be opened is a DataError naming it; csv and decoding faults are CsvParseError.
+    Lines are decoded as the reader reaches them, so csv and decoding faults are a
+    CsvParseError at the first faulty line. A file that cannot be opened is a DataError naming it.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
+
+    def lines():
+        # valid UTF-8 never decodes to a lone surrogate, so an escaped byte marks an invalid one;
+        # the reader has counted the lines before this one
+        for line in fh:
+            if not line.isascii() and re.search("[\udc80-\udcff]", line):
+                raise CsvParseError(path, reader.line_num + 1, "not valid UTF-8")
+            yield line
+
     with fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(lines())
         try:
             for row in reader:
                 if row:
                     yield reader.line_num, row
         except csv.Error as exc:
             raise CsvParseError(path, reader.line_num, str(exc)) from None
-        except UnicodeDecodeError:
-            raise CsvParseError(path, _undecodable_line(path), "not valid UTF-8") from None
-
-
-def _undecodable_line(path) -> int:
-    # text files decode in chunks, so the failing read does not locate the byte
-    with open(path, "rb") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return line_number
-    return line_number
 
 
 def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
@@ -375,8 +373,7 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
     and sample ids are checked for duplicates once at the end. A file with a
     faulty row is read again from the top, row by row (:func:`_row_fault`), so
     ``path`` must be a file that can be opened twice. An error then names the
-    first faulty physical line, with one exception: text decodes in 8 KB blocks,
-    so an undecodable byte is reported ahead of a row fault earlier in its block.
+    first faulty physical line, whether its fault is a row, csv or decoding one.
     """
     schema = schema or CsvSchema()
     reader = csv_rows(path)

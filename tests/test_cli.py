@@ -431,6 +431,16 @@ class TestReport:
         assert capsys.readouterr().err.startswith(f"data error: cannot read {path / 'raw.csv'}: ")
 
 
+    def test_row_fault_before_a_bad_byte_names_its_line(self, tmp_path, capsys):
+        rows = ["strategy,init_mode,trial_seed,round,train_size,test_accuracy,epochs_used,relaxed_count",
+                "random,random,0,0,10,7.5,3,0", "random,random,0,1,15,0.5,3,0", "random,random,0,2,20,0.5,3,0"]
+        rows[3] = rows[3].replace("20", "2\udcff0")
+        (tmp_path / "raw.csv").write_bytes("\n".join(rows).encode("utf-8", "surrogateescape") + b"\n")
+        assert main(["report", "--in", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (f"data error: {tmp_path / 'raw.csv'}:2: "
+                                           "malformed row (test_accuracy must be in [0, 1], got 7.5)\n")
+
+
 class TestArgumentErrors:
     def test_no_subcommand_is_config_error(self, capsys):
         assert main([]) == 1

@@ -1,6 +1,7 @@
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -148,6 +149,13 @@ class TestLoadDataset:
             load_dataset(path)
         assert err.value.line_number == 5
 
+    @pytest.mark.parametrize("line_end", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_non_utf8_byte_is_named_at_its_line_whatever_the_line_ends(self, tmp_path, line_end):
+        path = tmp_path / "data.csv"
+        path.write_bytes(BASIC_CSV.replace("\n", line_end).encode("utf-8").replace(b"3,B,1", b"3,B\xff,1"))
+        with pytest.raises(CsvParseError, match=r"data\.csv:5: not valid UTF-8$"):
+            load_dataset(path)
+
     def test_oversized_field_is_parse_error(self, tmp_path):
         text = BASIC_CSV.replace("2,B,0,pool", "2," + "B" * 200_000 + ",0,pool")
         with pytest.raises(CsvParseError) as err:
@@ -255,6 +263,45 @@ def test_fuzzed_csv_raises_only_data_errors(data):
             load_dataset(path)
         except DataError:
             pass
+
+
+# A row fault for the test below: (column, value, the error message of a row with it).
+ROW_FAULTS = [
+    ("f0", "bad", "could not convert string to float: 'bad'"),
+    ("split", "train", "split must be 'pool' or 'test', got 'train'"),
+    ("patient_id", " ", "empty patient id"),
+    ("label", "-1", "label must be in 0..2**63-1, got -1"),
+]
+
+
+@st.composite
+def row_fault_and_bad_byte(draw):
+    """(CSV bytes of 1-40 KB, line a, the message of its row fault, line b holding a non-UTF-8 byte)."""
+    header = ["sample_id", "patient_id", "label", "split", "f0", "f1", "f2"]
+    rows = [[str(i), f"p{i % 7}", str(i % 2), "test" if i % 7 == 0 else "pool",
+             f"{i / 7:.20f}", f"{-i / 3:.20f}", f"{i / 11:.20f}"]
+            for i in range(draw(st.integers(13, 440)))]
+    a, b = draw(st.lists(st.integers(2, len(rows) + 1), min_size=2, max_size=2, unique=True))
+    column, value, message = draw(st.sampled_from(ROW_FAULTS))
+    rows[a - 2][header.index(column)] = value
+    lines = [",".join(row).encode("utf-8") for row in [header, *rows]]
+    cut = draw(st.integers(0, len(lines[b - 1])))
+    lines[b - 1] = lines[b - 1][:cut] + b"\xff" + lines[b - 1][cut:]
+    return b"".join(line + b"\n" for line in lines), a, message, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_fault_and_bad_byte(), st.sampled_from([5, data._CHUNK_ROWS]))
+def test_the_first_of_a_row_fault_and_a_bad_byte_is_reported(case, chunk_rows):
+    text, a, message, b = case
+    assert 1024 <= len(text) <= 40 * 1024
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text)
+        with pytest.raises(CsvParseError) as err:
+            load_dataset(path)
+    line, expected = (a, message) if a < b else (b, "not valid UTF-8")
+    assert str(err.value) == f"{path}:{line}: {expected}"
 
 
 def synth_cfg(**overrides):
