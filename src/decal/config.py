@@ -101,6 +101,6 @@ def load_config_file(path) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an int past 4300 digits, deep nesting
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     return parse_config(raw)

@@ -455,6 +455,31 @@ class TestArgumentErrors:
         assert "unrecognized arguments: -v" in capsys.readouterr().err
 
 
+class TestConfigFileContents:
+    """Config file bytes that json cannot read are a config error naming the file, before any trial."""
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("content, reason", [
+        pytest.param(b'{"dataset": {"preset": "sk\xffewed"}}', "can't decode byte 0xff", id="not-utf8"),
+        pytest.param(b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded", id="deep-nesting"),
+        pytest.param(b'{"dataset": {"preset": "skewed"}, "experiment": {"rounds": ' + b"9" * 5000 + b"}}",
+                     "Exceeds the limit (4300 digits)", id="5000-digit-int"),
+    ])
+    def test_exits_1_naming_the_file(self, tmp_path, capsys, monkeypatch, command, content, reason):
+        def fail(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("decal.experiment.run_trial", fail)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        args = (["run", "--config", str(bad)] if command == "run" else
+                ["compare", "--config-a", write_config(tmp_path, config_dict()), "--config-b", str(bad),
+                 "--round", "0"])
+        assert main([*args, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: invalid JSON in {bad}: ") and reason in err
+
+
 class TestOutOfRangeInts:
     """Ints that JSON and argparse accept but numpy cannot draw or allocate are config errors."""
 
