@@ -12,7 +12,7 @@ from .data import generate_synthetic, write_csv, write_dataset
 from .errors import ConfigError, DataError, DecalError
 from .experiment import compare_initializations, run_experiment
 from .presets import PRESETS, get_preset
-from .report import emit_report, regenerate_report
+from .report import emit_report, regenerate_report, report_files
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -58,21 +58,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_out_dir(out) -> None:
-    """Reject an output directory that cannot be made, before any work starts; create nothing."""
+def _check_out_dir(out, files) -> None:
+    """Reject an output directory that cannot be made, or an output file that is a directory,
+    before any work starts; create nothing."""
     for path in (Path(out), *Path(out).parents):
         if path.exists():
             if not path.is_dir():
                 raise ConfigError(f"output directory {out}: {path} exists and is not a directory")
-            return
+            break
+    for path in files:
+        if Path(path).is_dir():
+            raise ConfigError(f"output file {path} is a directory")
 
 
 def _cmd_gen(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    if Path(args.out).is_dir():
-        raise ConfigError(f"output file {args.out} is a directory")
-    _check_out_dir(Path(args.out).parent)
+    _check_out_dir(Path(args.out).parent, [args.out])
     split = generate_synthetic(get_preset(args.preset), args.seed)
     write_dataset(split, args.out)
     print(
@@ -85,7 +87,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = load_config_file(args.config)
-    _check_out_dir(args.out)
+    _check_out_dir(args.out, report_files(args.out, [(cfg.strategy, cfg.init_mode)]))
     result = run_experiment(cfg, workers=args.workers)
     paths = emit_report([result], args.out)
     final = result.curve.mean_accuracy[-1]
@@ -104,13 +106,14 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     cfg_a = load_config_file(args.config_a)
     cfg_b = load_config_file(args.config_b)
-    _check_out_dir(args.out)
+    comparison_path = Path(args.out) / "comparison.csv"
+    keys = [(cfg.strategy, cfg.init_mode) for cfg in (cfg_a, cfg_b)]
+    _check_out_dir(args.out, [*report_files(args.out, keys), comparison_path])
     comparison = compare_initializations(cfg_a, cfg_b, args.round, workers=args.workers)
-    out = Path(args.out)
     results = (comparison.treatment_result, comparison.baseline_result)
-    emit_report(results, out)
+    emit_report(results, args.out)
 
-    write_csv(out / "comparison.csv", [
+    write_csv(comparison_path, [
         "strategy", "round", "treatment_init", "baseline_init",
         "treatment_mean", "treatment_std", "baseline_mean", "baseline_std",
         "percent_change", "mean_of_percent_changes", "percent_change_of_means",

@@ -203,6 +203,19 @@ def _escape(text: str) -> str:
 # Top-level report emission
 # ---------------------------------------------------------------------------
 
+def report_files(directory, keys: Sequence[GroupKey]) -> list[Path]:
+    """The files a report on the groups ``keys`` writes into ``directory``, in this order.
+
+    ``raw.csv`` (written by :func:`emit_report` alone), ``aggregate.csv``, one SVG
+    per group, and a combined overlay SVG when there are several groups.
+    """
+    directory = Path(directory)
+    svg = [directory / f"curve_{strategy}_{init_mode}.svg" for strategy, init_mode in keys]
+    if len(keys) > 1:
+        svg.append(directory / "curves_combined.svg")
+    return [directory / RAW_FILENAME, directory / AGGREGATE_FILENAME, *svg]
+
+
 def emit_report(results: Sequence[ExperimentResult], out_dir) -> dict[str, object]:
     """Write raw CSV, aggregate CSV, and learning-curve SVGs for results.
 
@@ -211,50 +224,44 @@ def emit_report(results: Sequence[ExperimentResult], out_dir) -> dict[str, objec
     """
     if not results:
         raise ValueError("no results to report")
-    out = Path(out_dir)
 
     keys = [(res.config.strategy, res.config.init_mode) for res in results]
     if len(set(keys)) != len(keys):
         raise ValueError("results must have distinct (strategy, init_mode) pairs")
 
-    raw_path = out / RAW_FILENAME
+    raw_path, aggregate_path, *svg_paths = report_files(out_dir, keys)
     write_raw_csv([(key, res.records) for key, res in zip(keys, results)], raw_path)
-    curves = [(key, res.curve) for key, res in zip(keys, results)]
-    return {"raw": raw_path, **_write_curves(curves, out)}
+    _write_curves([(key, res.curve) for key, res in zip(keys, results)], aggregate_path, svg_paths)
+    return {"raw": raw_path, "aggregate": aggregate_path, "svg": svg_paths}
 
 
 def regenerate_report(in_dir) -> dict[str, object]:
-    """Rebuild aggregate CSV and SVGs from an existing raw CSV."""
-    directory = Path(in_dir)
-    path = directory / RAW_FILENAME
+    """Rebuild aggregate CSV and SVGs from an existing raw CSV; an output path that is a directory is a DataError."""
+    path = Path(in_dir) / RAW_FILENAME
     curves = []
     for key, records in read_raw_csv(path).items():
         try:
             curves.append((key, aggregate_curve(records)))
         except ValueError as exc:
             raise DataError(f"{path}: {_label(key)}: {exc}") from None
-    return _write_curves(curves, directory)
+    _, aggregate_path, *svg_paths = report_files(in_dir, [key for key, _ in curves])
+    for target in (aggregate_path, *svg_paths):
+        if target.is_dir():
+            raise DataError(f"cannot write {target}: it is a directory")
+    _write_curves(curves, aggregate_path, svg_paths)
+    return {"aggregate": aggregate_path, "svg": svg_paths}
 
 
 def _label(key: GroupKey) -> str:
     return f"{key[0]} ({key[1]} init)"
 
 
-def _write_curves(curves: Sequence[tuple[GroupKey, LearningCurve]], directory: Path) -> dict[str, object]:
+def _write_curves(curves: Sequence[tuple[GroupKey, LearningCurve]], aggregate_path: Path,
+                  svg_paths: Sequence[Path]) -> None:
     """Aggregate CSV plus one SVG per experiment, and a combined overlay when there are several."""
-    aggregate_path = directory / AGGREGATE_FILENAME
     write_aggregate_csv(curves, aggregate_path)
-    labeled = [(_label(key), key, curve) for key, curve in curves]
-    svg_paths: list[Path] = []
-    for label, key, curve in labeled:
-        svg_path = directory / f"curve_{key[0]}_{key[1]}.svg"
+    labeled = [(_label(key), curve) for key, curve in curves]
+    for (label, curve), svg_path in zip(labeled, svg_paths):
         svg_path.write_text(render_curves_svg([(label, curve)], title=label), encoding="utf-8")
-        svg_paths.append(svg_path)
     if len(labeled) > 1:
-        combined = directory / "curves_combined.svg"
-        combined.write_text(
-            render_curves_svg([(label, curve) for label, _, curve in labeled], title="learning curves"),
-            encoding="utf-8",
-        )
-        svg_paths.append(combined)
-    return {"aggregate": aggregate_path, "svg": svg_paths}
+        svg_paths[-1].write_text(render_curves_svg(labeled, title="learning curves"), encoding="utf-8")

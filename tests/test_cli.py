@@ -181,6 +181,26 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"config error: output directory {out}: {blocker} exists and is not a directory" in err
 
+    @pytest.mark.parametrize("command, name", [
+        ("run", "raw.csv"), ("run", "aggregate.csv"), ("run", "curve_decal_entropy_decal.svg"),
+        ("compare", "comparison.csv"), ("compare", "curve_decal_entropy_random.svg"),
+        ("compare", "curves_combined.svg"),
+    ])
+    def test_output_file_that_is_a_directory_fails_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                                    command, name):
+        def fail(*args, **kwargs):
+            raise AssertionError("a trial ran despite an output file that is a directory")
+
+        monkeypatch.setattr("decal.experiment.run_trial", fail)
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        cfg = write_config(tmp_path, config_dict(), "a.json")
+        args = (["run", "--config", cfg] if command == "run" else
+                ["compare", "--config-a", cfg, "--config-b",
+                 write_config(tmp_path, config_dict(init_mode="random"), "b.json"), "--round", "0"])
+        assert main([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: output file {out / name} is a directory\n"
+
 
 class TestDivergedTraining:
     # pytest records warnings instead of printing them, also in forked pool workers, so
@@ -430,6 +450,19 @@ class TestReport:
         assert main(["report", "--in", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"data error: cannot read {path / 'raw.csv'}: ")
 
+
+    @pytest.mark.parametrize("name", ["aggregate.csv", "curve_decal_entropy_decal.svg"])
+    def test_output_file_that_is_a_directory_is_data_error_before_writing(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, config_dict())
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        for path in out.iterdir():
+            if path.name != "raw.csv":
+                path.unlink()
+        (out / name).mkdir()
+        assert main(["report", "--in", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: cannot write {out / name}: it is a directory\n"
+        assert sorted(path.name for path in out.iterdir()) == sorted(["raw.csv", name])
 
     def test_row_fault_before_a_bad_byte_names_its_line(self, tmp_path, capsys):
         rows = ["strategy,init_mode,trial_seed,round,train_size,test_accuracy,epochs_used,relaxed_count",

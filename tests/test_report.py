@@ -18,6 +18,7 @@ from decal.report import (
     read_raw_csv,
     regenerate_report,
     render_curves_svg,
+    report_files,
     write_raw_csv,
 )
 from test_experiment import small_cfg
@@ -73,6 +74,12 @@ class TestCsvEmission:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DataError):
             read_raw_csv(path)
+
+    @pytest.mark.parametrize("keys", [[("entropy", "random")], [("entropy", "random"), ("margin", "decal")]])
+    def test_report_files_names_every_file_written(self, tmp_path, keys):
+        paths = emit_report([fake_result(*key, trials=2, rounds=1) for key in keys], tmp_path)
+        assert [paths["raw"], paths["aggregate"], *paths["svg"]] == report_files(tmp_path, keys)
+        assert sorted(tmp_path.iterdir()) == sorted(report_files(tmp_path, keys))
 
     def test_distinct_keys_required(self, tmp_path):
         results = [fake_result("entropy", "random"), fake_result("entropy", "random")]
