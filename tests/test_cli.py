@@ -616,8 +616,13 @@ def _run_configs(draw):
 _UNTYPED_ERROR = re.compile(r"^error: [A-Za-z_]\w*: ", re.MULTILINE)
 
 
+# Field values for the report fuzz: extreme ints, non-finite and out-of-range floats, an empty
+# field, an int past Python's 4300-digit parse limit, and a byte that is not UTF-8.
+_RAW_FIELD_EXTREMES = [*map(str, _EXTREMES), "nan", "-inf", "1e999", "-0.0", "", "9" * 5000, "\udcff"]
+
+
 class TestCliFuzz:
-    """``decal run`` and ``decal gen`` end every input with exit 0-3 and never with an untyped error."""
+    """Every command ends every input with exit 0-3 and never with an untyped error."""
 
     @staticmethod
     def check_main(argv):
@@ -642,3 +647,35 @@ class TestCliFuzz:
     def test_gen(self, preset, seed):
         with tempfile.TemporaryDirectory() as tmp:
             self.check_main(["gen", "--preset", preset, "--seed", str(seed), "--out", os.path.join(tmp, "d.csv")])
+
+    @settings(max_examples=30, deadline=None)
+    @given(raw=_run_configs(), round_index=st.one_of(st.integers(0, 2), st.sampled_from(_EXTREMES)))
+    def test_compare(self, raw, round_index):
+        other = copy.deepcopy(raw)
+        other["experiment"]["init_mode"] = next(m for m in INIT_MODES if m != raw["experiment"]["init_mode"])
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")]
+            for path, cfg in zip(paths, (raw, other)):
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(cfg, fh)
+            self.check_main(["compare", "--config-a", paths[0], "--config-b", paths[1],
+                             "--round", str(round_index), "--out", os.path.join(tmp, "out")])
+
+    @pytest.fixture(scope="class")
+    def tiny_raw_rows(self, tmp_path_factory):
+        """The rows of ``raw.csv`` from one tiny run: 2 trials of 2 rounds."""
+        tmp = tmp_path_factory.mktemp("tiny")
+        self.check_main(["run", "--config", write_config(tmp, config_dict()), "--out", str(tmp / "out")])
+        return list(csv.reader(io.StringIO((tmp / "out" / "raw.csv").read_text(encoding="utf-8"))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), value=st.sampled_from(_RAW_FIELD_EXTREMES))
+    def test_report(self, tiny_raw_rows, data, value):
+        rows = copy.deepcopy(tiny_raw_rows)
+        row = rows[data.draw(st.integers(1, len(rows) - 1))]
+        row[data.draw(st.integers(0, len(row) - 1))] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "raw.csv"), "w", newline="", encoding="utf-8",
+                      errors="surrogateescape") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+            self.check_main(["report", "--in", tmp])
