@@ -168,8 +168,10 @@ def normalize_features(split: DatasetSplit, mu: float, sigma: float) -> DatasetS
 # Synthetic patient-structured benchmarks
 # ---------------------------------------------------------------------------
 
-# Bound on generated feature values (images x feature_dim): 800 MB as float64,
-# over 250 times the largest preset or benchmark pool (60k images x 6).
+# Bound on generated feature values (images x feature_dim), over 250 times the largest
+# preset or benchmark pool (60k images x 6). At the bound one float64 feature array is
+# 800 MB, and generate_synthetic holds about 3 at its peak (traced: 230 MB for 10^7
+# values), so about 2.4 GB.
 _MAX_FEATURE_VALUES = 10**8
 
 @dataclass(frozen=True)

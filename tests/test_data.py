@@ -1,5 +1,6 @@
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -377,6 +378,17 @@ class TestGenerateSynthetic:
         for cfg in configs:
             split = generate_synthetic(cfg, seed=0)
             assert (len(split.pool) + len(split.test)) * split.feature_dim * 250 < data._MAX_FEATURE_VALUES
+
+    def test_peak_memory_is_at_most_three_feature_arrays(self):
+        # 10**6 feature values: the peak is 2.97 arrays, so one more copy of the features fails this
+        cfg = synth_cfg(num_patients=1000, images_per_patient=ImageCountSpec(low=10), feature_dim=100)
+        tracemalloc.start()
+        try:
+            split = generate_synthetic(cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (len(split.pool) + len(split.test)) * cfg.feature_dim * 8
 
     # at seed 2 a class-mean direction has an entry past 1.8, so a separation of 1e308 overflows
     @pytest.mark.parametrize("key", ["class_separation", "patient_offset_scale", "noise_scale"])
