@@ -59,8 +59,10 @@ def _build_parser() -> _Parser:
 
 
 def _check_out_dir(out, files) -> None:
-    """Reject an output directory that cannot be made, or an output file that is a directory,
-    before any work starts; create nothing."""
+    """Reject an output directory that cannot be made, or one of ``files`` that exists as a directory.
+
+    Called before any work starts; creates nothing.
+    """
     for path in (Path(out), *Path(out).parents):
         if path.exists():
             if not path.is_dir():

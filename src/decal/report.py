@@ -236,7 +236,10 @@ def emit_report(results: Sequence[ExperimentResult], out_dir) -> dict[str, objec
 
 
 def regenerate_report(in_dir) -> dict[str, object]:
-    """Rebuild aggregate CSV and SVGs from an existing raw CSV; an output path that is a directory is a DataError."""
+    """Rebuild aggregate CSV and SVGs from an existing raw CSV.
+
+    An output file that exists as a directory is a DataError, raised before anything is written.
+    """
     path = Path(in_dir) / RAW_FILENAME
     curves = []
     for key, records in read_raw_csv(path).items():
