@@ -2,11 +2,11 @@
 
 Every sample carries a patient identity, and the pool and test splits never
 share a patient, so test accuracy always measures generalization to unseen
-patients. Ground-truth labels in the pool are treated as hidden until
-``experiment.run_trial`` labels their rows. Label spending is audited in the
+patients. Ground-truth labels in the pool are treated as hidden until a
+trial of ``experiment`` labels their rows. Label spending is audited in the
 trial loop: ``experiment._check_batch`` checks every batch and maps its
-sample ids to the rows that are added, and ``run_trial`` checks the number
-of labeled rows against the budget every round.
+sample ids to the rows that are added, and the trial checks the number of
+labeled rows against the budget every round.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def patient_distribution(pool: SampleSet) -> dict[str, int]:
 class LabeledSet:
     """Empty stand-in: ``perfbench/spans.py`` resolves ``LabeledSet.features`` and lists it missing.
 
-    The labeled set is two arrays in ``experiment.run_trial``; delete this with that span.
+    The labeled set is two arrays of ``experiment._Trial``; delete this with that span.
     """
 
 

@@ -165,9 +165,81 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
     Round 0 labels the initial batch, round r > 0 the batch round r-1's model
     picks from the unlabeled rows; each round then trains and evaluates a
     fresh model. ``on_batch(stage, round_index, batch)`` lets callers audit each
-    batch before it is labeled, as ("init", 0) or ("query", r-1).
+    batch before it is labeled, as ("init", 0) or ("query", r-1). This is the
+    one-trial call of the lockstep runner that ``run_experiment`` uses.
     """
     split = dataset if dataset is not None else build_dataset(cfg.dataset, cfg.base_seed)
+    ((records, error),) = _run_lockstep(cfg, split, [trial_seed], on_batch)
+    if error is not None:
+        raise TrainingDiverged(error)
+    return records
+
+
+class _Trial:
+    """One trial between rounds: its labeled rows, its records and the model of its last round."""
+
+    def __init__(self, cfg: ExperimentConfig, split: DatasetSplit, seed: int):
+        self.cfg, self.split, self.seed = cfg, split, seed
+        self.labeled_rows = np.empty(0, dtype=np.int64)  # pool rows in labeling order
+        self.labeled_mask = np.zeros(len(split.pool), dtype=bool)
+        self.candidates = np.arange(len(split.pool))
+        self.model = None
+        self.batch = None
+        self.records: list[RoundRecord] = []
+
+    def label_batch(self, round_index: int, on_batch=None) -> None:
+        """Select, check and label this round's batch."""
+        cfg, pool = self.cfg, self.split.pool
+        if round_index == 0:
+            stage, strategy, size = "init", "random", cfg.init_size
+            constrained = cfg.init_mode == "decal"
+            seed = derive_seed(self.seed, 0, _INIT_STREAM)
+        else:
+            stage, strategy, size = "query", cfg.strategy, cfg.batch_size
+            constrained = strategy.startswith(patients.DECAL_PREFIX)
+            seed = derive_seed(self.seed, round_index - 1, _QUERY_STREAM)
+        if stage == "init" and constrained:
+            batch = patients.decal_initialize(pool, size, seed)
+        else:
+            batch = patients.select_query_batch(strategy, self.model, pool, self.candidates, size, seed)
+        rows = _check_batch(batch, size, self.labeled_mask, pool, constrained=constrained)
+        if on_batch is not None:
+            on_batch(stage, max(round_index - 1, 0), batch)
+        self.labeled_mask[rows] = True
+        self.labeled_rows = np.concatenate([self.labeled_rows, rows])
+        self.candidates = np.flatnonzero(~self.labeled_mask)
+        expected = cfg.init_size + round_index * cfg.batch_size
+        if len(self.labeled_rows) != expected or len(self.candidates) != len(pool) - expected:
+            raise InvariantViolation(
+                f"budget bookkeeping broken at round {round_index}: "
+                f"labeled {len(self.labeled_rows)}, remaining {len(self.candidates)}, expected train size {expected}"
+            )
+        self.batch = batch
+
+    def record_round(self, round_index: int, model: learner.Model,
+                     outcome: learner.TrainResult | TrainingDiverged) -> None:
+        """Keep the round's trained model and record its test accuracy; a diverged round raises."""
+        if isinstance(outcome, TrainingDiverged):
+            raise TrainingDiverged(f"trial {self.seed} round {round_index}: {outcome}")
+        self.model = model
+        self.records.append(RoundRecord(
+            trial_seed=self.seed,
+            round_index=round_index,
+            train_size=len(self.labeled_rows),
+            test_accuracy=learner.evaluate(model, self.split.test.features, self.split.test.labels),
+            epochs_used=outcome.epochs_used,
+            relaxed_count=self.batch.relaxed_count,
+        ))
+
+
+def _run_lockstep(cfg: ExperimentConfig, split: DatasetSplit, seeds,
+                  on_batch=None) -> list[tuple[list[RoundRecord], str | None]]:
+    """Run the seeds' trials in lockstep; returns each trial's records and failure message, in seed order.
+
+    Every round, each trial selects, checks and labels its own batch, and then
+    all of them train in one stacked call. A trial whose training diverges
+    leaves with its message and no records; the others go on.
+    """
     pool = split.pool
     budget = cfg.init_size + cfg.rounds * cfg.batch_size
     if budget > len(pool):
@@ -175,63 +247,31 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
             f"label budget {budget} (init {cfg.init_size} + {cfg.rounds} rounds x {cfg.batch_size}) "
             f"exceeds pool size {len(pool)}"
         )
-
-    labeled_rows = np.empty(0, dtype=np.int64)  # pool rows in labeling order
-    labeled_mask = np.zeros(len(pool), dtype=bool)
-    candidates = np.arange(len(pool))
-    model = None
-    records: list[RoundRecord] = []
+    trials = [_Trial(cfg, split, seed) for seed in seeds]
+    errors: dict[int, str] = {}
+    active = trials
     for round_index in range(cfg.rounds + 1):
-        if round_index == 0:
-            stage, strategy, size = "init", "random", cfg.init_size
-            constrained = cfg.init_mode == "decal"
-            seed = derive_seed(trial_seed, 0, _INIT_STREAM)
-        else:
-            stage, strategy, size = "query", cfg.strategy, cfg.batch_size
-            constrained = strategy.startswith(patients.DECAL_PREFIX)
-            seed = derive_seed(trial_seed, round_index - 1, _QUERY_STREAM)
-        if stage == "init" and constrained:
-            batch = patients.decal_initialize(pool, size, seed)
-        else:
-            batch = patients.select_query_batch(strategy, model, pool, candidates, size, seed)
-        rows = _check_batch(batch, size, labeled_mask, pool, constrained=constrained)
-        if on_batch is not None:
-            on_batch(stage, max(round_index - 1, 0), batch)
-        labeled_mask[rows] = True
-        labeled_rows = np.concatenate([labeled_rows, rows])
-        candidates = np.flatnonzero(~labeled_mask)
-        expected = cfg.init_size + round_index * cfg.batch_size
-        if len(labeled_rows) != expected or len(candidates) != len(pool) - expected:
-            raise InvariantViolation(
-                f"budget bookkeeping broken at round {round_index}: "
-                f"labeled {len(labeled_rows)}, remaining {len(candidates)}, expected train size {expected}"
-            )
-
-        model = learner.init_model(
-            cfg.learner, split.feature_dim, split.num_classes,
-            derive_seed(trial_seed, round_index, _MODEL_STREAM),
+        for trial in active:
+            trial.label_batch(round_index, on_batch)
+        models = [learner.init_model(cfg.learner, split.feature_dim, split.num_classes,
+                                     derive_seed(trial.seed, round_index, _MODEL_STREAM)) for trial in active]
+        outcomes = learner.train_lockstep(
+            models,
+            np.stack([pool.features[trial.labeled_rows] for trial in active]),
+            np.stack([pool.labels[trial.labeled_rows] for trial in active]),
+            cfg.learner,
+            [derive_seed(trial.seed, round_index, _TRAIN_STREAM) for trial in active],
         )
-        try:
-            outcome = learner.train_round(
-                model,
-                pool.features[labeled_rows],
-                pool.labels[labeled_rows],
-                cfg.learner,
-                derive_seed(trial_seed, round_index, _TRAIN_STREAM),
-            )
-        except TrainingDiverged as exc:
-            raise TrainingDiverged(f"trial {trial_seed} round {round_index}: {exc}") from None
-        accuracy = learner.evaluate(model, split.test.features, split.test.labels)
-        records.append(RoundRecord(
-            trial_seed=trial_seed,
-            round_index=round_index,
-            train_size=len(labeled_rows),
-            test_accuracy=accuracy,
-            epochs_used=outcome.epochs_used,
-            relaxed_count=batch.relaxed_count,
-        ))
-
-    return records
+        for trial, model, outcome in zip(active, models, outcomes):
+            # a diverged trial becomes a message, so it cannot discard the trials that finish
+            try:
+                trial.record_round(round_index, model, outcome)
+            except TrainingDiverged as exc:
+                errors[trial.seed] = str(exc)
+        active = [trial for trial in active if trial.seed not in errors]
+        if not active:
+            break
+    return [([], errors[trial.seed]) if trial.seed in errors else (trial.records, None) for trial in trials]
 
 
 def _check_batch(batch: patients.QueryBatch, k: int, labeled_mask: np.ndarray, pool,
@@ -256,64 +296,69 @@ def _check_batch(batch: patients.QueryBatch, k: int, labeled_mask: np.ndarray, p
     return rows
 
 
-_worker_trial = None  # run_trial bound to config and dataset, set once per pool worker
+_worker_run = None  # _run_lockstep bound to config and dataset, set once per pool worker
 
 
-def _init_worker(trial) -> None:
-    global _worker_trial
-    _worker_trial = trial
+def _init_worker(run) -> None:
+    global _worker_run
+    _worker_run = run
 
 
-def _run_worker_trial(trial_seed: int) -> tuple[list[RoundRecord], str | None]:
-    return _trial_outcome(_worker_trial, trial_seed)
+def _run_worker_chunk(seeds: list[int]) -> list[tuple[list[RoundRecord], str | None]]:
+    return _worker_run(seeds)
 
 
-def _trial_outcome(trial, trial_seed: int) -> tuple[list[RoundRecord], str | None]:
-    # a diverged trial becomes a message, so it cannot discard the trials that finished
-    try:
-        return trial(trial_seed), None
-    except TrainingDiverged as exc:
-        return [], str(exc)
-
-
-def _pool_futures(trial, seeds, workers: int) -> list:
-    """Run the seeds' trials on a fresh process pool; returns their futures, all done."""
+def _pool_futures(run, chunks: list[list[int]], workers: int) -> list:
+    """Run each chunk of seeds in lockstep on a fresh process pool; returns their futures, all done."""
     # initargs reach each worker once (inherited or pickled), not with every task
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(trial,)) as executor:
-        return [executor.submit(_run_worker_trial, seed) for seed in seeds]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(run,)) as executor:
+        return [executor.submit(_run_worker_chunk, chunk) for chunk in chunks]
 
 
-def _future_outcome(future, trial, trial_seed: int) -> tuple[list[RoundRecord], str | None]:
-    # a dying worker fails every trial still pending with it, so each of those reruns alone:
+def _chunk_outcomes(future, run, chunk: list[int]) -> list[tuple[list[RoundRecord], str | None]]:
+    # a dying worker fails every chunk still pending with it, so each of their trials reruns alone:
     # only a trial that breaks its own pool is lost, as a message like a diverged one
-    if isinstance(future.exception(), BrokenProcessPool):
-        future = _pool_futures(trial, [trial_seed], workers=1)[0]
-    try:
+    if not isinstance(future.exception(), BrokenProcessPool):
         return future.result()
-    except BrokenProcessPool as exc:
-        return [], f"trial {trial_seed}: {type(exc).__name__}: {exc}"
+    outcomes = []
+    for seed in chunk:
+        try:
+            outcomes += _pool_futures(run, [[seed]], workers=1)[0].result()
+        except BrokenProcessPool as exc:
+            outcomes.append(([], f"trial {seed}: {type(exc).__name__}: {exc}"))
+    return outcomes
+
+
+def _split_seeds(seeds: list[int], parts: int) -> list[list[int]]:
+    """Contiguous chunks of as equal a size as they can be, the longer ones first."""
+    size, longer = divmod(len(seeds), parts)
+    bounds = np.cumsum([0] + [size + (part < longer) for part in range(parts)])
+    return [seeds[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run cfg.trials trials with seeds base_seed..base_seed+trials-1.
 
-    The dataset is built once and shared by every trial. With workers > 1
-    trials run in separate processes; records are always assembled in
-    trial-seed order, so the output is scheduling-independent. A trial whose
-    training diverges, or that kills its worker process also when rerun
-    alone, leaves its message in ``failures``, in seed order; when no trial
-    finishes, the first of them is raised as a DecalError. Rounds that trained
-    for ``max_epochs`` epochs are counted in one warning per run.
+    The dataset is built once and shared by every trial. The seeds are split
+    into min(workers, trials) contiguous chunks, and each chunk's trials run
+    in lockstep, in a process of its own when there are several chunks.
+    Records are always assembled in trial-seed order, so the output is
+    scheduling-independent. A trial whose training diverges, or that kills
+    its worker process also when rerun alone, leaves its message in
+    ``failures``, in seed order; when no trial finishes, the first of them is
+    raised as a DecalError. Rounds that trained for ``max_epochs`` epochs are
+    counted in one warning per run.
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    seeds = range(cfg.base_seed, cfg.base_seed + cfg.trials)
-    trial = partial(run_trial, cfg, dataset=build_dataset(cfg.dataset, cfg.base_seed))
-    if workers > 1 and cfg.trials > 1:
-        futures = _pool_futures(trial, seeds, min(workers, cfg.trials))
-        outcomes = [_future_outcome(future, trial, seed) for future, seed in zip(futures, seeds)]
+    seeds = list(range(cfg.base_seed, cfg.base_seed + cfg.trials))
+    run = partial(_run_lockstep, cfg, build_dataset(cfg.dataset, cfg.base_seed))
+    chunks = _split_seeds(seeds, min(workers, cfg.trials))
+    if len(chunks) > 1:
+        futures = _pool_futures(run, chunks, len(chunks))
+        outcomes = [outcome for future, chunk in zip(futures, chunks) for outcome in _chunk_outcomes(future, run, chunk)]
     else:
-        outcomes = [_trial_outcome(trial, seed) for seed in seeds]
+        outcomes = run(seeds)
     records = tuple(record for trial_records, _ in outcomes for record in trial_records)
     failures = tuple(error for _, error in outcomes if error is not None)
     if not records:

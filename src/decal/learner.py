@@ -5,10 +5,17 @@ by a linear softmax head. It exposes the three quantities the query
 strategies consume — class posteriors, penultimate activations, and
 loss-gradient embeddings — while staying small enough to verify every
 gradient against finite differences.
+
+A step on a model this small is mostly numpy's per-call overhead, so the
+trials of an experiment (a worker's chunk of them) train in lockstep: their
+parameters are rows of one stack, and each step is one loss-and-gradient
+call and one Adam update for all of them. ``train_round`` is the one-trial
+call of the same step.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -19,6 +26,7 @@ from .errors import ConfigError, TrainingDiverged
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+_ONE = np.array(1.0)  # 0-d: a ufunc converts a Python scalar on every call
 _MAX_HIDDEN_WIDTH = 4096  # 128 times the widest preset, benchmark or test model (32)
 
 
@@ -53,7 +61,11 @@ class LearnerConfig:
 
 @dataclass
 class Model:
-    """Classifier parameters; the hidden arrays are None for the linear model."""
+    """Classifier parameters; the hidden arrays are None for the linear model.
+
+    The trainer's stack of models is one Model whose arrays carry a leading
+    trial axis.
+    """
 
     w_hidden: np.ndarray | None
     b_hidden: np.ndarray | None
@@ -64,7 +76,7 @@ class Model:
 
     @property
     def penultimate_dim(self) -> int:
-        return self.feature_dim if self.w_hidden is None else self.w_hidden.shape[1]
+        return self.feature_dim if self.w_hidden is None else self.w_hidden.shape[-1]
 
     def parameters(self) -> list[np.ndarray]:
         if self.w_hidden is None:
@@ -104,17 +116,26 @@ def _as_batch(model: Model, features) -> tuple[np.ndarray, bool]:
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != model.feature_dim:
+    # a stacked model's arrays carry a leading trial axis, and so do its batches
+    if x.ndim != model.w_out.ndim or x.shape[-1] != model.feature_dim:
         raise ValueError(
             f"feature dimension mismatch: expected {model.feature_dim}, got shape {np.shape(features)}"
         )
     return x, single
 
 
-def _forward(model: Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Penultimate activations h (x itself for the linear model) and logits z of a batch."""
-    h = x if model.w_hidden is None else np.tanh(x @ model.w_hidden + model.b_hidden)
-    return h, h @ model.w_out + model.b_out
+def _forward(model: Model, x: np.ndarray, h=None, z=None) -> tuple[np.ndarray, np.ndarray]:
+    """Penultimate activations h (x itself for the linear model) and logits z of a batch.
+
+    Given arrays ``h`` and ``z`` of the results' shapes, they receive the results.
+    """
+    if model.w_hidden is not None:
+        h = np.matmul(x, model.w_hidden, h)
+        h += model.b_hidden[..., None, :]
+        x = np.tanh(h, h)
+    z = np.matmul(x, model.w_out, z)
+    z += model.b_out[..., None, :]
+    return x, z
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -170,39 +191,94 @@ def evaluate(model: Model, features, labels) -> float:
     return float(np.mean(predictions == y))
 
 
+class _Work:
+    """Every intermediate of a loss-and-gradient call, so that a training step allocates nothing.
+
+    ``lead`` is the batch's leading shape: (rows,) for a model, (trials, rows)
+    for a stack. ``grads`` receive the gradients; fresh arrays if not given.
+    """
+
+    ARRAYS = ("h", "dh", "dtanh", "z", "e", "zmax", "log_norm", "picked", "loss")
+
+    def __init__(self, model: Model, lead: tuple[int, ...], grads=None):
+        width, classes = model.w_out.shape[-2:]
+        self.grads = [np.empty_like(p) for p in model.parameters()] if grads is None else grads
+        self.h = self.dh = self.dtanh = None
+        if model.w_hidden is not None:
+            self.h, self.dh, self.dtanh = (np.empty((*lead, width)) for _ in range(3))
+        self.z, self.e = np.empty((*lead, classes)), np.empty((*lead, classes))
+        self.zmax = np.empty((*lead, 1))
+        self.log_norm, self.picked = np.empty(lead), np.empty(lead)
+        self.loss = np.empty(lead[:-1])
+        self.rows = np.array(float(lead[-1]))  # 0-d: a ufunc converts a Python scalar on every call
+        self._derive()
+
+    def _derive(self) -> None:
+        # views that every call takes, made once
+        self.z_flat, self.zmax_flat, self.log_norm_col = self.z.reshape(-1), self.zmax[..., 0], self.log_norm[..., None]
+
+    def head(self, trials: int, grads: list[np.ndarray]) -> _Work:
+        """Views of a stack's work arrays for its first ``trials`` trials, writing into ``grads``."""
+        work = copy.copy(self)
+        for name in self.ARRAYS:
+            array = getattr(self, name)
+            if array is not None:
+                setattr(work, name, array[:trials])
+        work.grads = grads
+        work._derive()
+        return work
+
+
+def _targets(labels, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """One-hot rows of class indices, and where each label's logit sits in the flat logits."""
+    y = np.asarray(labels, dtype=np.int64)
+    if y.size and not 0 <= y.min() <= y.max() < num_classes:
+        raise ValueError(f"labels must lie in [0, {num_classes})")
+    onehot = (y[..., None] == np.arange(num_classes)).astype(np.float64)
+    return onehot, np.arange(y.size).reshape(y.shape) * num_classes + y
+
+
 def cross_entropy_loss_and_grads(model: Model, features, labels,
                                  out: list[np.ndarray] | None = None) -> tuple[float, list[np.ndarray]]:
     """Mean cross-entropy over a batch plus analytic parameter gradients.
 
+    A stacked model, whose arrays carry a leading trial axis, takes one batch
+    per trial as ``features`` (trials, rows, dim) and returns one loss per
+    trial, as an array. ``labels`` are class indices; the trainer passes
+    ``_targets`` of them instead, gathered once per epoch.
+
     Gradients are returned in the order of ``model.parameters()``. Given
     ``out``, arrays of those shapes, they are written into it and it is
-    returned; otherwise they are fresh arrays.
+    returned; otherwise they are fresh arrays. The trainer passes a
+    ``_Work``, which also holds every intermediate.
     """
     x, _ = _as_batch(model, features)
-    y = np.asarray(labels, dtype=np.int64)
-    n = x.shape[0]
+    n = x.shape[-2]
     if n == 0:
         raise ValueError("empty batch")
-    if out is None:
-        out = [np.empty_like(p) for p in model.parameters()]
+    onehot, picks = labels if isinstance(labels, tuple) else _targets(labels, model.num_classes)
+    work = out if isinstance(out, _Work) else _Work(model, x.shape[:-1], out)
 
-    h, z = _forward(model, x)
-    zmax = z.max(axis=1, keepdims=True)
-    log_norm = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-    rows = np.arange(n)
-    loss = float((log_norm - z[rows, y]).sum() / n)  # the bits of np.mean, without its overhead
+    h, z = _forward(model, x, work.h, work.z)
+    zmax = np.maximum.reduce(z, -1, None, work.zmax, True)
+    log_norm = np.add.reduce(np.exp(np.subtract(z, zmax, work.e), work.e), -1, None, work.log_norm)
+    np.add(work.zmax_flat, np.log(log_norm, log_norm), log_norm)
+    # the label's logit is taken, not multiplied out of the one-hot row: an infinite logit would give nan
+    picked = work.z_flat.take(picks, None, work.picked)
+    loss = np.divide(np.add.reduce(np.subtract(log_norm, picked, picked), -1, None, work.loss), work.rows, work.loss)
 
-    dz = np.exp(np.subtract(z, log_norm[:, None], out=z), out=z)  # the logits are not needed again
-    dz[rows, y] -= 1.0
-    dz /= n
-    np.matmul(h.T, dz, out=out[-2])
-    dz.sum(axis=0, out=out[-1])
+    dz = np.exp(np.subtract(z, work.log_norm_col, z), z)  # the logits are not needed again
+    np.subtract(dz, onehot, dz)
+    np.divide(dz, work.rows, dz)
+    grads = work.grads
+    np.matmul(h.swapaxes(-1, -2), dz, grads[-2])
+    np.add.reduce(dz, -2, None, grads[-1])
     if model.w_hidden is not None:
-        dz1 = dz @ model.w_out.T
-        dz1 *= 1.0 - h * h
-        np.matmul(x.T, dz1, out=out[0])
-        dz1.sum(axis=0, out=out[1])
-    return loss, out
+        dh = np.matmul(dz, model.w_out.swapaxes(-1, -2), work.dh)
+        np.multiply(dh, np.subtract(_ONE, np.multiply(h, h, work.dtanh), work.dtanh), dh)
+        np.matmul(x.swapaxes(-1, -2), dh, grads[0])
+        np.add.reduce(dh, -2, None, grads[1])
+    return (float(loss) if loss.ndim == 0 else loss), grads
 
 
 @dataclass(frozen=True)
@@ -218,14 +294,189 @@ class TrainResult:
     train_accuracy: float
 
 
+class _Stack:
+    """The trials still training, one row each: parameters, Adam moments, data and work arrays.
+
+    A trial that leaves is dropped and the rows behind it move up, so a step
+    costs what the remaining trials need. Every array is allocated here;
+    what the steps use are views, rebuilt when the stack shrinks.
+    """
+
+    def __init__(self, models: list[Model], x: np.ndarray, y: np.ndarray, cfg: LearnerConfig):
+        trials, n, _ = x.shape
+        first = models[0]
+        self.names = ("w_out", "b_out") if first.w_hidden is None else ("w_hidden", "b_hidden", "w_out", "b_out")
+        self.shapes = [p.shape for p in first.parameters()]
+        self.offsets = np.cumsum([p.size for p in first.parameters()])[:-1]
+        self.dims = (first.feature_dim, first.num_classes)
+        self.flat = np.stack([np.concatenate([p.ravel() for p in m.parameters()]) for m in models])
+        self.moment1, self.moment2, self.grad = (np.zeros_like(self.flat) for _ in range(3))
+        self.scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
+        # 0-d: a ufunc converts a Python scalar on every call
+        self.constants = tuple(np.array(c) for c in (ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2,
+                                                     cfg.learning_rate, ADAM_EPSILON))
+        self.x, self.y = x.copy(), y.copy()
+        self.onehot, _ = _targets(y, first.num_classes)
+        # shuffled every epoch; picks index each batch's own (trials, rows, classes) logits
+        self.xs, self.ys = np.empty_like(self.x), np.empty_like(self.y)
+        self.onehots, self.picks = np.empty_like(self.onehot), np.empty_like(self.y)
+        size = min(cfg.minibatch_size, n)
+        self.spans = [(start, min(start + size, n)) for start in range(0, n, size)]
+        self.pick_offsets = np.empty_like(self.y)  # a batch's picks minus its labels, as in _targets
+        for start, end in self.spans:
+            self.pick_offsets[:, start:end] = np.arange(trials * (end - start)).reshape(trials, -1) * first.num_classes
+        self.works = {rows: _Work(first, (trials, rows)) for rows in {end - start for start, end in self.spans}}
+        self.eval_arrays = (None if first.w_hidden is None else np.empty((trials, n, self.shapes[0][1])),
+                            np.empty((trials, n, first.num_classes)), np.empty((trials, n), dtype=np.intp),
+                            np.empty((trials, n), dtype=bool))
+        self.rows = list(range(trials))  # the trial that each row holds
+        self._view()
+
+    def _split(self, buffer: np.ndarray) -> list[np.ndarray]:
+        return [part.reshape(len(buffer), *shape) for part, shape in
+                zip(np.split(buffer, self.offsets, axis=-1), self.shapes)]
+
+    def _view(self) -> None:
+        k = len(self.rows)
+        params = self._split(self.flat[:k])
+        hidden = params[:-2] if len(params) == 4 else [None, None]
+        self.model = Model(*hidden, *params[-2:], *self.dims)
+        self.adam = (self.flat[:k], self.grad[:k], self.moment1[:k], self.moment2[:k],
+                     *(a[:k] for a in self.scratch))
+        grads = self._split(self.grad[:k])
+        works = {rows: work.head(k, grads) for rows, work in self.works.items()}
+        self.batches = [(self.xs[:k, start:end], (self.onehots[:k, start:end], self.picks[:k, start:end]),
+                         works[end - start]) for start, end in self.spans]
+        self.eval_views = [None if a is None else a[:k] for a in self.eval_arrays]
+
+    def shuffle(self, rngs: list[np.random.Generator]) -> None:
+        """Gather each trial's rows in a fresh permutation of its own, so every minibatch is a view."""
+        for row, trial in enumerate(self.rows):
+            order = rngs[trial].permutation(self.x.shape[1])
+            self.x[row].take(order, 0, self.xs[row])
+            self.y[row].take(order, 0, self.ys[row])
+            self.onehot[row].take(order, 0, self.onehots[row])
+        self._pick()
+
+    def _pick(self) -> None:
+        k = len(self.rows)
+        np.add(self.ys[:k], self.pick_offsets[:k], self.picks[:k])
+
+    def update(self, step: int) -> None:
+        """One Adam update of every trial's flat parameters."""
+        flat, grad, moment1, moment2, a, b = self.adam
+        beta1, decay1, beta2, decay2, learning_rate, epsilon = self.constants
+        bias1 = 1.0 - ADAM_BETA1 ** step
+        bias2 = 1.0 - ADAM_BETA2 ** step
+        # elementwise, so one update over the stack has the bits of one per parameter and trial
+        np.multiply(moment1, beta1, moment1)
+        np.add(moment1, np.multiply(grad, decay1, a), moment1)
+        np.multiply(moment2, beta2, moment2)
+        np.add(moment2, np.multiply(np.multiply(grad, grad, b), decay2, b), moment2)
+        np.multiply(np.divide(moment1, bias1, a), learning_rate, a)
+        np.subtract(flat, np.divide(a, np.add(np.sqrt(np.divide(moment2, bias2, b), b), epsilon, b), a), flat)
+
+    def accuracy(self) -> np.ndarray:
+        """Full-train accuracy of each row: the fraction of rows whose argmax logit is the label."""
+        k, n = len(self.rows), self.x.shape[1]
+        hidden, logits, predicted, hits = self.eval_views
+        _, z = _forward(self.model, self.x[:k], hidden, logits)
+        return np.equal(z.argmax(-1, predicted), self.y[:k], hits).sum(-1) / n
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop every row not in ``rows`` (ascending); the kept rows move up in order."""
+        k = len(rows)
+        for array in (self.flat, self.moment1, self.moment2, self.grad, self.x, self.y, self.onehot,
+                      self.xs, self.ys, self.onehots):
+            array[:k] = array[rows]
+        self.rows = [self.rows[row] for row in rows]
+        self._pick()
+        self._view()
+
+    def release(self, row: int, model: Model) -> np.ndarray:
+        """Rebind the row's model to views of a copy of its parameters, which is returned."""
+        flat = self.flat[row].copy()
+        for name, part, shape in zip(self.names, np.split(flat, self.offsets), self.shapes):
+            setattr(model, name, part.reshape(shape))
+        return flat
+
+    def finish(self, row: int, model: Model, result: TrainResult, step: int) -> TrainResult | TrainingDiverged:
+        flat = self.release(row, model)
+        # each loss is taken before its update, so only this sees the last update diverge;
+        # finite parameters near the float limit can still overflow the logits of the last evaluation
+        if not (np.isfinite(flat).all() and np.isfinite(self.eval_views[1][row]).all()):
+            return TrainingDiverged(f"training diverged: parameters or logits are not finite after step {step}")
+        return result
+
+
 # the loss, parameter and logit checks catch divergence; numpy's overflow warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
+def train_lockstep(models: list[Model], features, labels, cfg: LearnerConfig,
+                   seeds: list[int]) -> list[TrainResult | TrainingDiverged]:
+    """Train one model per trial in lockstep, each bitwise as :func:`train_round` alone would.
+
+    ``features`` (trials, rows, dim) and ``labels`` (trials, rows) hold each
+    trial's training set. Every trial has the same number of rows, so their
+    minibatches stack, and each step is one loss-and-gradient call and one
+    Adam update for the whole stack. Each trial shuffles with its own seed.
+
+    A trial leaves the stack at the first epoch whose full-train accuracy
+    reaches ``cfg.train_accuracy_target``, at ``cfg.max_epochs``, or at a
+    non-finite minibatch loss. Its outcome, in the order of ``models``, is
+    its :class:`TrainResult`, or the :class:`TrainingDiverged` that
+    ``train_round`` would raise; the other trials go on. Each model's arrays
+    are rebound to views of a flat copy of its parameters when it leaves.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if (x.ndim != 3 or not 0 < len(models) == len(seeds) == len(x) or x.shape[:2] != y.shape
+            or x.shape[2] != models[0].feature_dim):
+        raise ValueError("models, seeds, features (trials, rows, dim) and labels (trials, rows) must agree")
+    if y.shape[1] == 0:
+        raise ValueError("training set is empty")
+    stack = _Stack(models, x, y, cfg)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    outcomes: list = [None] * len(models)
+    step = 0
+    accuracy = stack.accuracy()
+    for epoch in range(1, cfg.max_epochs + 1):
+        stack.shuffle(rngs)
+        for batch in range(len(stack.batches)):
+            features_view, targets, work = stack.batches[batch]
+            loss, _ = cross_entropy_loss_and_grads(stack.model, features_view, targets, out=work)
+            step += 1
+            finite = list(map(math.isfinite, loss.tolist()))
+            if not all(finite):
+                for row in np.flatnonzero(np.logical_not(finite)):
+                    trial = stack.rows[row]
+                    stack.release(row, models[trial])
+                    outcomes[trial] = TrainingDiverged(f"training diverged: loss is {float(loss[row])} at step {step}")
+                stack.keep(np.flatnonzero(finite))
+                if not stack.rows:
+                    return outcomes
+            stack.update(step)
+        accuracy = stack.accuracy()
+        reached = accuracy >= cfg.train_accuracy_target
+        if reached.any():
+            for row in np.flatnonzero(reached):
+                result = TrainResult(epochs_used=epoch, reached_target=True, train_accuracy=float(accuracy[row]))
+                outcomes[stack.rows[row]] = stack.finish(row, models[stack.rows[row]], result, step)
+            accuracy = accuracy[~reached]
+            stack.keep(np.flatnonzero(~reached))
+            if not stack.rows:
+                return outcomes
+    for row, trial in enumerate(stack.rows):
+        result = TrainResult(epochs_used=cfg.max_epochs, reached_target=False, train_accuracy=float(accuracy[row]))
+        outcomes[trial] = stack.finish(row, models[trial], result, step)
+    return outcomes
+
+
 def train_round(model: Model, features, labels, cfg: LearnerConfig, seed: int) -> TrainResult:
     """Adam on cross-entropy over shuffled minibatches, mutating the model.
 
-    The model's arrays are rebound to views of one flat parameter buffer,
-    which a single Adam update per step reads and writes; arrays fetched from
-    the model before the call keep their old values and are not updated.
+    The one-trial call of :func:`train_lockstep`. The model's arrays are
+    rebound to views of one flat parameter buffer; arrays fetched from the
+    model before the call keep their old values and are not updated.
 
     Stops at the first epoch whose full-train accuracy reaches
     ``cfg.train_accuracy_target``, or at ``cfg.max_epochs``. A non-finite
@@ -239,48 +490,7 @@ def train_round(model: Model, features, labels, cfg: LearnerConfig, seed: int) -
         raise ValueError("training set is empty")
     if x.shape[0] != y.shape[0]:
         raise ValueError("features and labels must have equal length")
-
-    rng = np.random.default_rng(seed)
-    params = model.parameters()
-    offsets = np.cumsum([p.size for p in params])[:-1]
-
-    def views(buffer: np.ndarray) -> list[np.ndarray]:
-        return [part.reshape(p.shape) for part, p in zip(np.split(buffer, offsets), params)]
-
-    flat = np.concatenate([p.ravel() for p in params])
-    names = ("w_out", "b_out") if model.w_hidden is None else ("w_hidden", "b_hidden", "w_out", "b_out")
-    for name, view in zip(names, views(flat)):
-        setattr(model, name, view)
-    grad, moment1, moment2 = np.zeros_like(flat), np.zeros_like(flat), np.zeros_like(flat)
-    grads = views(grad)
-    step = 0
-    n = y.shape[0]
-    batch_size = min(cfg.minibatch_size, n)
-
-    accuracy = evaluate(model, x, y)
-    epochs_used, reached_target = cfg.max_epochs, False
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            loss, _ = cross_entropy_loss_and_grads(model, x[idx], y[idx], out=grads)
-            step += 1
-            if not math.isfinite(loss):
-                raise TrainingDiverged(f"training diverged: loss is {loss} at step {step}")
-            bias1 = 1.0 - ADAM_BETA1 ** step
-            bias2 = 1.0 - ADAM_BETA2 ** step
-            # elementwise, so one update over the flat buffer has the bits of one per parameter
-            moment1 *= ADAM_BETA1
-            moment1 += (1.0 - ADAM_BETA1) * grad
-            moment2 *= ADAM_BETA2
-            moment2 += (1.0 - ADAM_BETA2) * (grad * grad)
-            flat -= cfg.learning_rate * (moment1 / bias1) / (np.sqrt(moment2 / bias2) + ADAM_EPSILON)
-        accuracy = evaluate(model, x, y)
-        if accuracy >= cfg.train_accuracy_target:
-            epochs_used, reached_target = epoch, True
-            break
-    # each loss is taken before its update, so only this sees the last update diverge;
-    # finite parameters near the float limit can still overflow the logits
-    if not (np.isfinite(flat).all() and np.isfinite(_forward(model, x)[1]).all()):
-        raise TrainingDiverged(f"training diverged: parameters or logits are not finite after step {step}")
-    return TrainResult(epochs_used=epochs_used, reached_target=reached_target, train_accuracy=accuracy)
+    (outcome,) = train_lockstep([model], x[None], y[None], cfg, [seed])
+    if isinstance(outcome, TrainingDiverged):
+        raise outcome
+    return outcome

@@ -138,8 +138,9 @@ def select_query_batch(
     constrained = strategy.startswith(DECAL_PREFIX)
     base = strategy[len(DECAL_PREFIX):] if constrained else strategy
 
-    rows = np.unique(np.asarray(candidate_rows, dtype=np.int64))
-    if len(rows) != len(candidate_rows):
+    # run_trial passes np.flatnonzero output, already sorted, which a stable sort passes over in one run
+    rows = np.sort(np.asarray(candidate_rows, dtype=np.int64), kind="stable")
+    if (rows[1:] == rows[:-1]).any():
         raise ValueError("duplicate candidate rows")
     if len(rows) and (rows[0] < 0 or rows[-1] >= len(pool)):
         raise ValueError(f"candidate rows must lie in [0, {len(pool)})")

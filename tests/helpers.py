@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from decal import experiment
 from decal.data import DatasetSplit, SampleSet
 from decal.learner import Model
 
@@ -64,3 +65,27 @@ def write_reversed_test_csv(path, per_class=20):
                 lines.append(f"{sid},p{sid},{label},{split},{f0!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+def inject_at_round(monkeypatch, fault):
+    """Call ``fault(cfg, trial_seed, round_index)`` as each trial records a round.
+
+    This is the per-trial seam of the lockstep runner, where a diverged round
+    surfaces: a ``TrainingDiverged`` raised here fails that trial alone, and
+    the fork start method carries the patch into pool workers.
+    """
+    record_round = experiment._Trial.record_round
+
+    def faulty(trial, round_index, *args):
+        fault(trial.cfg, trial.seed, round_index)
+        return record_round(trial, round_index, *args)
+
+    monkeypatch.setattr(experiment._Trial, "record_round", faulty)
+
+
+def forbid_trials(monkeypatch):
+    """Make any trial that starts fail the test."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiment._Trial, "label_batch", fail)

@@ -5,22 +5,23 @@ import io
 import json
 import logging
 import os
+import pathlib
 import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from decal.cli import main
-from decal.config import load_config_file
+from decal.config import load_config_file, parse_config
 from decal.data import load_dataset
-from decal.errors import TrainingDiverged
+from decal.errors import DecalError, TrainingDiverged
 from decal.experiment import build_dataset, run_trial
 from decal.patients import INIT_MODES, STRATEGIES
 from decal.presets import PRESETS
 from decal.report import write_raw_csv
-from helpers import write_reversed_test_csv
+from helpers import forbid_trials, inject_at_round, write_reversed_test_csv
 
 
 def config_dict(**experiment_overrides):
@@ -188,10 +189,7 @@ class TestRun:
     ])
     def test_output_file_that_is_a_directory_fails_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                                     command, name):
-        def fail(*args, **kwargs):
-            raise AssertionError("a trial ran despite an output file that is a directory")
-
-        monkeypatch.setattr("decal.experiment.run_trial", fail)
+        forbid_trials(monkeypatch)
         out = tmp_path / "o"
         (out / name).mkdir(parents=True)
         cfg = write_config(tmp_path, config_dict(), "a.json")
@@ -272,12 +270,11 @@ class TestDivergedTraining:
         assert (out / "comparison.csv").exists() and (out / "curves_combined.svg").exists()
 
     def test_compare_without_a_seed_both_runs_finished_leaves_no_directory(self, tmp_path, capfd, monkeypatch):
-        def diverge(cfg, trial_seed, *args, **kwargs):
+        def diverge(cfg, trial_seed, round_index):
             if trial_seed == {"decal": 0, "random": 1}[cfg.init_mode]:
                 raise TrainingDiverged(f"trial {trial_seed} round 0: training diverged: stand-in")
-            return run_trial(cfg, trial_seed, *args, **kwargs)
 
-        monkeypatch.setattr("decal.experiment.run_trial", diverge)
+        inject_at_round(monkeypatch, diverge)
         configs = []
         for init_mode in ("decal", "random"):
             raw = copy.deepcopy(self.PARTLY_DIVERGING)
@@ -296,13 +293,11 @@ class TestDivergedTraining:
 
 class TestCrashedWorker:
     def test_finished_trials_are_kept(self, tmp_path, capfd, monkeypatch):
-        # the fork start method carries the patched run_trial into the pool workers
-        def crash_on_trial_2(cfg, trial_seed, *args, **kwargs):
+        def crash_on_trial_2(cfg, trial_seed, round_index):
             if trial_seed == 2:
                 os._exit(1)
-            return run_trial(cfg, trial_seed, *args, **kwargs)
 
-        monkeypatch.setattr("decal.experiment.run_trial", crash_on_trial_2)
+        inject_at_round(monkeypatch, crash_on_trial_2)
         raw = {
             "dataset": {"preset": "skewed"},
             "learner": {"max_epochs": 3},
@@ -407,10 +402,7 @@ class TestCompare:
         assert [row[k] for k in changes] == ["nan"] * 3
 
     def test_equal_init_modes_are_config_error_before_any_trial(self, tmp_path, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("a trial ran")
-
-        monkeypatch.setattr("decal.experiment.run_trial", fail)
+        forbid_trials(monkeypatch)
         cfg = write_config(tmp_path, config_dict(init_mode="random"))
         out = tmp_path / "cmp"
         code = main(["compare", "--config-a", cfg, "--config-b", cfg, "--round", "0", "--out", str(out)])
@@ -499,10 +491,7 @@ class TestConfigFileContents:
                      "Exceeds the limit (4300 digits)", id="5000-digit-int"),
     ])
     def test_exits_1_naming_the_file(self, tmp_path, capsys, monkeypatch, command, content, reason):
-        def fail(*args, **kwargs):
-            raise AssertionError("a trial ran")
-
-        monkeypatch.setattr("decal.experiment.run_trial", fail)
+        forbid_trials(monkeypatch)
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
         args = (["run", "--config", str(bad)] if command == "run" else
@@ -631,6 +620,7 @@ class TestCliFuzz:
             code = main(argv)
         assert code in (0, 1, 2, 3), stderr.getvalue()
         assert not _UNTYPED_ERROR.search(stderr.getvalue()), stderr.getvalue()
+        return code, stderr.getvalue()
 
     @settings(max_examples=60, deadline=None)
     @given(raw=_run_configs(), workers=st.one_of(st.just(1), st.sampled_from([-1, 0])))  # no pool starts
@@ -641,6 +631,49 @@ class TestCliFuzz:
                 json.dump(raw, fh)
             self.check_main(["run", "--config", path, "--out", os.path.join(tmp, "out"),
                              "--workers", str(workers)])
+
+    @settings(max_examples=25, deadline=None)
+    @given(raw=_VALID_RUN_CONFIGS.filter(lambda raw: "synthetic" in raw["dataset"]), past=st.booleans())
+    def test_run_at_the_label_budget(self, raw, past):
+        # init_size + rounds x batch_size is the pool size, or one past it
+        try:
+            cfg = parse_config(raw)
+            pool = len(build_dataset(cfg.dataset, cfg.base_seed).pool)
+        except DecalError:
+            assume(False)
+        experiment = raw["experiment"]
+        if pool + past - experiment["rounds"] * experiment["batch_size"] < 1:
+            experiment["rounds"] = 0
+        experiment["init_size"] = pool + past - experiment["rounds"] * experiment["batch_size"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(raw, fh)
+            code, err = self.check_main(["run", "--config", path, "--out", os.path.join(tmp, "out")])
+        assert (code, "label budget" in err) == ((1, True) if past else (0, False)), err
+
+    @settings(max_examples=30, deadline=None)
+    @given(command=st.sampled_from(["run", "compare", "gen", "report"]), bad=st.sampled_from(["read", "write"]),
+           depth=st.integers(0, 2))
+    def test_bad_paths(self, command, bad, depth):
+        # "read": --config(-b) names a directory (gen: --out does; report: --in has no raw.csv);
+        # "write": --out (report: --in) is a regular file or lies up to two levels under one
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_config(pathlib.Path(tmp), config_dict(rounds=0, trials=1))
+            blocker = os.path.join(tmp, "file")
+            with open(blocker, "w", encoding="utf-8") as fh:
+                fh.write("")
+            under_file = os.path.join(blocker, *["sub"] * depth)
+            read, out = (tmp, os.path.join(tmp, "out")) if bad == "read" else (config, under_file)
+            argv = {
+                "run": ["run", "--config", read, "--out", out],
+                "compare": ["compare", "--config-a", config, "--config-b", read, "--round", "0", "--out", out],
+                "gen": ["gen", "--preset", "skewed", "--seed", "0",
+                        "--out", tmp if bad == "read" else os.path.join(under_file, "d.csv")],
+                "report": ["report", "--in", tmp if bad == "read" else under_file],
+            }[command]
+            code, err = self.check_main(argv)
+        assert code == (2 if command == "report" else 1), err
 
     @settings(max_examples=15, deadline=None)
     @given(preset=st.sampled_from(sorted(PRESETS)), seed=st.one_of(st.integers(0, 5), st.sampled_from(_EXTREMES)))

@@ -27,7 +27,7 @@ from decal.experiment import (
 )
 from decal.learner import LearnerConfig
 from decal.patients import DECAL_PREFIX, INIT_MODES, QueryBatch
-from helpers import write_reversed_test_csv
+from helpers import inject_at_round, write_reversed_test_csv
 from test_cli import config_dict, write_config
 
 SMALL_SYNTH = SyntheticConfig(
@@ -134,17 +134,18 @@ class TestRunTrial:
         dataset = build_dataset(cfg.dataset, cfg.base_seed)
         pool = dataset.pool
         stages, batches, trained = [], [], []
-        train_round = learner.train_round
+        train_lockstep = learner.train_lockstep
 
-        def recording_train_round(model, features, labels, config, seed):
-            trained.append((features.copy(), labels.copy()))
-            return train_round(model, features, labels, config, seed)
+        def recording_train_lockstep(models, features, labels, config, seeds):
+            (trial_features,), (trial_labels,) = features, labels  # a stack of one trial
+            trained.append((trial_features.copy(), trial_labels.copy()))
+            return train_lockstep(models, features, labels, config, seeds)
 
         def audit(stage, round_index, batch):
             stages.append((stage, round_index))
             batches.append(batch)
 
-        monkeypatch.setattr(learner, "train_round", recording_train_round)
+        monkeypatch.setattr(learner, "train_lockstep", recording_train_lockstep)
         records = run_trial(cfg, cfg.base_seed, dataset=dataset, on_batch=audit)
         assert stages == [("init", 0)] + [("query", r) for r in range(cfg.rounds)]
         assert len(batches) == len(trained) == len(records) == cfg.rounds + 1
@@ -245,6 +246,44 @@ class TestRunExperiment:
         per_trial = [run_trial(cfg, s) for s in range(100, 103)]
         manual = np.mean([[r.test_accuracy for r in t] for t in per_trial], axis=0)
         np.testing.assert_allclose(result.curve.mean_accuracy, manual)
+
+
+# preset skewed at learning rate 1e306: of seeds 0-4, trial 2 diverges at step 2 of round 1 and the
+# others finish
+PARTLY_DIVERGING = ExperimentConfig(
+    dataset=DatasetSource(preset="skewed"),
+    learner=LearnerConfig(learning_rate=1e306, max_epochs=3),
+    strategy="random", init_mode="random", init_size=16, batch_size=16, rounds=1, trials=5, base_seed=0,
+)
+
+
+class TestLockstepRunner:
+    def test_a_trial_diverging_mid_chunk_leaves_the_others_as_their_solo_runs(self):
+        result = run_experiment(PARTLY_DIVERGING, workers=1)  # one chunk of all five trials
+        assert result.failures == ("trial 2 round 1: training diverged: loss is inf at step 2",)
+        dataset = build_dataset(PARTLY_DIVERGING.dataset, PARTLY_DIVERGING.base_seed)
+        solo = tuple(r for seed in (0, 1, 3, 4) for r in run_trial(PARTLY_DIVERGING, seed, dataset=dataset))
+        assert repr(result.records) == repr(solo)
+
+    def test_output_is_independent_of_the_worker_count(self):
+        # 5 trials in chunks of 5, 3/2 and 2/2/1
+        results = [run_experiment(PARTLY_DIVERGING, workers=workers) for workers in (1, 2, 3)]
+        assert results[0].failures and results[0].records
+        for result in results[1:]:
+            assert repr(result.records) == repr(results[0].records)
+            assert result.failures == results[0].failures
+
+    def test_a_round_that_fails_in_a_chunk_leaves_its_chunk_mates(self, monkeypatch):
+        def fault(cfg, trial_seed, round_index):
+            if (trial_seed, round_index) == (101, 2):
+                raise TrainingDiverged("trial 101 round 2: training diverged: stand-in")
+
+        cfg = small_cfg(trials=3)
+        expected = run_experiment(cfg)
+        inject_at_round(monkeypatch, fault)
+        result = run_experiment(cfg)
+        assert result.failures == ("trial 101 round 2: training diverged: stand-in",)
+        assert result.records == tuple(r for r in expected.records if r.trial_seed != 101)
 
 
 class TestAggregateCurve:
@@ -359,12 +398,11 @@ class TestCompareInitializations:
 
     @staticmethod
     def diverge(monkeypatch, seed_by_init_mode):
-        def trial(cfg, trial_seed, *args, **kwargs):
+        def fault(cfg, trial_seed, round_index):
             if trial_seed == seed_by_init_mode[cfg.init_mode]:
                 raise TrainingDiverged(f"trial {trial_seed} round 0: training diverged: stand-in")
-            return run_trial(cfg, trial_seed, *args, **kwargs)
 
-        monkeypatch.setattr("decal.experiment.run_trial", trial)
+        inject_at_round(monkeypatch, fault)
 
     def test_pairs_the_seeds_both_runs_finished(self, monkeypatch):
         cfg = small_cfg(strategy="random", init_mode="decal", rounds=1, trials=4)

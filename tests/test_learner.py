@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from decal import learner
 from decal.errors import ConfigError, TrainingDiverged
 from decal.learner import (
     ADAM_BETA1,
@@ -16,6 +17,7 @@ from decal.learner import (
     init_model,
     penultimate,
     predict_proba,
+    train_lockstep,
     train_round,
 )
 from helpers import linear_model
@@ -403,3 +405,94 @@ class TestGradients:
                     it.iternext()
                 denom = max(np.linalg.norm(g), np.linalg.norm(numeric), 1e-12)
                 assert np.linalg.norm(g - numeric) / denom <= 1e-4
+
+
+def lockstep_trials(per_class, hidden_width):
+    """Four training sets of equal size that stop at different epochs of a 1.0 target.
+
+    Trial 2 makes its first two rows one point with two labels, so it can only
+    stop at the epoch cap.
+    """
+    cfg = replace(FAST, hidden_width=hidden_width, learning_rate=0.01, train_accuracy_target=1.0, max_epochs=150)
+    sets = [blobs(seed=seed, per_class=per_class, separation=separation, noise=noise)
+            for seed, separation, noise in [(7, 8.0, 0.1), (6, 6.0, 0.3), (5, 10.0, 0.1), (8, 2.0, 0.3)]]
+    x, y = np.stack([s[0] for s in sets]), np.stack([s[1] for s in sets])
+    x[2, 1], y[2, 1] = x[2, 0], 1
+    return cfg, x, y
+
+
+class TestLockstep:
+    # minibatch 16: 45 rows leave a short last batch, 48 fill three batches, 9 make one short batch
+    @pytest.mark.parametrize("per_class", [15, 16, 3], ids=["n-not-multiple", "n-multiple", "n-below-batch"])
+    @pytest.mark.parametrize("hidden_width", [8, 0], ids=["hidden", "linear"])
+    def test_each_trial_is_bitwise_its_solo_run(self, per_class, hidden_width):
+        cfg, x, y = lockstep_trials(per_class, hidden_width)
+        seeds = [4, 40, 400, 4000]
+        stacked = [init_model(cfg, 2, 3, seed=9 + t) for t in range(4)]
+        outcomes = train_lockstep(stacked, x, y, cfg, seeds)
+        epochs = [outcome.epochs_used for outcome in outcomes]
+        assert outcomes[2].epochs_used == cfg.max_epochs and not outcomes[2].reached_target
+        assert min(epochs) < cfg.max_epochs // 2 and len(set(epochs)) >= 3
+        for t, (model, outcome) in enumerate(zip(stacked, outcomes)):
+            solo = init_model(cfg, 2, 3, seed=9 + t)
+            assert outcome == train_round(solo, x[t], y[t], cfg, seed=seeds[t])
+            for p, q in zip(model.parameters(), solo.parameters()):
+                assert p.shape == q.shape and p.tobytes() == q.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("hidden_width", [8, 0], ids=["hidden", "linear"])
+    def test_a_diverging_trial_leaves_and_the_others_go_on(self, hidden_width):
+        # trial 1's nan row is in the second of the three minibatches of its first epoch, so it
+        # leaves the stack between two steps; its message is the one its solo run raises
+        cfg, x, y = lockstep_trials(15, hidden_width)
+        x[1, 3] = np.nan
+        seeds = [4, 40, 400, 4000]
+        stacked = [init_model(cfg, 2, 3, seed=9 + t) for t in range(4)]
+        outcomes = train_lockstep(stacked, x, y, cfg, seeds)
+        assert isinstance(outcomes[1], TrainingDiverged) and str(outcomes[1]).endswith("loss is nan at step 2")
+        with pytest.raises(TrainingDiverged) as solo_error:
+            train_round(init_model(cfg, 2, 3, seed=10), x[1], y[1], cfg, seed=40)
+        assert str(outcomes[1]) == str(solo_error.value)
+        for t in (0, 2, 3):
+            solo = init_model(cfg, 2, 3, seed=9 + t)
+            assert outcomes[t] == train_round(solo, x[t], y[t], cfg, seed=seeds[t])
+            for p, q in zip(stacked[t].parameters(), solo.parameters()):
+                assert p.tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("hidden_width", [8, 0], ids=["hidden", "linear"])
+    def test_a_trial_reaching_its_target_at_the_cap_leaves_the_others_theirs(self, hidden_width):
+        # the epoch cap is the epoch where trial 0 reaches its target, so the others stop with it, capped
+        cfg, x, y = lockstep_trials(15, hidden_width)
+        cap = train_round(init_model(cfg, 2, 3, seed=9), x[0], y[0], cfg, seed=4).epochs_used
+        cfg = replace(cfg, max_epochs=cap)
+        seeds = [4, 40, 400, 4000]
+        outcomes = train_lockstep([init_model(cfg, 2, 3, seed=9 + t) for t in range(4)], x, y, cfg, seeds)
+        assert [outcome.reached_target for outcome in outcomes] == [True, False, False, False]
+        for t, outcome in enumerate(outcomes):
+            assert outcome == train_round(init_model(cfg, 2, 3, seed=9 + t), x[t], y[t], cfg, seed=seeds[t])
+
+    def test_targets_follow_their_rows_when_the_stack_shrinks(self):
+        cfg, x, y = lockstep_trials(15, 8)
+        stack = learner._Stack([init_model(cfg, 2, 3, seed=t) for t in range(4)], x, y, cfg)
+        stack.shuffle([np.random.default_rng(t) for t in range(4)])
+        shuffled = stack.xs.copy()
+        stack.keep(np.array([0, 2, 3]))
+        for features, (onehot, picks), work in stack.batches:
+            # each batch's picks index the label logits of its own (trials, rows, classes) logits
+            assert np.array_equal(picks, learner._targets(onehot.argmax(-1), 3)[1])
+            assert work.z.shape == onehot.shape
+        assert np.array_equal(stack.xs[:3], shuffled[[0, 2, 3]])
+
+    def test_shape_mismatch_is_rejected(self):
+        cfg, x, y = lockstep_trials(3, 8)
+        models = [init_model(cfg, 2, 3, seed=t) for t in range(4)]
+        with pytest.raises(ValueError, match="must agree"):
+            train_lockstep(models, x, y, cfg, [0, 1, 2])
+        with pytest.raises(ValueError, match="must agree"):
+            train_lockstep(models, x, y[:, :-1], cfg, [0, 1, 2, 3])
+
+    def test_out_of_range_labels_are_rejected(self):
+        cfg, x, y = lockstep_trials(3, 8)
+        y[0, 0] = 3
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            train_lockstep([init_model(cfg, 2, 3, seed=t) for t in range(4)], x, y, cfg, [0, 1, 2, 3])

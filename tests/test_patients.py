@@ -263,3 +263,18 @@ class TestSelectQueryBatch:
         split, model = setup
         with pytest.raises(ValueError):
             select_query_batch("decal_coreset", model, split.pool, [0], 1, seed=0)
+
+    @pytest.mark.parametrize("strategy", ["decal_margin", "badge", "random"])
+    def test_candidate_order_does_not_matter(self, setup, strategy):
+        split, model = setup
+        candidates = np.arange(0, len(split.pool), 2)
+        shuffled = np.random.default_rng(5).permutation(candidates)
+        assert not np.array_equal(shuffled, candidates)
+        assert (select_query_batch(strategy, model, split.pool, shuffled, 6, seed=1)
+                == select_query_batch(strategy, model, split.pool, candidates, 6, seed=1))
+
+    @pytest.mark.parametrize("candidates", [[3, 1, 3], [0, 0], [5, 2, 9, 2, 7]])
+    def test_duplicate_candidates_rejected(self, setup, candidates):
+        split, model = setup
+        with pytest.raises(ValueError, match="^duplicate candidate rows$"):
+            select_query_batch("entropy", model, split.pool, candidates, 1, seed=0)
