@@ -329,13 +329,6 @@ def _chunk_outcomes(future, run, chunk: list[int]) -> list[tuple[list[RoundRecor
     return outcomes
 
 
-def _split_seeds(seeds: list[int], parts: int) -> list[list[int]]:
-    """Contiguous chunks of as equal a size as they can be, the longer ones first."""
-    size, longer = divmod(len(seeds), parts)
-    bounds = np.cumsum([0] + [size + (part < longer) for part in range(parts)])
-    return [seeds[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
-
-
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run cfg.trials trials with seeds base_seed..base_seed+trials-1.
 
@@ -353,7 +346,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         raise ConfigError("workers must be >= 1")
     seeds = list(range(cfg.base_seed, cfg.base_seed + cfg.trials))
     run = partial(_run_lockstep, cfg, build_dataset(cfg.dataset, cfg.base_seed))
-    chunks = _split_seeds(seeds, min(workers, cfg.trials))
+    # contiguous chunks of as equal a size as they can be, the longer ones first
+    chunks = [chunk.tolist() for chunk in np.array_split(seeds, min(workers, cfg.trials))]
     if len(chunks) > 1:
         futures = _pool_futures(run, chunks, len(chunks))
         outcomes = [outcome for future, chunk in zip(futures, chunks) for outcome in _chunk_outcomes(future, run, chunk)]
