@@ -15,7 +15,6 @@ call of the same step.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -198,8 +197,6 @@ class _Work:
     for a stack. ``grads`` receive the gradients; fresh arrays if not given.
     """
 
-    ARRAYS = ("h", "dh", "dtanh", "z", "e", "zmax", "log_norm", "picked", "loss")
-
     def __init__(self, model: Model, lead: tuple[int, ...], grads=None):
         width, classes = model.w_out.shape[-2:]
         self.grads = [np.empty_like(p) for p in model.parameters()] if grads is None else grads
@@ -211,22 +208,8 @@ class _Work:
         self.log_norm, self.picked = np.empty(lead), np.empty(lead)
         self.loss = np.empty(lead[:-1])
         self.rows = np.array(float(lead[-1]))  # 0-d: a ufunc converts a Python scalar on every call
-        self._derive()
-
-    def _derive(self) -> None:
         # views that every call takes, made once
         self.z_flat, self.zmax_flat, self.log_norm_col = self.z.reshape(-1), self.zmax[..., 0], self.log_norm[..., None]
-
-    def head(self, trials: int, grads: list[np.ndarray]) -> _Work:
-        """Views of a stack's work arrays for its first ``trials`` trials, writing into ``grads``."""
-        work = copy.copy(self)
-        for name in self.ARRAYS:
-            array = getattr(self, name)
-            if array is not None:
-                setattr(work, name, array[:trials])
-        work.grads = grads
-        work._derive()
-        return work
 
 
 def _targets(labels, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -240,24 +223,27 @@ def _targets(labels, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def cross_entropy_loss_and_grads(model: Model, features, labels,
                                  out: list[np.ndarray] | None = None) -> tuple[float, list[np.ndarray]]:
-    """Mean cross-entropy over a batch plus analytic parameter gradients.
+    """Mean cross-entropy over a batch of class indices ``labels`` plus analytic parameter gradients.
 
     A stacked model, whose arrays carry a leading trial axis, takes one batch
     per trial as ``features`` (trials, rows, dim) and returns one loss per
-    trial, as an array. ``labels`` are class indices; the trainer passes
-    ``_targets`` of them instead, gathered once per epoch.
+    trial, as an array.
 
     Gradients are returned in the order of ``model.parameters()``. Given
     ``out``, arrays of those shapes, they are written into it and it is
-    returned; otherwise they are fresh arrays. The trainer passes a
-    ``_Work``, which also holds every intermediate.
+    returned; otherwise they are fresh arrays.
+
+    Private to the trainer: its steps pass ``out`` as a ``_Work``, which
+    holds every intermediate, and ``labels`` as the ``_targets`` pair it
+    gathered once per epoch. Any other call is converted to that form here.
     """
     x, _ = _as_batch(model, features)
-    n = x.shape[-2]
-    if n == 0:
+    if x.shape[-2] == 0:
         raise ValueError("empty batch")
-    onehot, picks = labels if isinstance(labels, tuple) else _targets(labels, model.num_classes)
-    work = out if isinstance(out, _Work) else _Work(model, x.shape[:-1], out)
+    if isinstance(out, _Work):
+        (onehot, picks), work = labels, out
+    else:
+        (onehot, picks), work = _targets(labels, model.num_classes), _Work(model, x.shape[:-1], out)
 
     h, z = _forward(model, x, work.h, work.z)
     zmax = np.maximum.reduce(z, -1, None, work.zmax, True)
@@ -298,8 +284,9 @@ class _Stack:
     """The trials still training, one row each: parameters, Adam moments, data and work arrays.
 
     A trial that leaves is dropped and the rows behind it move up, so a step
-    costs what the remaining trials need. Every array is allocated here;
-    what the steps use are views, rebuilt when the stack shrinks.
+    costs what the remaining trials need. The parameter, moment and data
+    arrays are allocated here; what the steps use are views of them, rebuilt
+    with fresh work arrays when the stack shrinks.
     """
 
     def __init__(self, models: list[Model], x: np.ndarray, y: np.ndarray, cfg: LearnerConfig):
@@ -325,7 +312,6 @@ class _Stack:
         self.pick_offsets = np.empty_like(self.y)  # a batch's picks minus its labels, as in _targets
         for start, end in self.spans:
             self.pick_offsets[:, start:end] = np.arange(trials * (end - start)).reshape(trials, -1) * first.num_classes
-        self.works = {rows: _Work(first, (trials, rows)) for rows in {end - start for start, end in self.spans}}
         self.eval_arrays = (None if first.w_hidden is None else np.empty((trials, n, self.shapes[0][1])),
                             np.empty((trials, n, first.num_classes)), np.empty((trials, n), dtype=np.intp),
                             np.empty((trials, n), dtype=bool))
@@ -344,7 +330,7 @@ class _Stack:
         self.adam = (self.flat[:k], self.grad[:k], self.moment1[:k], self.moment2[:k],
                      *(a[:k] for a in self.scratch))
         grads = self._split(self.grad[:k])
-        works = {rows: work.head(k, grads) for rows, work in self.works.items()}
+        works = {rows: _Work(self.model, (k, rows), grads) for rows in {end - start for start, end in self.spans}}
         self.batches = [(self.xs[:k, start:end], (self.onehots[:k, start:end], self.picks[:k, start:end]),
                          works[end - start]) for start, end in self.spans]
         self.eval_views = [None if a is None else a[:k] for a in self.eval_arrays]
@@ -386,8 +372,9 @@ class _Stack:
     def keep(self, rows: np.ndarray) -> None:
         """Drop every row not in ``rows`` (ascending); the kept rows move up in order."""
         k = len(rows)
+        # the last evaluation's logits too: a trial capped at the epoch where another leaves is checked after this
         for array in (self.flat, self.moment1, self.moment2, self.grad, self.x, self.y, self.onehot,
-                      self.xs, self.ys, self.onehots):
+                      self.xs, self.ys, self.onehots, self.eval_arrays[1]):
             array[:k] = array[rows]
         self.rows = [self.rows[row] for row in rows]
         self._pick()

@@ -138,7 +138,8 @@ def select_query_batch(
     constrained = strategy.startswith(DECAL_PREFIX)
     base = strategy[len(DECAL_PREFIX):] if constrained else strategy
 
-    # run_trial passes np.flatnonzero output, already sorted, which a stable sort passes over in one run
+    # the trial loop (experiment._Trial.label_batch) passes np.flatnonzero output, already sorted,
+    # which a stable sort passes over in one run
     rows = np.sort(np.asarray(candidate_rows, dtype=np.int64), kind="stable")
     if (rows[1:] == rows[:-1]).any():
         raise ValueError("duplicate candidate rows")

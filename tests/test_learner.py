@@ -471,6 +471,34 @@ class TestLockstep:
         for t, outcome in enumerate(outcomes):
             assert outcome == train_round(init_model(cfg, 2, 3, seed=9 + t), x[t], y[t], cfg, seed=seeds[t])
 
+    @pytest.mark.parametrize("bad", [0, 2], ids=["reaching-trial", "capped-trial"])
+    def test_each_trial_is_checked_against_its_own_logits_at_the_cap(self, monkeypatch, bad):
+        # at the cap epoch trial 0 reaches its target and leaves before the capped trials are checked,
+        # so the rows behind it move up; only the trial whose last logits are not finite diverges
+        cfg, x, y = lockstep_trials(15, 8)
+        cfg = replace(cfg, max_epochs=3)
+        seeds = [4, 40, 400, 4000]
+        solo = [train_round(init_model(cfg, 2, 3, seed=9 + t), x[t], y[t], cfg, seed=seeds[t]) for t in range(4)]
+        assert not any(result.reached_target for result in solo)
+        accuracy, calls = learner._Stack.accuracy, []
+
+        def at_the_cap(stack):
+            result = accuracy(stack)
+            calls.append(len(stack.rows))
+            if len(calls) == cfg.max_epochs + 1:  # the first call is before epoch 1
+                stack.eval_views[1][stack.rows.index(bad), 0, 0] = np.inf
+                result[0] = 1.0
+            return result
+
+        monkeypatch.setattr(learner._Stack, "accuracy", at_the_cap)
+        outcomes = train_lockstep([init_model(cfg, 2, 3, seed=9 + t) for t in range(4)], x, y, cfg, seeds)
+        assert calls[-1] == 4
+        assert [isinstance(outcome, TrainingDiverged) for outcome in outcomes] == [t == bad for t in range(4)]
+        if bad != 0:
+            assert outcomes[0].reached_target
+        for t in set(range(1, 4)) - {bad}:
+            assert outcomes[t] == solo[t]
+
     def test_targets_follow_their_rows_when_the_stack_shrinks(self):
         cfg, x, y = lockstep_trials(15, 8)
         stack = learner._Stack([init_model(cfg, 2, 3, seed=t) for t in range(4)], x, y, cfg)
