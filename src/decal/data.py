@@ -181,6 +181,7 @@ class ImageCountSpec:
     "uniform" draws counts from [low, high]; "heavy_tailed" draws
     low - 1 + Zipf(skew) clipped at high, so a few patients dominate the pool.
     An omitted ``high`` equals ``low``: every patient has ``low`` images.
+    :meth:`draw` makes every patient's count in one generator call.
     """
 
     kind: str = "uniform"
@@ -202,10 +203,14 @@ class ImageCountSpec:
         if self.kind == "heavy_tailed" and self.skew <= 1.0:
             raise ConfigError("heavy_tailed skew must be > 1")
 
-    def draw(self, rng: np.random.Generator) -> int:
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` counts from one generator call, with the values and stream of ``size`` one-count calls.
+
+        Clipping before the shift keeps every value in int64, up to ``high`` = 2**63-1.
+        """
         if self.kind == "uniform":
-            return int(rng.integers(self.low, self.high + 1))
-        return int(min(self.high, self.low - 1 + rng.zipf(self.skew)))
+            return rng.integers(self.low, self.high + 1, size=size)
+        return np.minimum(rng.zipf(self.skew, size=size), self.high - self.low + 1) + (self.low - 1)
 
 
 @dataclass(frozen=True)
@@ -267,7 +272,8 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> DatasetSplit:
     norms[norms == 0] = 1.0
 
     patient_class = np.arange(n_patients) % n_classes
-    counts = np.array([cfg.images_per_patient.draw(rng) for _ in range(n_patients)])
+    # one draw for all patients, patient after patient, is the stream of one draw per patient
+    counts = cfg.images_per_patient.draw(rng, n_patients)
     offsets = rng.standard_normal((n_patients, dim))  # scaled by patient_offset_scale below
 
     test_patients: set[int] = set()
@@ -281,7 +287,7 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> DatasetSplit:
         n_test = min(max(n_test, 1), len(members) - 1)
         test_patients.update(int(p) for p in rng.choice(members, size=n_test, replace=False))
 
-    n_images = sum(counts.tolist())
+    n_images = sum(counts.tolist())  # Python ints: an int64 sum can wrap past the bound below
     if n_images * dim > _MAX_FEATURE_VALUES:
         raise ConfigError(
             f"images_per_patient and num_patients drew {n_images} images of feature_dim {dim}, "

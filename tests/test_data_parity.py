@@ -3,7 +3,7 @@
 ``reference_load_dataset`` and ``reference_generate_synthetic`` are the
 loader and generator as they were before ``decal.data`` converted whole
 columns: every row is checked and converted on its own, and every patient's
-images are drawn in a block of their own. They are the oracles here: the
+image count and images are drawn by a call of their own. They are the oracles here: the
 current builders must return bitwise the same splits, and raise the same
 exception type with the same message.
 """
@@ -151,8 +151,17 @@ def reference_load_dataset(path, schema=None):
     )
 
 
+def per_patient_counts(spec, rng, n):
+    """The image counts as the generator drew them before ``ImageCountSpec.draw`` took a size: one call each."""
+    if spec.kind == "uniform":
+        counts = [int(rng.integers(spec.low, spec.high + 1)) for _ in range(n)]
+    else:
+        counts = [int(min(spec.high, spec.low - 1 + rng.zipf(spec.skew))) for _ in range(n)]
+    return np.array(counts)
+
+
 def reference_generate_synthetic(cfg, seed):
-    """The generator before its one-draw rewrite: one noise draw per patient."""
+    """The generator before its one-draw rewrites: one count draw and one noise draw per patient."""
     rng = np.random.default_rng(seed)
     n_classes, n_patients, dim = cfg.num_classes, cfg.num_patients, cfg.feature_dim
 
@@ -163,7 +172,7 @@ def reference_generate_synthetic(cfg, seed):
     means = cfg.class_separation * means / norms
 
     patient_class = np.arange(n_patients) % n_classes
-    counts = np.array([cfg.images_per_patient.draw(rng) for _ in range(n_patients)])
+    counts = per_patient_counts(cfg.images_per_patient, rng, n_patients)
     offsets = cfg.patient_offset_scale * rng.standard_normal((n_patients, dim))
 
     test_patients: set[int] = set()
@@ -177,6 +186,12 @@ def reference_generate_synthetic(cfg, seed):
         n_test = min(max(n_test, 1), len(members) - 1)
         test_patients.update(int(p) for p in rng.choice(members, size=n_test, replace=False))
 
+    n_images = sum(counts.tolist())
+    if n_images * dim > data._MAX_FEATURE_VALUES:
+        raise ConfigError(
+            f"images_per_patient and num_patients drew {n_images} images of feature_dim {dim}, "
+            f"{n_images * dim} feature values; at most {data._MAX_FEATURE_VALUES} are generated"
+        )
     blocks = [
         means[patient_class[p]] + offsets[p] + cfg.noise_scale * rng.standard_normal((counts[p], dim))
         for p in range(n_patients)
@@ -417,17 +432,24 @@ def small_synthetic_configs(draw):
     n_classes = draw(st.integers(2, 4))
     kind = draw(st.sampled_from(["uniform", "heavy_tailed"]))
     low = draw(st.integers(1, 5))
+    # a wide range or a skew near 1 mostly draws more images than SMALL_BOUND allows
+    high = draw(st.integers(low, low + 20) | st.integers(low, _INT64_MAX))
+    skew = draw(st.floats(1.05, 3.0) | st.floats(1.0, 1.05, exclude_min=True))
     return SyntheticConfig(
         num_classes=n_classes,
         num_patients=draw(st.integers(2 * n_classes, 24)),
-        images_per_patient=ImageCountSpec(kind=kind, low=low, high=low + draw(st.integers(0, 20)),
-                                          skew=draw(st.floats(1.05, 3.0))),
+        images_per_patient=ImageCountSpec(kind=kind, low=low, high=high, skew=skew),
         feature_dim=draw(st.integers(1, 6)),
         class_separation=draw(st.floats(0.01, 1e3)),
         patient_offset_scale=draw(st.floats(0.0, 1e3)),
         test_fraction_of_patients=draw(st.floats(0.05, 0.95)),
         noise_scale=draw(st.floats(1e-3, 1e3)),
     )
+
+
+# Feature values allowed while fuzzing: above 24 patients x 25 images x 6 features, so a config with
+# a narrow range is generated, and small enough that a wide one stays small until it fails the bound.
+SMALL_BOUND = 10**4
 
 
 class TestGeneratorParity:
@@ -440,5 +462,39 @@ class TestGeneratorParity:
     @settings(max_examples=150, deadline=None)
     @given(small_synthetic_configs(), st.integers(0, 2**32))
     def test_small_configs_equal_the_per_patient_draws(self, cfg, seed):
-        assert_same_outcome(outcome(reference_generate_synthetic, cfg, seed),
-                            outcome(generate_synthetic, cfg, seed))
+        with mock.patch.object(data, "_MAX_FEATURE_VALUES", SMALL_BOUND):
+            assert_same_outcome(outcome(reference_generate_synthetic, cfg, seed),
+                                outcome(generate_synthetic, cfg, seed))
+
+    @pytest.mark.parametrize("kind", ["uniform", "heavy_tailed"])
+    def test_image_count_past_int64_fails_the_bound_with_its_count(self, kind):
+        # four patients of 2**62 images: an int64 total wraps to 0 and would pass the bound
+        cfg = SyntheticConfig(
+            num_classes=2, num_patients=4,
+            images_per_patient=ImageCountSpec(kind=kind, low=2**62, high=2**62, skew=1.5),
+            feature_dim=1, class_separation=1.0, patient_offset_scale=0.0,
+            test_fraction_of_patients=0.5, noise_scale=1.0,
+        )
+        got = outcome(generate_synthetic, cfg, 0)
+        assert got == outcome(reference_generate_synthetic, cfg, 0)
+        assert got[0] is ConfigError and f"drew {2**64} images" in got[1]
+
+    @pytest.mark.parametrize("low, high", [
+        (3, 3),
+        (1, 2**32),  # a range of 2**32 values: numpy's widest 32-bit draw
+        (1, 2**32 + 1),  # the narrowest 64-bit one
+        (2**32 - 3, 2**32 + 3),
+        (1, _INT64_MAX),
+        (2**62, _INT64_MAX),
+    ], ids=["low-is-high", "range-2**32", "range-2**32+1", "across-2**32", "low-1-high-max", "low-2**62-high-max"])
+    @pytest.mark.parametrize("kind, skew", [("uniform", 2.0), ("heavy_tailed", 1 + 1e-9),
+                                            ("heavy_tailed", 1.5), ("heavy_tailed", 3.0)])
+    def test_one_call_draws_the_per_patient_counts(self, kind, skew, low, high):
+        spec = ImageCountSpec(kind=kind, low=low, high=high, skew=skew)
+        rng, oracle = np.random.default_rng(11), np.random.default_rng(11)
+        counts = spec.draw(rng, 2000)
+        expected = per_patient_counts(spec, oracle, 2000)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == expected.tolist()
+        assert low <= counts.min() and counts.max() <= high
+        assert rng.random() == oracle.random()
