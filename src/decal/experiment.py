@@ -329,12 +329,14 @@ def _chunk_outcomes(future, run, chunk: list[int]) -> list[tuple[list[RoundRecor
     return outcomes
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, workers: int = 1,
+                   dataset: DatasetSplit | None = None) -> ExperimentResult:
     """Run cfg.trials trials with seeds base_seed..base_seed+trials-1.
 
-    The dataset is built once and shared by every trial. The seeds are split
-    into min(workers, trials) contiguous chunks, and each chunk's trials run
-    in lockstep, in a process of its own when there are several chunks.
+    The dataset, built from ``cfg.dataset`` unless given, is shared by every
+    trial. The seeds are split into min(workers, trials) contiguous chunks,
+    and each chunk's trials run in lockstep, in a process of its own when
+    there are several chunks.
     Records are always assembled in trial-seed order, so the output is
     scheduling-independent. A trial whose training diverges, or that kills
     its worker process also when rerun alone, leaves its message in
@@ -345,7 +347,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     if workers < 1:
         raise ConfigError("workers must be >= 1")
     seeds = list(range(cfg.base_seed, cfg.base_seed + cfg.trials))
-    run = partial(_run_lockstep, cfg, build_dataset(cfg.dataset, cfg.base_seed))
+    split = dataset if dataset is not None else build_dataset(cfg.dataset, cfg.base_seed)
+    run = partial(_run_lockstep, cfg, split)
     # contiguous chunks of as equal a size as they can be, the longer ones first
     chunks = [chunk.tolist() for chunk in np.array_split(seeds, min(workers, cfg.trials))]
     if len(chunks) > 1:
@@ -477,7 +480,8 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
 
     The configs must be identical apart from init_mode, and their init modes
     must differ; both are checked before any trial runs. The config with
-    init_mode "decal" is reported as the treatment. Both results keep only
+    init_mode "decal" is reported as the treatment. Both runs share one
+    dataset, built after those checks. Both results keep only
     the trial seeds that finished in both runs, with their curves aggregated
     over those seeds, and their ``failures``; when no seed finished in both,
     the first failure is raised as a DecalError. The variants pair the
@@ -490,11 +494,14 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
         raise ConfigError(f"configs must differ in init_mode; both are {cfg_a.init_mode!r}")
     if not 0 <= round_index <= cfg_a.rounds:
         raise ConfigError(f"round {round_index} outside 0..{cfg_a.rounds}")
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
 
     treatment_cfg, baseline_cfg = (cfg_a, cfg_b) if cfg_a.init_mode == "decal" else (cfg_b, cfg_a)
 
-    treatment = run_experiment(treatment_cfg, workers=workers)
-    baseline = run_experiment(baseline_cfg, workers=workers)
+    split = build_dataset(cfg_a.dataset, cfg_a.base_seed)
+    treatment = run_experiment(treatment_cfg, workers=workers, dataset=split)
+    baseline = run_experiment(baseline_cfg, workers=workers, dataset=split)
     paired = {r.trial_seed for r in treatment.records} & {r.trial_seed for r in baseline.records}
     if not paired:
         raise DecalError((treatment.failures + baseline.failures)[0])

@@ -370,6 +370,19 @@ class TestCompareInitializations:
         with pytest.raises(ConfigError, match=f"configs must differ in init_mode; both are '{mode}'"):
             compare_initializations(cfg, cfg, 0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_builds_the_dataset_once(self, monkeypatch, workers):
+        calls = []
+
+        def counting(source, seed):
+            calls.append((source, seed))
+            return build_dataset(source, seed)
+
+        monkeypatch.setattr("decal.experiment.build_dataset", counting)
+        cfg = small_cfg(init_mode="decal", rounds=1, trials=2)
+        compare_initializations(cfg, replace(cfg, init_mode="random"), 1, workers=workers)
+        assert calls == [(cfg.dataset, cfg.base_seed)]
+
     def test_orients_decal_as_treatment(self):
         a = small_cfg(init_mode="random", rounds=0, trials=1)
         b = small_cfg(init_mode="decal", rounds=0, trials=1)
