@@ -3,9 +3,9 @@
 ``reference_load_dataset`` and ``reference_generate_synthetic`` are the
 loader and generator as they were before ``decal.data`` converted whole
 columns: every row is checked and converted on its own, and every patient's
-image count and images are drawn by a call of their own. They are the oracles here: the
-current builders must return bitwise the same splits, and raise the same
-exception type with the same message.
+image count and images are drawn by calls of their own. They are the oracles
+here: the current builders must return bitwise the same splits, and raise
+the same exception type with the same message.
 """
 
 import csv
