@@ -136,10 +136,23 @@ def badge_seeding(matrix: np.ndarray, k: int, seed: int,
     rounding and underflow, so every distance and every pick is bitwise the
     one a full measurement of every row would give.
 
-    Embeddings whose squared distances (or their sum) overflow float64 raise
-    a ValueError that says so.
+    The sampling weights (the distance of an eligible row, 0 elsewhere) and
+    the prune bound are kept up to date on the rows a pick moves or blocks,
+    and a picked row's group is found through one stable sort of ``groups``;
+    only a relaxed slot rebuilds the weights over every row. Each draw is
+    :func:`_draw`, which is ``rng.choice(n, p=weights / total)`` bit for bit
+    and leaves the generator in the same state.
+
+    A ``matrix`` that is not 2-D, or ``groups`` that are not one entry per
+    row, raise a ValueError naming the shapes. Embeddings whose squared
+    distances (or their sum) overflow float64 raise a ValueError that says so.
     """
+    if matrix.ndim != 2:
+        raise ValueError(f"embeddings must be a 2-D matrix, got shape {matrix.shape}")
     n = len(matrix)
+    if groups is not None and np.shape(groups) != (n,):
+        raise ValueError(f"groups must be 1-D with one entry per row: shape {np.shape(groups)} "
+                         f"for embeddings of shape {matrix.shape}")
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > n:
@@ -152,40 +165,68 @@ def badge_seeding(matrix: np.ndarray, k: int, seed: int,
     rng = np.random.default_rng(seed)
     picked = np.zeros(n, dtype=bool)
     blocked = np.zeros(n, dtype=bool)  # picked rows and rows of a group in the batch
+    num_blocked = 0
+    if groups is None:
+        groups = np.arange(n)  # all-distinct groups block only the picked row
+    by_group = np.argsort(groups, kind="stable")  # the rows of each group, in one run
+    sorted_groups = groups[by_group]
     norms_sq = np.einsum("ij,ij->i", matrix, matrix)
     current = int(np.argmax(norms_sq))  # first occurrence = lowest row
-    order = [current]
+    order = np.empty(k, dtype=np.int64)
+    order[0] = current
     relaxed = 0
     dist_sq = _sq_distances(matrix, matrix[current], np.arange(n))
     nearest = np.zeros(n, dtype=np.intp)  # dist_sq[i] is to matrix[order[nearest[i]]]
-    while True:
+    bound = _PRUNE_FACTOR * dist_sq + _PRUNE_FLOOR
+    weights = dist_sq.copy()  # dist_sq on eligible rows, 0 elsewhere
+    buf = np.empty(n)
+    for m in range(1, k + 1):
         picked[current] = True
-        blocked[current] = True
-        if groups is not None:
-            blocked |= groups == groups[current]
-        if len(order) == k:
+        if num_blocked < n:  # current was eligible, and so is every row of its group
+            group = groups[current]
+            members = by_group[sorted_groups.searchsorted(group):sorted_groups.searchsorted(group, side="right")]
+            num_blocked += len(members)
+            blocked[members] = True
+            weights[members] = 0.0
+        if m == k:
             break
-        eligible = ~blocked
-        if not eligible.any():
+        if num_blocked == n:
             relaxed += 1
-            eligible = ~picked
-        weights = np.where(eligible, dist_sq, 0.0)
+            np.copyto(weights, dist_sq)
+            weights[picked] = 0.0
         total = weights.sum()
         if total == np.inf:
             raise ValueError("squared distances between embeddings overflow float64; scale the embeddings down")
         if total > 0.0:
-            current = int(rng.choice(n, p=weights / total))
+            current = _draw(rng, weights, total, buf)
         else:
-            current = int(np.flatnonzero(eligible)[0])
-        between = _sq_distances(matrix, matrix[current], np.array(order))
-        order.append(current)
-        rows = np.flatnonzero(between[nearest] <= _PRUNE_FACTOR * dist_sq + _PRUNE_FLOOR)
+            current = int(np.argmin(picked if num_blocked == n else blocked))  # lowest eligible row
+        order[m] = current
+        between = _sq_distances(matrix, matrix[current], order[:m])
+        rows = np.flatnonzero(between[nearest] <= bound)
         moved = _sq_distances(matrix, matrix[current], rows)
         closer = moved < dist_sq[rows]
-        dist_sq[rows[closer]] = moved[closer]
-        nearest[rows[closer]] = len(order) - 1
+        rows, moved = rows[closer], moved[closer]
+        dist_sq[rows] = moved
+        nearest[rows] = m
+        bound[rows] = _PRUNE_FACTOR * moved + _PRUNE_FLOOR
+        weights[rows] = np.where(blocked[rows], 0.0, moved)
 
-    return np.array(order, dtype=np.int64), relaxed
+    return order, relaxed
+
+
+def _draw(rng: np.random.Generator, weights: np.ndarray, total: float, buf: np.ndarray) -> int:
+    """``rng.choice(len(weights), p=weights / total)`` without its checks, through ``buf``.
+
+    The arithmetic is the inverse-CDF draw numpy's ``Generator.choice`` makes
+    once its checks pass: the cumulative sum of ``p`` scaled by its last entry,
+    then the first entry above one ``rng.random()``. So the index and the
+    generator's state after the draw are both those of ``choice``.
+    """
+    np.divide(weights, total, out=buf)
+    np.cumsum(buf, out=buf)
+    buf /= buf[-1]
+    return int(buf.searchsorted(rng.random(), side="right"))
 
 
 # A row is measured against a new pick unless its nearest pick is more than
@@ -196,23 +237,28 @@ def badge_seeding(matrix: np.ndarray, k: int, seed: int,
 # floor the second (a pool scaled by 1e-162 needs it).
 _PRUNE_FACTOR = 4.0 + 1e-6
 _PRUNE_FLOOR = np.finfo(np.float64).tiny
-_BLOCK_ROWS = 2048
+_BLOCK_ROWS = 1024
 
 
 def _sq_distances(matrix: np.ndarray, center: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Squared distances from ``center`` to ``matrix[rows]``.
 
     Works in blocks of rows through one reused buffer, so no ``(len(rows), d)``
-    array is made; each row's arithmetic is that of ``diff = matrix[rows] -
+    array is made. The center is tiled to a block's shape once, so each
+    block's subtraction is one flat loop rather than one short loop per row.
+    Subtraction rounds each element on its own, and the ``einsum`` is the one
+    a single call would make, so each row's distance is that of ``diff = matrix[rows] -
     center; einsum("ij,ij->i", diff, diff)``, bit for bit.
     """
     out = np.empty(len(rows))
-    buf = np.empty((min(len(rows), _BLOCK_ROWS), matrix.shape[1]))
+    block_rows = min(len(rows), _BLOCK_ROWS)
+    buf = np.empty((block_rows, matrix.shape[1]))
+    tiled = np.tile(center, (block_rows, 1))
     for start in range(0, len(rows), _BLOCK_ROWS):
         part = rows[start:start + _BLOCK_ROWS]
         block = buf[:len(part)]
         # the rows are valid; "clip" spares take the buffered copy of its bounds check
         np.take(matrix, part, axis=0, out=block, mode="clip")
-        np.subtract(block, center, out=block)
+        np.subtract(block, tiled[:len(part)], out=block)
         np.einsum("ij,ij->i", block, block, out=out[start:start + len(part)])
     return out

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -311,6 +312,91 @@ class TestBadgePruning:
         monkeypatch.undo()
         assert rows.tolist() == reference_badge_seeding(matrix, k, seed=2)[0].tolist()
         assert sum(measured) < len(matrix) * (k - 1) / 2
+
+
+def draw_weights(rng, kind, n, u_seed):
+    """Sampling weights with a positive total, shaped as the seeding loop can make them."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    if kind == "single":
+        weights = np.zeros(n)
+        weights[rng.integers(n)] = rng.random() + 0.5
+    elif kind == "zeros":
+        weights = rng.random(n) * (rng.random(n) < 0.2)
+    elif kind == "skewed":
+        weights = np.exp(rng.standard_normal(n) * 30.0)
+    elif kind == "squared-1e-162":  # squared distances of a pool scaled by 1e-162: a few ulps of `tiny`
+        weights = rng.integers(0, 6, size=n) * tiny
+    elif kind == "subnormal":
+        weights = rng.random(n) * 1e-310
+    elif kind == "at-the-draw":  # the first draw of seed `u_seed` falls at the CDF step after row n // 2
+        weights = rng.random(n) + 0.1
+        u = np.random.default_rng(u_seed).random()
+        if n > 2:  # a step with rows on both sides
+            weights[n // 2 + 1:] *= weights[:n // 2 + 1].sum() * (1.0 - u) / u / weights[n // 2 + 1:].sum()
+    else:
+        weights = rng.random(n)
+    if not weights.sum() > 0.0:
+        weights[rng.integers(n)] = tiny
+    return weights
+
+
+class TestBadgeDraw:
+    """Oracle for the seeding loop's draw: it restates ``Generator.choice``, so a numpy change fails here."""
+
+    # "at-the-draw" puts a step of the CDF within rounding of the draw, where dropping the CDF's
+    # scaling by its last entry changes the index
+    @pytest.mark.parametrize("kind", ["uniform", "single", "zeros", "skewed", "squared-1e-162", "subnormal",
+                                      "at-the-draw"])
+    def test_draw_equals_generator_choice(self, kind):
+        rng = np.random.default_rng(29)
+        for case in range(150):
+            n = [1, 2, 5000][case] if case < 3 else int(rng.integers(1, 5001))
+            weights = draw_weights(rng, kind, n, u_seed=case)
+            total = weights.sum()
+            ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
+            for _ in range(3):
+                expected = theirs.choice(n, p=weights / total)
+                assert acquisition._draw(ours, weights, total, np.empty(n)) == expected
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestBadgeLargePool:
+    """Parity with the unpruned loop past two distance blocks, where the hypothesis pools (n <= 40) do not reach."""
+
+    @pytest.mark.parametrize("grouping, k, expected_relaxed", [
+        ("none", 48, 0),
+        ("patients", 48, None),
+        ("three", 20, 17),  # 3 groups fill 3 slots; 17 are relaxed and blocked rows are eligible again
+    ])
+    def test_picks_equal_the_unpruned_loop(self, grouping, k, expected_relaxed):
+        rng = np.random.default_rng(17)
+        n = 2 * acquisition._BLOCK_ROWS + 300
+        centers = rng.standard_normal((6, 12)) * 8.0
+        matrix = centers[rng.integers(6, size=n)] + rng.standard_normal((n, 12))
+        groups = {
+            "none": None,
+            "patients": rng.permutation(np.arange(n) // 8),
+            "three": rng.integers(3, size=n),
+        }[grouping]
+        for seed in range(3):
+            relaxed = _same_picks(matrix, k, seed, groups)
+            if expected_relaxed is not None:
+                assert relaxed == expected_relaxed
+
+
+class TestBadgeSeedingShapes:
+    @pytest.mark.parametrize("matrix", [np.ones(5), np.ones((2, 3, 4))], ids=["1-D", "3-D"])
+    def test_matrix_must_be_2d(self, matrix):
+        with pytest.raises(ValueError, match=re.escape(f"shape {matrix.shape}")):
+            badge_seeding(matrix, 1, seed=0)
+
+    @pytest.mark.parametrize("groups", [np.arange(4), np.arange(6), np.zeros((5, 1), dtype=int)],
+                             ids=["short", "long", "2-D"])
+    def test_groups_need_one_entry_per_row(self, groups):
+        message = f"shape {groups.shape} for embeddings of shape (5, 3)"
+        for k in (0, 3):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                badge_seeding(np.arange(15.0).reshape(5, 3), k, seed=0, groups=groups)
 
 
 class TestMakeRanking:
