@@ -166,12 +166,12 @@ def badge_seeding(matrix: np.ndarray, k: int, seed: int,
     picked = np.zeros(n, dtype=bool)
     blocked = np.zeros(n, dtype=bool)  # picked rows and rows of a group in the batch
     num_blocked = 0
-    if groups is None:
-        groups = np.arange(n)  # all-distinct groups block only the picked row
-    by_group = np.argsort(groups, kind="stable")  # the rows of each group, in one run
-    sorted_groups = groups[by_group]
-    norms_sq = np.einsum("ij,ij->i", matrix, matrix)
-    current = int(np.argmax(norms_sq))  # first occurrence = lowest row
+    if groups is None:  # all-distinct groups block only the picked row
+        groups = by_group = sorted_groups = np.arange(n)
+    else:
+        by_group = np.argsort(groups, kind="stable")  # the rows of each group, in one run
+        sorted_groups = groups[by_group]
+    current = int(np.argmax(np.einsum("ij,ij->i", matrix, matrix)))  # max norm; first occurrence = lowest row
     order = np.empty(k, dtype=np.int64)
     order[0] = current
     relaxed = 0
