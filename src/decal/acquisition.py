@@ -247,8 +247,9 @@ def _sq_distances(matrix: np.ndarray, center: np.ndarray, rows: np.ndarray) -> n
     array is made. The center is tiled to a block's shape once, so each
     block's subtraction is one flat loop rather than one short loop per row.
     Subtraction rounds each element on its own, and the ``einsum`` is the one
-    a single call would make, so each row's distance is that of ``diff = matrix[rows] -
-    center; einsum("ij,ij->i", diff, diff)``, bit for bit.
+    a single call would make, so each row's distance is that of
+    ``diff = matrix[rows] - center; einsum("ij,ij->i", diff, diff)``, bit for
+    bit.
     """
     out = np.empty(len(rows))
     block_rows = min(len(rows), _BLOCK_ROWS)
