@@ -166,17 +166,17 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
     picks from the unlabeled rows; each round then trains and evaluates a
     fresh model. ``on_batch(stage, round_index, batch)`` lets callers audit each
     batch before it is labeled, as ("init", 0) or ("query", r-1). This is the
-    one-trial call of the lockstep runner that ``run_experiment`` uses.
+    one-trial call of the lockstep runner that every run uses.
     """
     split = dataset if dataset is not None else build_dataset(cfg.dataset, cfg.base_seed)
-    ((records, error),) = _run_lockstep(cfg, split, [trial_seed], on_batch)
+    ((records, error),) = _run_lockstep(split, [(cfg, trial_seed)], on_batch)
     if error is not None:
         raise TrainingDiverged(error)
     return records
 
 
 class _Trial:
-    """One trial between rounds: its labeled rows, its records and the model of its last round."""
+    """One trial between rounds: its labeled rows, its records (or divergence ``error``) and its last model."""
 
     def __init__(self, cfg: ExperimentConfig, split: DatasetSplit, seed: int):
         self.cfg, self.split, self.seed = cfg, split, seed
@@ -186,6 +186,7 @@ class _Trial:
         self.model = None
         self.batch = None
         self.records: list[RoundRecord] = []
+        self.error: str | None = None
 
     def label_batch(self, round_index: int, on_batch=None) -> None:
         """Select, check and label this round's batch."""
@@ -232,24 +233,23 @@ class _Trial:
         ))
 
 
-def _run_lockstep(cfg: ExperimentConfig, split: DatasetSplit, seeds,
+def _run_lockstep(split: DatasetSplit, trials,
                   on_batch=None) -> list[tuple[list[RoundRecord], str | None]]:
-    """Run the seeds' trials in lockstep; returns each trial's records and failure message, in seed order.
+    """Run (config, seed) trials in lockstep; returns each one's records and failure message, in input order.
 
+    The first config's learner, label budget and rounds hold for every trial.
     Every round, each trial selects, checks and labels its own batch, and then
     all of them train in one stacked call. A trial whose training diverges
     leaves with its message and no records; the others go on.
     """
-    pool = split.pool
+    pool, cfg = split.pool, trials[0][0]
     budget = cfg.init_size + cfg.rounds * cfg.batch_size
     if budget > len(pool):
         raise ConfigError(
             f"label budget {budget} (init {cfg.init_size} + {cfg.rounds} rounds x {cfg.batch_size}) "
             f"exceeds pool size {len(pool)}"
         )
-    trials = [_Trial(cfg, split, seed) for seed in seeds]
-    errors: dict[int, str] = {}
-    active = trials
+    trials = active = [_Trial(trial_cfg, split, seed) for trial_cfg, seed in trials]
     for round_index in range(cfg.rounds + 1):
         for trial in active:
             trial.label_batch(round_index, on_batch)
@@ -267,11 +267,11 @@ def _run_lockstep(cfg: ExperimentConfig, split: DatasetSplit, seeds,
             try:
                 trial.record_round(round_index, model, outcome)
             except TrainingDiverged as exc:
-                errors[trial.seed] = str(exc)
-        active = [trial for trial in active if trial.seed not in errors]
+                trial.records, trial.error = [], str(exc)
+        active = [trial for trial in active if trial.error is None]
         if not active:
             break
-    return [([], errors[trial.seed]) if trial.seed in errors else (trial.records, None) for trial in trials]
+    return [(trial.records, trial.error) for trial in trials]
 
 
 def _check_batch(batch: patients.QueryBatch, k: int, labeled_mask: np.ndarray, pool,
@@ -296,7 +296,7 @@ def _check_batch(batch: patients.QueryBatch, k: int, labeled_mask: np.ndarray, p
     return rows
 
 
-_worker_run = None  # _run_lockstep bound to config and dataset, set once per pool worker
+_worker_run = None  # _run_lockstep bound to the dataset, set once per pool worker
 
 
 def _init_worker(run) -> None:
@@ -304,67 +304,73 @@ def _init_worker(run) -> None:
     _worker_run = run
 
 
-def _run_worker_chunk(seeds: list[int]) -> list[tuple[list[RoundRecord], str | None]]:
-    return _worker_run(seeds)
+def _run_worker_chunk(trials: list) -> list[tuple[list[RoundRecord], str | None]]:
+    return _worker_run(trials)
 
 
-def _pool_futures(run, chunks: list[list[int]], workers: int) -> list:
-    """Run each chunk of seeds in lockstep on a fresh process pool; returns their futures, all done."""
+def _pool_futures(run, chunks: list[list], workers: int) -> list:
+    """Run each chunk of trials in lockstep on a fresh process pool; returns their futures, all done."""
     # initargs reach each worker once (inherited or pickled), not with every task
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(run,)) as executor:
         return [executor.submit(_run_worker_chunk, chunk) for chunk in chunks]
 
 
-def _chunk_outcomes(future, run, chunk: list[int]) -> list[tuple[list[RoundRecord], str | None]]:
+def _chunk_outcomes(future, run, chunk: list) -> list[tuple[list[RoundRecord], str | None]]:
     # a dying worker fails every chunk still pending with it, so each of their trials reruns alone:
     # only a trial that breaks its own pool is lost, as a message like a diverged one
     if not isinstance(future.exception(), BrokenProcessPool):
         return future.result()
     outcomes = []
-    for seed in chunk:
+    for cfg, seed in chunk:
         try:
-            outcomes += _pool_futures(run, [[seed]], workers=1)[0].result()
+            outcomes += _pool_futures(run, [[(cfg, seed)]], workers=1)[0].result()
         except BrokenProcessPool as exc:
             outcomes.append(([], f"trial {seed}: {type(exc).__name__}: {exc}"))
     return outcomes
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int = 1,
-                   dataset: DatasetSplit | None = None) -> ExperimentResult:
-    """Run cfg.trials trials with seeds base_seed..base_seed+trials-1.
-
-    The dataset, built from ``cfg.dataset`` unless given, is shared by every
-    trial. The seeds are split into min(workers, trials) contiguous chunks,
-    and each chunk's trials run in lockstep, in a process of its own when
-    there are several chunks.
-    Records are always assembled in trial-seed order, so the output is
-    scheduling-independent. A trial whose training diverges, or that kills
-    its worker process also when rerun alone, leaves its message in
-    ``failures``, in seed order; when no trial finishes, the first of them is
-    raised as a DecalError. Rounds that trained for ``max_epochs`` epochs are
-    counted in one warning per run.
-    """
+def _run_configs(cfgs: list[ExperimentConfig], workers: int) -> list[ExperimentResult]:
+    """Run the configs' trials as one set, config by config, over the first config's dataset; one result each."""
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    seeds = list(range(cfg.base_seed, cfg.base_seed + cfg.trials))
-    split = dataset if dataset is not None else build_dataset(cfg.dataset, cfg.base_seed)
-    run = partial(_run_lockstep, cfg, split)
+    split = build_dataset(cfgs[0].dataset, cfgs[0].base_seed)
+    run = partial(_run_lockstep, split)
+    trials = [(cfg, seed) for cfg in cfgs for seed in range(cfg.base_seed, cfg.base_seed + cfg.trials)]
     # contiguous chunks of as equal a size as they can be, the longer ones first
-    chunks = [chunk.tolist() for chunk in np.array_split(seeds, min(workers, cfg.trials))]
+    chunks = [[trials[i] for i in part] for part in np.array_split(range(len(trials)), min(workers, len(trials)))]
     if len(chunks) > 1:
         futures = _pool_futures(run, chunks, len(chunks))
         outcomes = [outcome for future, chunk in zip(futures, chunks) for outcome in _chunk_outcomes(future, run, chunk)]
     else:
-        outcomes = run(seeds)
-    records = tuple(record for trial_records, _ in outcomes for record in trial_records)
-    failures = tuple(error for _, error in outcomes if error is not None)
-    if not records:
-        raise DecalError(failures[0])
-    capped = sum(record.epochs_used == cfg.learner.max_epochs for record in records)
-    if capped:
-        log.warning("%s (%s init): %d of %d rounds hit the epoch cap of %d and may have missed the accuracy target",
-                    cfg.strategy, cfg.init_mode, capped, len(records), cfg.learner.max_epochs)
-    return ExperimentResult(config=cfg, records=records, curve=aggregate_curve(records), failures=failures)
+        outcomes = run(trials)
+    results = []
+    for cfg in cfgs:
+        own, outcomes = outcomes[:cfg.trials], outcomes[cfg.trials:]
+        records = tuple(record for trial_records, _ in own for record in trial_records)
+        failures = tuple(error for _, error in own if error is not None)
+        if not records:
+            raise DecalError(failures[0])
+        capped = sum(record.epochs_used == cfg.learner.max_epochs for record in records)
+        if capped:
+            log.warning("%s (%s init): %d of %d rounds hit the epoch cap of %d and may have missed the accuracy target",
+                        cfg.strategy, cfg.init_mode, capped, len(records), cfg.learner.max_epochs)
+        results.append(ExperimentResult(config=cfg, records=records, curve=aggregate_curve(records), failures=failures))
+    return results
+
+
+def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+    """Run cfg.trials trials with seeds base_seed..base_seed+trials-1.
+
+    The trials share one dataset build and are split into min(workers, trials)
+    contiguous chunks, each run in lockstep, in a process of its own when
+    there are several chunks. Records are always assembled in trial-seed
+    order, so the output is scheduling-independent. A trial whose training
+    diverges, or that kills its worker process also when rerun alone, leaves
+    its message in ``failures``, in seed order; when no trial finishes, the
+    first of them is raised as a DecalError. Rounds that trained for
+    ``max_epochs`` epochs are counted in one warning per run.
+    """
+    return _run_configs([cfg], workers)[0]
 
 
 def aggregate_curve(records) -> LearningCurve:
@@ -479,14 +485,15 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
     """Run both configs and compare accuracy at one round.
 
     The configs must be identical apart from init_mode, and their init modes
-    must differ; both are checked before any trial runs. The config with
-    init_mode "decal" is reported as the treatment. Both runs share one
-    dataset, built after those checks. Both results keep only
-    the trial seeds that finished in both runs, with their curves aggregated
-    over those seeds, and their ``failures``; when no seed finished in both,
-    the first failure is raised as a DecalError. The variants pair the
-    trials by seed, and ``percent_change`` is their percent change of means.
-    A zero baseline gives NaN, so the runs are still reported.
+    must differ; both are checked before the dataset is built. The config with
+    init_mode "decal" is the treatment. Its trials and the baseline's run as
+    one set of 2 x trials over min(workers, 2 x trials) chunks, each run
+    keeping its own failures and epoch-cap warning, the treatment's first.
+    Both results keep only the trial seeds that finished in both runs, with
+    their curves aggregated over those seeds, and their ``failures``; when no
+    seed finished in both, the first failure is raised as a DecalError. The
+    variants pair the trials by seed, and ``percent_change`` is their percent
+    change of means. A zero baseline gives NaN; the runs are still reported.
     """
     if replace(cfg_a, init_mode="random") != replace(cfg_b, init_mode="random"):
         raise ConfigError("configs must be identical except for init_mode")
@@ -494,20 +501,13 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
         raise ConfigError(f"configs must differ in init_mode; both are {cfg_a.init_mode!r}")
     if not 0 <= round_index <= cfg_a.rounds:
         raise ConfigError(f"round {round_index} outside 0..{cfg_a.rounds}")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
 
     treatment_cfg, baseline_cfg = (cfg_a, cfg_b) if cfg_a.init_mode == "decal" else (cfg_b, cfg_a)
-
-    split = build_dataset(cfg_a.dataset, cfg_a.base_seed)
-    treatment = run_experiment(treatment_cfg, workers=workers, dataset=split)
-    baseline = run_experiment(baseline_cfg, workers=workers, dataset=split)
+    treatment, baseline = _run_configs([treatment_cfg, baseline_cfg], workers)
     paired = {r.trial_seed for r in treatment.records} & {r.trial_seed for r in baseline.records}
     if not paired:
         raise DecalError((treatment.failures + baseline.failures)[0])
     treatment, baseline = _only_seeds(treatment, paired), _only_seeds(baseline, paired)
-    t_mean = treatment.curve.mean_accuracy[round_index]
-    b_mean = baseline.curve.mean_accuracy[round_index]
     t_trials, b_trials = (
         {r.trial_seed: r.test_accuracy for r in result.records if r.round_index == round_index}
         for result in (treatment, baseline)
@@ -518,10 +518,10 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
         strategy=cfg_a.strategy,
         treatment_mode=treatment_cfg.init_mode,
         baseline_mode=baseline_cfg.init_mode,
-        treatment_mean=t_mean,
+        treatment_mean=treatment.curve.mean_accuracy[round_index],
         treatment_std=treatment.curve.std_accuracy[round_index],
         treatment_stderr=treatment.curve.stderr_accuracy[round_index],
-        baseline_mean=b_mean,
+        baseline_mean=baseline.curve.mean_accuracy[round_index],
         baseline_std=baseline.curve.std_accuracy[round_index],
         baseline_stderr=baseline.curve.stderr_accuracy[round_index],
         percent_change=variants["percent_change_of_means"],

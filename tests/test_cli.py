@@ -319,6 +319,41 @@ class TestCrashedWorker:
         write_raw_csv([(("random", "random"), [r for s in kept for r in run_trial(cfg, s, dataset)])], expected)
         assert (out / "raw.csv").read_bytes() == expected.read_bytes()
 
+    # the 8 trials of a compare run in chunks of decal 0-3 and random 0-3 at 2 workers, and at 3 of
+    # decal 0-2, decal 3 with random 0-1, and random 2-3; so at 3 workers random trial 1 breaks the
+    # pool of a chunk that holds trials of both runs
+    @pytest.mark.parametrize("workers, crashed", [("2", 2), ("3", 1)])
+    def test_compare_keeps_the_seeds_both_runs_finished(self, tmp_path, capfd, monkeypatch, workers, crashed):
+        def crash_on_one_random_trial(cfg, trial_seed, round_index):
+            if (cfg.init_mode, trial_seed) == ("random", crashed):
+                os._exit(1)
+
+        inject_at_round(monkeypatch, crash_on_one_random_trial)
+        configs = []
+        for init_mode in ("decal", "random"):
+            raw = {
+                "dataset": {"preset": "skewed"},
+                "learner": {"max_epochs": 3},
+                "experiment": {"strategy": "random", "init_mode": init_mode, "init_size": 16, "batch_size": 16,
+                               "rounds": 1, "trials": 4},
+            }
+            configs.append(write_config(tmp_path, raw, f"{init_mode}.json"))
+        out = tmp_path / "cmp"
+        code = main(["compare", "--config-a", configs[0], "--config-b", configs[1], "--round", "1",
+                     "--out", str(out), "--workers", workers])
+        errors = [line for line in capfd.readouterr().err.splitlines() if line.startswith("error:")]
+        assert code == 3
+        assert len(errors) == 1 and errors[0].startswith(f"error: random init: trial {crashed}: BrokenProcessPool: ")
+        kept = [seed for seed in range(4) if seed != crashed]
+        groups = []
+        for config in configs:
+            cfg = load_config_file(config)
+            dataset = build_dataset(cfg.dataset, cfg.base_seed)
+            groups.append(((cfg.strategy, cfg.init_mode), [r for s in kept for r in run_trial(cfg, s, dataset)]))
+        expected = tmp_path / "expected.csv"
+        write_raw_csv(groups, expected)
+        assert (out / "raw.csv").read_bytes() == expected.read_bytes()
+
 
 class TestEpochCapWarning:
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -335,6 +370,25 @@ class TestEpochCapWarning:
         warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
         assert len(warnings) == 1
         assert "decal_entropy (decal init): 8 of 8 rounds hit the epoch cap of 3" in warnings[0]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_compare_warns_once_per_run_treatment_first(self, tmp_path, caplog, capsys, workers):
+        configs = []
+        for init_mode in ("random", "decal"):
+            raw = {
+                "dataset": {"preset": "skewed"},
+                "learner": {"train_accuracy_target": 1.0, "max_epochs": 3},
+                "experiment": {"strategy": "decal_entropy", "init_mode": init_mode, "init_size": 16,
+                               "batch_size": 16, "rounds": 3, "trials": 2},
+            }
+            configs.append(write_config(tmp_path, raw, f"{init_mode}.json"))
+        assert main(["compare", "--config-a", configs[0], "--config-b", configs[1], "--round", "3",
+                     "--out", str(tmp_path / "cmp"), "--workers", workers]) == 0
+        capsys.readouterr()
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 2
+        assert warnings[0].startswith("decal_entropy (decal init): 8 of 8 rounds hit the epoch cap of 3")
+        assert warnings[1].startswith("decal_entropy (random init): 8 of 8 rounds hit the epoch cap of 3")
 
     def test_no_warning_when_rounds_stop_early(self, tmp_path, caplog, capsys):
         out = tmp_path / "out"

@@ -27,7 +27,7 @@ from decal.experiment import (
 )
 from decal.learner import LearnerConfig
 from decal.patients import DECAL_PREFIX, INIT_MODES, QueryBatch
-from helpers import inject_at_round, write_reversed_test_csv
+from helpers import forbid_trials, inject_at_round, write_reversed_test_csv
 from test_cli import config_dict, write_config
 
 SMALL_SYNTH = SyntheticConfig(
@@ -362,10 +362,7 @@ class TestCompareInitializations:
 
     @pytest.mark.parametrize("mode", ["random", "decal"])
     def test_equal_init_modes_rejected_before_any_trial(self, monkeypatch, mode):
-        def fail(*args, **kwargs):
-            raise AssertionError("a trial ran")
-
-        monkeypatch.setattr("decal.experiment.run_experiment", fail)
+        forbid_trials(monkeypatch)
         cfg = small_cfg(init_mode=mode, rounds=0, trials=1)
         with pytest.raises(ConfigError, match=f"configs must differ in init_mode; both are '{mode}'"):
             compare_initializations(cfg, cfg, 0)
@@ -382,6 +379,43 @@ class TestCompareInitializations:
         cfg = small_cfg(init_mode="decal", rounds=1, trials=2)
         compare_initializations(cfg, replace(cfg, init_mode="random"), 1, workers=workers)
         assert calls == [(cfg.dataset, cfg.base_seed)]
+
+    def test_both_runs_train_in_one_stack(self, monkeypatch):
+        cfg = small_cfg(strategy="random", init_mode="decal", rounds=2, trials=2)
+        stacks = []
+        train_lockstep = learner.train_lockstep
+
+        def counting_train_lockstep(models, *args):
+            stacks.append(len(models))
+            return train_lockstep(models, *args)
+
+        monkeypatch.setattr(learner, "train_lockstep", counting_train_lockstep)
+        compare_initializations(cfg, replace(cfg, init_mode="random"), 0, workers=1)
+        assert len(stacks) == cfg.rounds + 1
+        assert stacks[0] == 2 * cfg.trials
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("decal_only_failure", [None, 4])
+    def test_each_run_is_its_run_alone(self, monkeypatch, workers, decal_only_failure):
+        # both init modes diverge at trial 2 of PARTLY_DIVERGING, and decal init also fails at
+        # decal_only_failure; the 10 trials run in chunks of 10, 5/5 and 4/3/3, so at 3 workers one
+        # chunk holds trials of both runs
+        def fail_decal_trial(cfg, trial_seed, round_index):
+            if (cfg.init_mode, trial_seed) == ("decal", decal_only_failure):
+                raise TrainingDiverged(f"trial {trial_seed} round 0: training diverged: stand-in")
+
+        inject_at_round(monkeypatch, fail_decal_trial)
+        comparison = compare_initializations(replace(PARTLY_DIVERGING, init_mode="decal"), PARTLY_DIVERGING, 1,
+                                             workers=workers)
+        diverged = "trial 2 round 1: training diverged: loss is inf at step 2"
+        stand_in = () if decal_only_failure is None else ("trial 4 round 0: training diverged: stand-in",)
+        assert comparison.treatment_result.failures == (diverged, *stand_in)
+        assert comparison.baseline_result.failures == (diverged,)
+        for result in (comparison.treatment_result, comparison.baseline_result):
+            alone = run_experiment(result.config)
+            assert result.failures == alone.failures
+            paired = tuple(r for r in alone.records if r.trial_seed != decal_only_failure)
+            assert repr(result.records) == repr(paired)
 
     def test_orients_decal_as_treatment(self):
         a = small_cfg(init_mode="random", rounds=0, trials=1)
