@@ -202,8 +202,9 @@ def badge_seeding(matrix: np.ndarray, k: int, seed: int,
         else:
             current = int(np.argmin(picked if num_blocked == n else blocked))  # lowest eligible row
         order[m] = current
-        between = _sq_distances(matrix, matrix[current], order[:m])
-        rows = np.flatnonzero(between[nearest] <= bound)
+        # _sq_distances' bitwise reference form: over at most k - 1 picks its blocks cost more than they save
+        diff = matrix[order[:m]] - matrix[current]
+        rows = np.flatnonzero(np.einsum("ij,ij->i", diff, diff)[nearest] <= bound)
         moved = _sq_distances(matrix, matrix[current], rows)
         closer = moved < dist_sq[rows]
         rows, moved = rows[closer], moved[closer]

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import csv
 import re
+import sys
+import warnings
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, replace
-from functools import cached_property
-from itertools import compress, islice
+from functools import cached_property, partial
+from itertools import chain, compress
 from pathlib import Path
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,14 +30,14 @@ from .errors import (
     CsvParseError,
     DataError,
     FeatureDimensionError,
-    InvariantViolation,
     PatientOverlapError,
 )
 
 SPLIT_POOL = "pool"
 SPLIT_TEST = "test"
 _INT64_MAX = 2**63 - 1  # sample ids and labels are stored as int64
-_CHUNK_ROWS = 4096  # CSV rows converted per step: bounds the Python objects alive at once
+# valid UTF-8 never decodes to a lone surrogate, so an escaped byte marks an invalid one
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 class SampleSet:
@@ -343,28 +345,35 @@ def csv_rows(path):
 
     Lines are decoded as the reader reaches them, so csv and decoding faults are a
     CsvParseError at the first faulty line. A file that cannot be opened is a DataError naming it.
+    It reads raw CSVs and a dataset row by row; a dataset's header is read the same way
+    (:func:`_file_rows`) from the file numpy then reads the body of.
     """
+    with _open_csv(path) as fh:
+        yield from _file_rows(fh, path)
+
+
+def _open_csv(path):
     try:
-        fh = open(path, newline="", encoding="utf-8", errors="surrogateescape")
+        return open(path, newline="", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
 
+
+def _file_rows(fh, path):
+    """:func:`csv_rows` of the open file ``fh``, from where it stands."""
     def lines():
-        # valid UTF-8 never decodes to a lone surrogate, so an escaped byte marks an invalid one;
-        # the reader has counted the lines before this one
         for line in fh:
-            if not line.isascii() and re.search("[\udc80-\udcff]", line):
+            if not line.isascii() and _UNDECODABLE.search(line):  # the reader has counted the lines before
                 raise CsvParseError(path, reader.line_num + 1, "not valid UTF-8")
             yield line
 
-    with fh:
-        reader = csv.reader(lines())
-        try:
-            for row in reader:
-                if row:
-                    yield reader.line_num, row
-        except csv.Error as exc:
-            raise CsvParseError(path, reader.line_num, str(exc)) from None
+    reader = csv.reader(lines())
+    try:
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise CsvParseError(path, reader.line_num, str(exc)) from None
 
 
 def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
@@ -377,76 +386,52 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
     0..max(label) with no pool sample raises a parse error at the line of the
     largest label.
 
-    Rows are read ``_CHUNK_ROWS`` at a time and converted a column at a time,
-    and sample ids are checked for duplicates once at the end. A file with a
-    faulty row is read again from the top, row by row (:func:`_row_fault`), so
+    The csv module reads the header and numpy's C reader the body, from the
+    same open file (:func:`_numpy_columns`). A file numpy's columns cannot
+    vouch for is read again from the top, row by row (:func:`_row_columns`), so
     ``path`` must be a file that can be opened twice. An error then names the
     first faulty physical line, whether its fault is a row, csv or decoding one.
     """
     schema = schema or CsvSchema()
-    reader = csv_rows(path)
-    header_line, header = next(reader, (1, None))
-    if header is None:
-        raise CsvParseError(path, header_line, "empty file: header row required")
-    header = [h.strip() for h in header]
+    with _open_csv(path) as fh:
+        header_line, header = next(_file_rows(fh, path), (1, None))
+        if header is None:
+            raise CsvParseError(path, header_line, "empty file: header row required")
+        header = [h.strip() for h in header]
 
-    col: dict[str, int] = {}
-    for field in (schema.sample_id, schema.patient_id, schema.label, schema.split):
-        if field not in header:
-            raise CsvParseError(path, header_line, f"missing required column {field!r}")
-        col[field] = header.index(field)
+        col: dict[str, int] = {}
+        for field in (schema.sample_id, schema.patient_id, schema.label, schema.split):
+            if field not in header:
+                raise CsvParseError(path, header_line, f"missing required column {field!r}")
+            col[field] = header.index(field)
 
-    feature_cols: list[tuple[int, int]] = []
-    known = set(col.values())
-    for i, name in enumerate(header):
-        if i in known:
-            continue
-        suffix = name[len(schema.feature_prefix):]
-        if name.startswith(schema.feature_prefix) and suffix.isascii() and suffix.isdigit():
-            feature_cols.append((int(suffix), i))
-        else:
-            raise CsvParseError(path, header_line, f"unexpected column {name!r}")
-    feature_cols.sort()
-    if not feature_cols:
-        raise CsvParseError(path, header_line, f"no feature columns ({schema.feature_prefix}0, ...) found")
-    if [k for k, _ in feature_cols] != list(range(len(feature_cols))):
-        raise CsvParseError(
-            path, header_line, f"feature columns must be contiguous {schema.feature_prefix}0..{schema.feature_prefix}{{d-1}}"
-        )
-    dim = len(feature_cols)
+        feature_cols: list[tuple[int, int]] = []
+        known = set(col.values())
+        for i, name in enumerate(header):
+            if i in known:
+                continue
+            suffix = name[len(schema.feature_prefix):]
+            if name.startswith(schema.feature_prefix) and suffix.isascii() and suffix.isdigit():
+                feature_cols.append((int(suffix), i))
+            else:
+                raise CsvParseError(path, header_line, f"unexpected column {name!r}")
+        feature_cols.sort()
+        if not feature_cols:
+            raise CsvParseError(path, header_line, f"no feature columns ({schema.feature_prefix}0, ...) found")
+        if [k for k, _ in feature_cols] != list(range(len(feature_cols))):
+            raise CsvParseError(
+                path, header_line, f"feature columns must be contiguous {schema.feature_prefix}0..{schema.feature_prefix}{{d-1}}"
+            )
+        layout = _Layout(len(header), *col.values(), [i for _, i in feature_cols])  # col is in role order
 
-    layout = _Layout(len(header), *col.values(), [i for _, i in feature_cols])  # col is in role order
-
-    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, dim)), np.zeros(0, bool))]
-    patients: list[str] = []
-    top_label, top_line = -1, 0
-    faulty = False
-    try:
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            lines, rows = zip(*chunk)
-            columns = _chunk_columns(layout, rows)
-            if columns is None:
-                faulty = True
-                break
-            ids, labels, features, chunk_patients, in_test = columns
-            if labels.max() > top_label:
-                top_label, top_line = int(labels.max()), lines[int(labels.argmax())]
-            parts.append((ids, labels, features, in_test))
-            patients += chunk_patients
-    except CsvParseError:  # a csv or decoding fault of the reader
-        faulty = True
-    ids, labels, features, in_test = (np.concatenate(column) for column in zip(*parts))
-    sorted_ids = np.sort(ids)
-    if faulty or np.any(sorted_ids[1:] == sorted_ids[:-1]):
-        reader.close()
-        _row_fault(path, layout)
+        ids, labels, features, patients, in_test, lines = _numpy_columns(fh, layout) or _row_columns(path, layout)
     in_pool = ~in_test
 
     for name, mask in ((SPLIT_POOL, in_pool), (SPLIT_TEST, in_test)):
         if not mask.any():
             raise DataError(f"{path}: the {name} split is empty")
 
-    num_classes = top_label + 1
+    num_classes = int(labels.max()) + 1
     if num_classes < 2:
         raise DataError(f"{path}: at least 2 classes required, found {num_classes}")
     # O(pool size) whatever the largest label: the sorted distinct labels
@@ -454,8 +439,10 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
     present = np.unique(labels[in_pool])
     if len(present) < num_classes:
         missing = int(np.sum(present == np.arange(len(present))))
-        raise CsvParseError(
-            path, top_line, f"class {missing} of 0..{num_classes - 1} has no sample in the pool split"
+        if lines is None:  # numpy's columns carry no line numbers
+            lines = _row_columns(path, layout)[-1]
+        raise CsvParseError(  # at the first largest label
+            path, lines[labels.argmax()], f"class {missing} of 0..{num_classes - 1} has no sample in the pool split"
         )
 
     def part(mask: np.ndarray) -> SampleSet:
@@ -463,7 +450,7 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
 
     return DatasetSplit(
         pool=part(in_pool), test=part(in_test),
-        num_classes=num_classes, feature_dim=dim,
+        num_classes=num_classes, feature_dim=len(layout.features),
     )
 
 
@@ -478,41 +465,65 @@ class _Layout(NamedTuple):
     features: list[int]
 
 
-def _chunk_columns(layout: _Layout, rows):
-    """(ids, labels, features, patients, in_test) of a chunk of rows, or None if a row is faulty.
+def _numpy_columns(fh, layout: _Layout):
+    """:func:`_row_columns` of the rest of ``fh`` but the lines, from one ``np.loadtxt`` call; None to leave them to it.
 
-    Each column is converted once, by Python's own ``int`` and ``float``, and
-    every check of :func:`_row_fault` but the duplicate-id one runs on whole columns.
+    With ``quotechar='"'`` numpy splits fields as ``csv.reader`` does, and each
+    number it takes is the one ``int`` or ``float`` makes. None when numpy
+    refuses the body, a row check fails on a whole column, or the text holds
+    what the two read differently: a record over several lines or a line past
+    csv's field size limit, ``\\x1c``-``\\x1f`` (numpy strips them around a
+    number), an int64 of more digits than ``int`` takes, or a byte not UTF-8.
     """
-    n = len(rows)
-    if set(map(len, rows)) != {layout.width}:
-        return None
-    columns = list(zip(*rows))
+    field_limit = csv.field_size_limit()
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    zeros = "0" * (max_digits - 18) if max_digits else None  # an int64 has at most 19 other digits
+    rows = [0]  # non-blank lines read: more than numpy returns if a record spans lines
+
+    def checked(batch):
+        text = "".join(batch)
+        if (max(map(len, batch)) > field_limit or any(map(text.__contains__, "\x1c\x1d\x1e\x1f"))
+                or zeros and zeros in text or not text.isascii() and _UNDECODABLE.search(text)):
+            raise ValueError("left to the row reader")
+        rows[0] += len(batch) - batch.count("\n") - batch.count("\r\n") - batch.count("\r")
+        return batch
+
+    # whole lines, about 64 KB at a time, fed to numpy without a Python frame per line
+    lines = chain.from_iterable(map(checked, iter(partial(fh.readlines, 1 << 16), [])))
+    kinds = {layout.sample_id: np.int64, layout.label: np.int64, layout.patient_id: object, layout.split: object}
+    dtype = np.dtype([(f"c{i}", kinds.get(i, np.float64)) for i in range(layout.width)])
     try:
-        ids = np.fromiter(map(int, columns[layout.sample_id]), np.int64, n)
-        labels = np.fromiter(map(int, columns[layout.label]), np.int64, n)
-        features = np.empty((n, len(layout.features)))
-        for j, i in enumerate(layout.features):
-            features[:, j] = np.fromiter(map(float, columns[i]), np.float64, n)
-    except (ValueError, OverflowError):  # not a number, or outside int64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns of a body with no rows
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                               encoding="utf-8", ndmin=1)
+    except (ValueError, Warning):
         return None
-    patients = list(map(str.strip, columns[layout.patient_id]))
-    splits = list(map(str.strip, columns[layout.split]))
-    if (ids.min() < 0 or labels.min() < 0 or "" in patients
+    n = len(table)
+    ids, labels = table[f"c{layout.sample_id}"], table[f"c{layout.label}"]
+    features = np.column_stack([table[f"c{i}"] for i in layout.features])
+    patients = list(map(str.strip, table[f"c{layout.patient_id}"].tolist()))
+    splits = list(map(str.strip, table[f"c{layout.split}"].tolist()))
+    sorted_ids = np.sort(ids)
+    if (n != rows[0] or ids.min() < 0 or labels.min() < 0 or "" in patients
             or splits.count(SPLIT_POOL) + splits.count(SPLIT_TEST) != n
-            or not np.isfinite(features).all()):
+            or not np.isfinite(features).all() or np.any(sorted_ids[1:] == sorted_ids[:-1])):
         return None
     in_test = np.fromiter(map(SPLIT_TEST.__eq__, splits), bool, n)
-    return ids, labels, features, patients, in_test
+    return ids, labels, features, patients, in_test, None
 
 
-def _row_fault(path, layout: _Layout) -> NoReturn:
-    """Read the file at ``path`` again from the top and raise the error of its first faulty row.
+def _row_columns(path, layout: _Layout):
+    """Read the file at ``path`` again from the top, row by row, and raise the error of its first faulty row.
 
-    The one source of row error messages, and the only place that maps sample ids to lines.
+    The one source of row error messages, and the only place that maps sample
+    ids to lines. Without a faulty row, the body's (ids, labels, features,
+    patients, in_test, line of each row), converted by Python's ``int`` and
+    ``float``, which take spellings numpy refuses (``1_0``).
     """
     dim = len(layout.features)
     seen: dict[int, int] = {}  # sample id -> the line it was read on
+    labels, patients, features, in_test = [], [], [], []
     with closing(csv_rows(path)) as reader:
         next(reader, None)  # the header
         for line_number, row in reader:
@@ -533,7 +544,8 @@ def _row_fault(path, layout: _Layout) -> NoReturn:
                 raise CsvParseError(path, line_number, f"sample id must be in 0..2**63-1, got {sample_id}")
             if not 0 <= label <= _INT64_MAX:
                 raise CsvParseError(path, line_number, f"label must be in 0..2**63-1, got {label}")
-            if not row[layout.patient_id].strip():
+            patient = row[layout.patient_id].strip()
+            if not patient:
                 raise CsvParseError(path, line_number, "empty patient id")
             split_value = row[layout.split].strip()
             if split_value not in (SPLIT_POOL, SPLIT_TEST):
@@ -552,7 +564,13 @@ def _row_fault(path, layout: _Layout) -> NoReturn:
                     f"duplicate sample id {sample_id} (first seen on line {seen[sample_id]})",
                 )
             seen[sample_id] = line_number
-    raise InvariantViolation(f"{path}: a column check failed, but no row check did")
+            labels.append(label)
+            patients.append(patient)
+            features.append(feats)
+            in_test.append(split_value == SPLIT_TEST)
+    return (np.fromiter(seen, np.int64, len(seen)), np.array(labels, np.int64),
+            np.array(features, np.float64).reshape(len(seen), dim), patients, np.array(in_test, bool),
+            list(seen.values()))
 
 
 def write_dataset(split: DatasetSplit, path) -> None:

@@ -2,7 +2,6 @@ import re
 import tempfile
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from decal.errors import (
     CsvParseError,
     DataError,
     FeatureDimensionError,
-    InvariantViolation,
     PatientOverlapError,
 )
 from decal.presets import PRESETS
@@ -201,7 +199,6 @@ class TestLoadDataset:
             return handles[-1]
 
         monkeypatch.setattr("decal.data.open", recording_open, raising=False)
-        monkeypatch.setattr(data, "_CHUNK_ROWS", 1)  # the first read stops mid-file
         with pytest.raises(CsvParseError, match=":3: ") as caught:
             load_dataset(write_csv(tmp_path, BASIC_CSV.replace("1,A,1,pool", "1,A,one,pool")))
         # the faulty file is read a second time, from the top; both reads are
@@ -209,11 +206,11 @@ class TestLoadDataset:
         assert len(handles) == 2 and all(fh.closed for fh in handles)
         assert caught.value.line_number == 3
 
-    def test_column_fault_that_no_row_check_finds_is_an_invariant_violation(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(data, "_chunk_columns", lambda layout, rows: None)
+    def test_clean_file_left_to_the_row_reader_loads_as_numpy_reads_it(self, tmp_path, monkeypatch):
         path = write_csv(tmp_path, BASIC_CSV)
-        with pytest.raises(InvariantViolation, match=f"{re.escape(str(path))}: a column check failed"):
-            load_dataset(path)
+        expected = load_dataset(path)
+        monkeypatch.setattr(data, "_numpy_columns", lambda fh, layout: None)
+        assert split_equal(load_dataset(path), expected)
 
     def test_schema_remapping(self, tmp_path):
         text = BASIC_CSV.replace("sample_id,patient_id", "sid,subject")
@@ -292,11 +289,11 @@ def row_fault_and_bad_byte(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(row_fault_and_bad_byte(), st.sampled_from([5, data._CHUNK_ROWS]))
-def test_the_first_of_a_row_fault_and_a_bad_byte_is_reported(case, chunk_rows):
+@given(row_fault_and_bad_byte())
+def test_the_first_of_a_row_fault_and_a_bad_byte_is_reported(case):
     text, a, message, b = case
     assert 1024 <= len(text) <= 40 * 1024
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         path.write_bytes(text)
         with pytest.raises(CsvParseError) as err:

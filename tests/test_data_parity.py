@@ -1,16 +1,18 @@
-"""Parity of the column-wise dataset builders with the row-wise code they replaced.
+"""Parity of the dataset builders with the row-wise code they replaced.
 
 ``reference_load_dataset`` and ``reference_generate_synthetic`` are the
 loader and generator as they were before ``decal.data`` converted whole
-columns: every row is checked and converted on its own, and every patient's
-image count and images are drawn by calls of their own. They are the oracles
-here: the current builders must return bitwise the same splits, and raise
-the same exception type with the same message.
+columns: every row is read by the csv module and checked and converted on
+its own, and every patient's image count and images are drawn by calls of
+their own. They are the oracles here: the current builders, the loader's
+numpy reader among them, must return bitwise the same splits, and raise the
+same exception type with the same message.
 """
 
 import csv
 import io
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -240,10 +242,9 @@ def assert_same_outcome(expected, got):
         assert bitwise_equal(got, expected)
 
 
-def assert_loads_like_the_row_loop(path, chunk_rows):
-    expected = outcome(reference_load_dataset, path)
-    with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
-        got = outcome(load_dataset, path)
+def assert_loads_like_the_row_loop(path, schema=None):
+    expected = outcome(reference_load_dataset, path, schema)
+    got = outcome(load_dataset, path, schema)
     assert_same_outcome(expected, got)
     return got
 
@@ -275,8 +276,10 @@ def valid_records(draw):
 
 
 # Field values that int() or float() accept in unusual spellings, or reject.
-INT_TEXTS = ["1x", "", "1.5", " 7 ", "+3", "1_0", "٣", "-1", str(2**63), str(2**64), "9" * 4301]
-FLOAT_TEXTS = ["abc", "", "1e400", "nan", "-inf", "1_0.5", " 2.5 ", "0x1p3", "٣.5", "-0.0"]
+INT_TEXTS = ["1x", "", "1.5", " 7 ", "+3", "1_0", "٣", "-1", str(2**63), str(2**64), "9" * 4301,
+             "0" * 4300 + "1", "\x1c7", "7\x1f"]
+FLOAT_TEXTS = ["abc", "", "1e400", "nan", "-inf", "1_0.5", " 2.5 ", "0x1p3", "٣.5", "-0.0", "\x1e2.5",
+               " 2.5", "0." + "0" * 5000 + "1"]
 SPLIT_TEXTS = ["train", " pool ", "POOL", "", "test\t"]
 LABEL_GAPS = ["2", "3", str(10**15), str(_INT64_MAX)]
 
@@ -292,6 +295,8 @@ def apply_fault(draw, header, rows, fault):
         rows.insert(at, [])
     elif fault == "newline_patient":
         row[column["patient_id"]] = row[column["patient_id"]] + "\n" + draw(st.sampled_from(["x", ""]))
+    elif fault == "marked_patient":  # still a loadable file
+        row[column["patient_id"]] = row[column["patient_id"]] + draw(st.sampled_from([",", '"', "#", "\n", '"\r\n,"']))
     elif fault == "bad_int":
         row[column[draw(st.sampled_from(["sample_id", "label"]))]] = draw(st.sampled_from(INT_TEXTS))
     elif fault == "bad_float":
@@ -316,48 +321,98 @@ def apply_fault(draw, header, rows, fault):
 
 FAULTS = ["blank", "newline_patient", "bad_int", "bad_float", "duplicate_id", "short_row", "long_row",
           "bad_split", "label_gap", "empty_patient", "shared_patient", "bad_utf8"]
+# Edits after which the file still loads
+HARMLESS = ["blank", "newline_patient", "marked_patient"]
 
 
 @st.composite
-def faulty_csv(draw) -> bytes:
-    """CSV bytes of a valid dataset with up to three drawn faults; the earliest faulty line should win."""
+def drawn_csv(draw, faults=st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3)) -> bytes:
+    """CSV bytes of a valid dataset with drawn faults, quoting, line ends and blank lines before the header.
+
+    With several faults, the earliest faulty line should win.
+    """
     header, rows = draw(valid_records())
-    faults = draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3))
+    faults = draw(faults)
     # field edits first, so that each one finds a full row
     for fault in sorted(faults, key=lambda fault: fault in ("blank", "short_row", "long_row")):
         if fault != "bad_utf8":
             apply_fault(draw, header, rows, fault)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    text = buf.getvalue().encode("utf-8")
+    line_end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+
+    def line(row):
+        # a "\r\n" terminator makes csv quote every field that holds "\r" or "\n"
+        buf = io.StringIO(newline="")
+        csv.writer(buf, quoting=quoting, lineterminator="\r\n").writerow(row)
+        return buf.getvalue()[:-2] + line_end
+
+    head = line_end * draw(st.integers(0, 2)) + line(header)
+    text = (head + "".join(map(line, rows))).encode("utf-8")
     if "bad_utf8" in faults:
-        cut = draw(st.integers(text.index(b"\n") + 1, len(text)))
+        body_start = len(head)  # the header is ASCII
+        cut = draw(st.integers(body_start, len(text)))
         text = text[:cut] + b"\xff" + text[cut:]
     return text
 
 
+@st.composite
+def raw_patient_csv(draw) -> bytes:
+    """A clean file whose patient ids are drawn from raw pieces of quoting, not written by csv."""
+    pieces = st.sampled_from(['"', '""', "a", "b", ",", " ", "#", "\n", "\r\n", "\r"])
+    rows = ["sample_id,patient_id,label,split,f0"]
+    for i in range(draw(st.integers(3, 6))):
+        patient = "".join(draw(st.lists(pieces, min_size=1, max_size=6)))
+        rows.append(f"{i},{patient}{i},{i % 2},{'pool' if i > 0 else 'test'},{i / 4!r}")
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(rows).encode("utf-8")
+
+
+def load_bytes_like_the_row_loop(text: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text)
+        return assert_loads_like_the_row_loop(path)
+
+
 class TestLoaderParity:
     @settings(max_examples=300, deadline=None)
-    @given(faulty_csv(), st.integers(1, 3))
-    def test_fuzzed_multi_chunk_csv_loads_like_the_row_loop(self, text, chunk_rows):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "data.csv"
-            path.write_bytes(text)
-            assert_loads_like_the_row_loop(path, chunk_rows)
+    @given(drawn_csv())
+    def test_fuzzed_faulty_csv_loads_like_the_row_loop(self, text):
+        load_bytes_like_the_row_loop(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn_csv(faults=st.lists(st.sampled_from(HARMLESS), max_size=3)))
+    def test_fuzzed_quoting_and_line_ends_load_like_the_row_loop(self, text):
+        assert isinstance(load_bytes_like_the_row_loop(text), DatasetSplit)
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw_patient_csv())
+    def test_fuzzed_raw_quoting_loads_like_the_row_loop(self, text):
+        load_bytes_like_the_row_loop(text)
 
     ROWS = ["sample_id,patient_id,label,split,f0"] + [
         f"{i},p{i},{i % 2},{'pool' if i < 6 else 'test'},{i / 8!r}" for i in range(8)
     ]
 
+    @staticmethod
+    def write(path, lines, line_end="\n"):
+        path.write_bytes(line_end.join(lines).encode("utf-8", "surrogateescape") + line_end.encode())
+        return path
+
+    # Each dialect writes the same rows: quoting changes no field, and the line numbers stay.
+    DIALECTS = {
+        "lf": lambda lines: (lines, "\n"),
+        "crlf": lambda lines: (lines, "\r\n"),
+        "cr": lambda lines: (lines, "\r"),
+        "quote-all": lambda lines: (['"' + line.replace(",", '","') + '"' for line in lines], "\n"),
+    }
+
     @pytest.mark.parametrize("edits, error, line", [
         ({}, None, None),
-        # the duplicate is three chunks after the id it repeats
+        # the duplicate is six lines after the id it repeats
         ({7: "1,p6,0,pool,0.5"}, CsvParseError, 8),
-        # a bad float on line 3 and a bad label on line 4, in the same chunk
+        # a bad float on line 3 and a bad label on line 4
         ({2: "1,p1,1,pool,x", 3: "2,p2,y,pool,0.5"}, CsvParseError, 3),
-        # a bad label in one chunk, a long row in the next
+        # a bad label, then a long row
         ({4: "3,p3,z,pool,0.5", 5: "4,p4,0,pool,0.5,9"}, CsvParseError, 5),
         ({5: "4,p4,0,pool,0.5,9", 4: "3,p3,z,pool,0.5"}, CsvParseError, 5),
         ({6: "5,p5,1,pool,0.5,9"}, FeatureDimensionError, 7),
@@ -368,55 +423,122 @@ class TestLoaderParity:
         ({3: "-2,p2,0,pool,0.5"}, CsvParseError, 4),
         ({3: f"2,p2,{2**63},pool,0.5"}, CsvParseError, 4),
         ({3: "2, ,0,pool,0.5"}, CsvParseError, 4),
-    ], ids=["clean", "duplicate-across-chunks", "two-faults-one-chunk", "two-faults-two-chunks",
+    ], ids=["clean", "duplicate-id", "two-faults", "bad-label-then-long-row",
             "edit-order", "long-row", "short-row", "non-finite", "bad-split", "id-past-int64",
             "negative-id", "label-past-int64", "blank-patient"])
-    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 4096])
-    def test_named_faults_raise_the_row_loop_error_at_the_first_faulty_line(self, tmp_path, chunk_rows,
+    @pytest.mark.parametrize("dialect", DIALECTS)
+    def test_named_faults_raise_the_row_loop_error_at_the_first_faulty_line(self, tmp_path, dialect,
                                                                            edits, error, line):
         lines = list(self.ROWS)
         for at, text in edits.items():
             lines[at] = text
-        path = tmp_path / "data.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        got = assert_loads_like_the_row_loop(path, chunk_rows)
+        got = assert_loads_like_the_row_loop(self.write(tmp_path / "data.csv", *self.DIALECTS[dialect](lines)))
         if error is None:
             assert isinstance(got, DatasetSplit)
         else:
             assert got[0] is error and f"data.csv:{line}: " in got[1]
 
     @pytest.mark.parametrize("bad_row_line, oversized_line, line", [
-        (3, 6, 3),    # a row fault before the reader's fault, in a chunk the reader cut short
+        (3, 6, 3),    # a row fault before the reader's fault
         (None, 6, 6),  # clean rows before the reader's fault
         (7, 6, 6),
     ])
-    @pytest.mark.parametrize("chunk_rows", [2, 3, 4096])
-    def test_reader_fault_comes_after_the_rows_before_it(self, tmp_path, chunk_rows, bad_row_line,
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_reader_fault_comes_after_the_rows_before_it(self, tmp_path, line_end, bad_row_line,
                                                          oversized_line, line):
         # csv raises on a field past its size limit when it reaches that row
         lines = list(self.ROWS)
         if bad_row_line is not None:
             lines[bad_row_line - 1] = lines[bad_row_line - 1].replace(",0.", ",x0.")
         lines[oversized_line - 1] = lines[oversized_line - 1].replace(",p", ",p" + "p" * 200_000)
-        path = tmp_path / "data.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        got = assert_loads_like_the_row_loop(path, chunk_rows)
+        got = assert_loads_like_the_row_loop(self.write(tmp_path / "data.csv", lines, line_end))
         assert got[0] is CsvParseError and f"data.csv:{line}: " in got[1]
 
-    def test_header_only_file_is_an_empty_pool(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text(self.ROWS[0] + "\n\n", encoding="utf-8")
-        got = assert_loads_like_the_row_loop(path, 2)
+    # Line 4 of ROWS ("2,p2,0,pool,0.25") replaced by fields that numpy's reader
+    # and the csv module with int() and float() could read differently.
+    @pytest.mark.parametrize("row, line", [
+        ("2,p2" + "p" * 200_000 + ",0,pool,0.25", 4),
+        ('2,"p2' + "\np" * 70_000 + '",0,pool,0.25', 65_539),
+        ("2,p2,0,pool,0." + "0" * 200_000 + "25", 4),
+        ('2,p2,0,pool,"' + "\n" * 140_000 + '0.25"', 131_076),
+        ('2,p2,0,pool,"' + " " * 140_000 + '0.25"', 4),
+        ("0" * 4300 + "2,p2,0,pool,0.25", 4),
+        ("0" * 4299 + "2,p2,0,pool,0.25", None),
+        ("2,p2,0,pool,\x1c0.25", 4),
+        ("\x1f2,p2,0,pool,0.25", 4),
+        ("2,p2,\x1d0,pool,0.25", 4),
+        ("2,p\udcff2,0,pool,0.25", 4),
+        ('2,"p,\udcc3",0,pool,0.25', 4),
+        ("2,p2,0,pool,0.25\udcff", 4),
+        ("2,p\u00e92,0,pool,0.25", None),
+        ("2,p2\u3000,0,pool,\u20070.25\xa0", None),
+        ("2,p2\x85\x0b\x0c\u2028,0,pool,0.25", None),
+        ('2,"p2\n",0,pool,"0.25\r\n"', None),
+    ], ids=["patient-past-field-limit", "quoted-patient-over-lines-past-field-limit",
+            "number-past-field-limit", "quoted-number-over-lines-past-field-limit",
+            "quoted-padded-number-past-field-limit", "id-past-int-digit-limit", "id-at-int-digit-limit",
+            "file-separator-before-float", "unit-separator-before-id", "group-separator-before-label",
+            "non-utf8-in-patient", "non-utf8-in-quoted-patient", "non-utf8-after-float",
+            "utf8-patient", "unicode-spaces", "other-line-breaks", "quoted-newlines"])
+    def test_spellings_numpy_could_read_differently_load_like_the_row_loop(self, tmp_path, row, line):
+        lines = list(self.ROWS)
+        lines[3] = row
+        got = assert_loads_like_the_row_loop(self.write(tmp_path / "data.csv", lines))
+        if line is None:
+            assert isinstance(got, DatasetSplit)
+        else:
+            assert got[0] is CsvParseError and f"data.csv:{line}: " in got[1]
+
+    @pytest.mark.parametrize("line, text, via_rows", [
+        (2, "1_0,p1,1,pool,0.125", True),
+        (5, "٣,p3,1,pool,0.375", True),
+        (9, " 7 ,p7,1,test,0.875", False),
+        (3, "1,p1,1,pool,1_0.5", True),
+    ], ids=["underscore-id", "arabic-indic-id", "padded-id", "underscore-float"])
+    def test_numbers_python_reads_and_numpy_may_not_load(self, tmp_path, line, text, via_rows):
+        lines = list(self.ROWS)
+        lines[line - 1] = text
+        with mock.patch.object(data, "_row_columns", wraps=data._row_columns) as row_columns:
+            got = assert_loads_like_the_row_loop(self.write(tmp_path / "data.csv", lines))
+        assert isinstance(got, DatasetSplit)
+        assert row_columns.called == via_rows
+
+    def test_header_only_file_is_an_empty_pool_and_warns_nothing(self, tmp_path):
+        path = self.write(tmp_path / "data.csv", [self.ROWS[0], ""])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = assert_loads_like_the_row_loop(path)
         assert got == (DataError, f"{path}: the pool split is empty")
+        assert caught == []
+
+    def test_class_gap_after_blank_lines_names_the_physical_line_of_the_largest_label(self, tmp_path):
+        lines = ["", ""] + self.ROWS[:3] + ["", ""] + self.ROWS[3:]
+        lines[8] = "3,p3,3,pool,0.375"  # on line 9; class 2 has no sample
+        got = assert_loads_like_the_row_loop(self.write(tmp_path / "data.csv", lines))
+        assert got == (CsvParseError, f"{tmp_path / 'data.csv'}:9: class 2 of 0..3 has no sample in the pool split")
 
     def test_schema_remapping_loads_like_the_row_loop(self, tmp_path):
+        path = self.write(tmp_path / "data.csv", [line.replace("sample_id,patient_id", "sid,who") for line in self.ROWS])
+        got = assert_loads_like_the_row_loop(path, CsvSchema(sample_id="sid", patient_id="who"))
+        assert isinstance(got, DatasetSplit)
+
+
+class TestNoSilentFallback:
+    """Clean files must load through numpy's reader: a slow path that is never taken shows in no output."""
+
+    @pytest.mark.parametrize("quoting, line_end", [(None, "\n"), (csv.QUOTE_ALL, "\n"), (csv.QUOTE_MINIMAL, "\r\n")],
+                             ids=["write-dataset", "quote-all", "crlf"])
+    def test_clean_files_never_reach_the_row_reader(self, tmp_path, quoting, line_end):
         path = tmp_path / "data.csv"
-        path.write_text("\n".join(self.ROWS).replace("sample_id,patient_id", "sid,who") + "\n", encoding="utf-8")
-        schema = CsvSchema(sample_id="sid", patient_id="who")
-        expected = outcome(reference_load_dataset, path, schema)
-        with mock.patch.object(data, "_CHUNK_ROWS", 3):
-            assert_same_outcome(expected, outcome(load_dataset, path, schema))
-        assert isinstance(expected, DatasetSplit)
+        data.write_dataset(generate_synthetic(PRESETS["skewed"], 3), path)
+        if quoting is not None:
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, quoting=quoting, lineterminator=line_end).writerows(rows)
+        expected = reference_load_dataset(path)
+        with mock.patch.object(data, "_row_columns", side_effect=AssertionError("left to the row reader")):
+            assert bitwise_equal(load_dataset(path), expected)
 
 
 HEAVY_TAILED = SyntheticConfig(
