@@ -82,9 +82,21 @@ def score_rows(strategy: str, probs) -> np.ndarray:
     return _ROW_SCORERS[strategy](_check_probs(probs))
 
 
-def rank_rows(scores: np.ndarray) -> np.ndarray:
-    """Row order by descending score; equal scores keep ascending row order."""
-    return np.argsort(-scores, kind="stable")
+def rank_rows(scores: np.ndarray, depth: int) -> np.ndarray:
+    """The head of the row order by descending score, equal scores in ascending row order.
+
+    The head is the shortest prefix of that order holding ``depth`` rows and
+    every row tied with its last: a partition finds the cut score and only the
+    rows at or above it are sorted, so all rows are sorted only when ``depth``
+    reaches their number or they all tie. Scores must be finite.
+    """
+    n = len(scores)
+    if depth >= n:
+        return np.argsort(-scores, kind="stable")
+    if depth < 1:
+        return np.zeros(0, dtype=np.intp)
+    head = np.flatnonzero(scores >= np.partition(scores, n - depth)[n - depth])  # ascending rows, so ties stay in row order
+    return head[np.argsort(-scores[head], kind="stable")]
 
 
 def select_top_k(scores, k: int) -> list[int]:
@@ -100,7 +112,7 @@ def select_top_k(scores, k: int) -> list[int]:
     values = np.array([v for _, v in items], dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError("scores must be finite")
-    return [items[row][0] for row in rank_rows(values)[:k]]
+    return [items[row][0] for row in rank_rows(values, k)[:k]]
 
 
 def select_badge(embeddings: Mapping[int, np.ndarray], k: int, seed: int) -> list[int]:

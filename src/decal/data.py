@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import chain, compress
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -586,10 +587,14 @@ def write_dataset(split: DatasetSplit, path) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """The one CSV writer: UTF-8, LF line ends, floats (numpy's too) as ``repr(float(v))``; makes the directory."""
+    """The one CSV writer: UTF-8, LF line ends, floats (numpy's too) as ``repr(float(v))``; makes the directory.
+
+    Fields holding ``\\r`` or ``\\n`` are quoted: csv before Python 3.12 quotes only its line
+    terminator's characters, so rows are made with ``\\r\\n`` and written with ``\\n``.
+    """
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")), lineterminator="\r\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])

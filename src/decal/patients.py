@@ -47,7 +47,9 @@ def constrain_unique_patients(ranking: Sequence[int], patient_of: Mapping[int, s
     batch, until k are accepted or the ranking is exhausted; any shortfall
     is filled with the best-ranked skipped samples. Whenever the ranking
     holds at least k distinct patients this equals keeping each patient's
-    best-ranked sample and taking the top k of those.
+    best-ranked sample and taking the top k of those. The walk is
+    :func:`_unique_patient_prefix` over the ranking's patients, coded in
+    order of first appearance.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -66,15 +68,19 @@ def _unique_patient_prefix(ranked_codes: np.ndarray, k: int) -> tuple[np.ndarray
 
     Each patient keeps only its best-ranked entry; when fewer than k
     patients appear, the best-ranked skipped entries fill the remaining
-    slots, and their number is returned as the relaxed count.
+    slots, and their number is returned as the relaxed count. Each code's
+    first position comes from ``np.minimum.at`` into an array indexed by
+    code, so the codes must be non-negative and no sort is made.
     """
-    _, first = np.unique(ranked_codes, return_index=True)
-    kept = np.sort(first)[:k]
+    n = len(ranked_codes)
+    first = np.full(ranked_codes.max(initial=-1) + 1, n)
+    np.minimum.at(first, ranked_codes, np.arange(n))
+    is_first = np.zeros(n + 1, dtype=bool)
+    is_first[first] = True  # codes that do not occur mark the spare slot n
+    kept = np.flatnonzero(is_first[:n])[:k]
     if len(kept) == k:
         return kept, 0
-    skipped = np.ones(len(ranked_codes), dtype=bool)
-    skipped[kept] = False
-    fill = np.flatnonzero(skipped)[: k - len(kept)]
+    fill = np.flatnonzero(~is_first[:n])[: k - len(kept)]
     return np.concatenate([kept, fill]), len(fill)
 
 
@@ -132,6 +138,10 @@ def select_query_batch(
     are deduplicated by patient afterwards; decal_badge enforces the
     constraint inside the seeding loop itself. The random strategies ignore
     ``model``; "random" over every pool row is the random initial batch.
+
+    Scores are ranked only as deep as the batch needs: k rows, 4 times deeper
+    while a ``decal_*`` head holds fewer than k patients, up to the whole
+    ranking for the relaxed fill. So every batch is the full ranking's.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -157,9 +167,14 @@ def select_query_batch(
     if base == "random":
         order = np.random.default_rng(seed).permutation(len(rows))
     else:
-        probs = learner.predict_proba(model, pool.features[rows])
-        order = acquisition.rank_rows(acquisition.score_rows(base, probs))
+        scores = acquisition.score_rows(base, learner.predict_proba(model, pool.features[rows]))
+        order = acquisition.rank_rows(scores, k)
     if not constrained:
         return _batch(pool, rows[order[:k]], 0)
     kept, relaxed = _unique_patient_prefix(codes[order], k)
+    depth = k
+    while relaxed and len(order) < len(rows):  # the head may hold too few patients: rank deeper
+        depth *= 4
+        order = acquisition.rank_rows(scores, depth)
+        kept, relaxed = _unique_patient_prefix(codes[order], k)
     return _batch(pool, rows[order[kept]], relaxed)

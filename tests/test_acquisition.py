@@ -107,6 +107,57 @@ class TestSelectTopK:
         assert select_top_k(scores, k) == oracle
 
 
+def full_ranking(scores):
+    """The reference order: one stable sort of the whole array by descending score."""
+    return np.argsort(-scores, kind="stable")
+
+
+def assert_ranking_head(scores, depth):
+    """``rank_rows(scores, depth)`` is the full ranking's first ``depth`` rows plus every row tied with the last."""
+    full = full_ranking(scores)
+    head = acquisition.rank_rows(scores, depth)
+    expected = len(full) if depth >= len(full) else depth
+    if 0 < expected < len(full):
+        expected += int(np.count_nonzero(scores[full[expected:]] == scores[full[expected - 1]]))
+    np.testing.assert_array_equal(head, full[:expected])
+
+
+class TestRankRows:
+    def test_full_depth_is_the_full_ranking(self):
+        scores = np.array([0.2, 0.9, 0.2, 0.5, 0.9])
+        np.testing.assert_array_equal(acquisition.rank_rows(scores, 5), [1, 4, 3, 0, 2])
+
+    def test_ties_with_the_last_row_of_the_head_are_kept_in_row_order(self):
+        scores = np.array([0.5, 0.9, 0.5, 0.1, 0.5])
+        np.testing.assert_array_equal(acquisition.rank_rows(scores, 2), [1, 0, 2, 4])
+
+    @pytest.mark.parametrize("depth", [0, 1, 3, 5, 6, 100])
+    def test_edge_depths(self, depth):
+        assert_ranking_head(np.array([0.3, 0.1, 0.3, 0.7, 0.0]), depth)
+
+    @pytest.mark.parametrize("depth", [1, 4, 10])
+    def test_one_tie_group_is_the_whole_array(self, depth):
+        assert_ranking_head(np.full(10, 0.25), depth)
+
+    def test_signed_zeros_tie(self):
+        assert_ranking_head(np.array([0.0, -0.0, 1.0, -0.0, 0.0]), 2)
+
+    @given(st.lists(st.integers(0, 4), min_size=0, max_size=60), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_quantized_scores_match_the_full_sort(self, levels, data):
+        # few score levels, so ties straddle the depth-th score in most examples
+        scores = np.array(levels, dtype=np.float64) / 4 - 0.5
+        assert_ranking_head(scores, data.draw(st.integers(0, len(scores) + 2)))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_continuous_scores_match_the_full_sort(self, seed, n):
+        rng = np.random.default_rng(seed)
+        scores = rng.standard_normal(n)
+        scores[rng.integers(n, size=n // 3)] = scores[rng.integers(n)]  # one large tie group
+        assert_ranking_head(scores, int(rng.integers(0, n + 1)))
+
+
 def id_pool(ids):
     """A pool holding exactly ``ids``, one patient each."""
     return make_sampleset([(i, f"p{i}", [0.0, 0.0], 0) for i in ids])

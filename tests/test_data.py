@@ -229,6 +229,18 @@ class TestLoadDataset:
         write_dataset(reloaded, out2)
         assert out.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("patient", ["a\rb", "a\nb", "a\r\nb", "a\n\rb", "a\r\rb"])  # ids are stripped on load
+    def test_round_trip_of_a_line_break_in_a_patient_id(self, tmp_path, patient):
+        split = make_split([(0, patient, [0.5], 0), (1, "c", [0.25], 1)],
+                           [(2, "d", [1.0], 0), (3, "e", [2.0], 1)])
+        out = tmp_path / "out.csv"
+        write_dataset(split, out)
+        assert split_equal(load_dataset(out), split)
+        # only that field is quoted, and rows still end with a bare LF
+        text = out.read_bytes().decode("utf-8")
+        assert text.count('"') == 2 and f'"{patient}"' in text
+        assert text.endswith("3,e,1,test,2.0\n")
+
 
 # Replacement fields for the fuzz below: unbounded ints reach past int64, text
 # reaches commas, quotes, newlines and non-ASCII digits.

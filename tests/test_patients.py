@@ -8,11 +8,13 @@ from decal.data import ImageCountSpec, SyntheticConfig, generate_synthetic
 from decal.learner import LearnerConfig, init_model, predict_proba
 from decal.patients import (
     STRATEGIES,
+    QueryBatch,
+    _unique_patient_prefix,
     constrain_unique_patients,
     decal_initialize,
     select_query_batch,
 )
-from helpers import make_sampleset
+from helpers import linear_model, make_sampleset
 
 
 def best_per_patient_oracle(ranking, patient_of, k):
@@ -278,3 +280,97 @@ class TestSelectQueryBatch:
         split, model = setup
         with pytest.raises(ValueError, match="^duplicate candidate rows$"):
             select_query_batch("entropy", model, split.pool, candidates, 1, seed=0)
+
+
+RANKING_STRATEGIES = tuple(s for s in STRATEGIES if not s.endswith("badge"))
+
+
+def reference_unique_patient_prefix(ranked_codes, k):
+    """Each code's first position found through the sort inside np.unique."""
+    _, first = np.unique(ranked_codes, return_index=True)
+    kept = np.sort(first)[:k]
+    skipped = np.ones(len(ranked_codes), dtype=bool)
+    skipped[kept] = False
+    fill = np.flatnonzero(skipped)[: k - len(kept)]
+    return np.concatenate([kept, fill]), len(fill)
+
+
+def reference_select_query_batch(strategy, model, pool, candidate_rows, k, seed):
+    """A ranking strategy's batch from a full stable argsort of every candidate and np.unique."""
+    constrained = strategy.startswith("decal_")
+    base = strategy.removeprefix("decal_")
+    rows = np.sort(np.asarray(candidate_rows, dtype=np.int64))
+    if base == "random":
+        order = np.random.default_rng(seed).permutation(len(rows))
+    else:
+        order = np.argsort(-score_rows(base, predict_proba(model, pool.features[rows])), kind="stable")
+    if not constrained:
+        return QueryBatch(tuple(pool.ids[rows[order[:k]]].tolist()), 0)
+    kept, relaxed = reference_unique_patient_prefix(pool.patient_codes[rows][order], k)
+    return QueryBatch(tuple(pool.ids[rows[order[kept]]].tolist()), relaxed)
+
+
+# A 3-class linear model over 2 features: quantized features give few distinct posteriors,
+# so scores tie in large groups.
+TIE_MODEL = linear_model([[1.0, -0.5, 0.0], [0.0, 0.5, -1.0]], [0.0, 0.1, 0.0])
+
+
+def tie_pool(levels, patients, ids):
+    """One row per (feature levels, patient, id); features are the integer levels."""
+    return make_sampleset([(i, f"p{p}", lv, 0) for lv, p, i in zip(levels, patients, ids)])
+
+
+class TestDepthLimitedSelection:
+    """Every ranking strategy's batch equals the one a full sort of the candidates gives."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_full_sort_oracle(self, data):
+        n = data.draw(st.integers(1, 80))
+        level = st.integers(-1, 1) if data.draw(st.booleans()) else st.just(0)  # st.just: one tie group
+        levels = data.draw(st.lists(st.tuples(level, level), min_size=n, max_size=n))
+        patients = data.draw(st.lists(st.integers(0, data.draw(st.integers(0, 12))), min_size=n, max_size=n))
+        ids = data.draw(st.permutations(range(3 * n)))[:n]
+        pool = tie_pool(levels, patients, ids)
+        candidates = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        k = data.draw(st.sampled_from([1, len(candidates), data.draw(st.integers(1, len(candidates)))]))
+        seed = data.draw(st.integers(0, 3))
+        for strategy in RANKING_STRATEGIES:
+            expected = reference_select_query_batch(strategy, TIE_MODEL, pool, candidates, k, seed)
+            assert select_query_batch(strategy, TIE_MODEL, pool, candidates, k, seed) == expected, strategy
+
+    @pytest.mark.parametrize("strategy", [s for s in RANKING_STRATEGIES if s.startswith("decal_")])
+    @pytest.mark.parametrize("k", [1, 5, 37, 200])
+    def test_few_patients_rank_down_to_a_patient_at_the_bottom(self, strategy, k):
+        # 199 rows of two uncertain patients in 5 tie groups, then one confident patient that
+        # ranks last: the head must grow to the full ranking to reach it, and the relaxed fill follows
+        levels = [(i % 5 / 10, 0) for i in range(199)] + [(9, 0)]
+        pool = tie_pool(levels, [i % 2 for i in range(199)] + [2], range(200))
+        batch = select_query_batch(strategy, TIE_MODEL, pool, np.arange(200), k, seed=1)
+        assert batch == reference_select_query_batch(strategy, TIE_MODEL, pool, np.arange(200), k, seed=1)
+        if k >= 3 and strategy != "decal_random":
+            assert 199 in batch.members
+            assert batch.relaxed_count == k - 3
+
+    def test_grows_past_a_head_of_one_patient(self):
+        # the top 64 rows are one patient's; the next patient is 4 heads deeper
+        levels = [(0, 0)] * 64 + [(1, 0)] * 200
+        patients = [0] * 64 + list(range(1, 201))
+        pool = tie_pool(levels, patients, range(264))
+        for strategy in ("decal_entropy", "decal_margin", "decal_least_confidence"):
+            batch = select_query_batch(strategy, TIE_MODEL, pool, np.arange(264), 16, seed=0)
+            assert batch == reference_select_query_batch(strategy, TIE_MODEL, pool, np.arange(264), 16, seed=0)
+            assert batch.relaxed_count == 0
+            assert len(set(pool.patients_for(batch.members))) == 16
+
+
+class TestUniquePatientPrefix:
+    @given(st.lists(st.integers(0, 40), max_size=60), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_np_unique(self, codes, data):
+        codes = np.array(codes, dtype=np.int64)  # codes with gaps, as a candidate subset's are
+        k = data.draw(st.integers(0, len(codes)))
+        kept, relaxed = _unique_patient_prefix(codes, k)
+        expected, expected_relaxed = reference_unique_patient_prefix(codes, k)
+        np.testing.assert_array_equal(kept, expected)
+        assert relaxed == expected_relaxed
