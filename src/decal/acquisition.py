@@ -11,6 +11,7 @@ id-keyed ``select_*`` functions sort their ids and call the same cores.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Mapping
 
 import numpy as np
@@ -21,7 +22,7 @@ PROBABILITY_TOL = 1e-9
 
 
 def _check_probs(p, expect_vector: bool = False) -> np.ndarray:
-    """Validate probability rows; returns a clipped float64 2-D array."""
+    """Validate probability rows; returns a float64 2-D array, a clipped copy only if an entry is outside [0, 1]."""
     arr = np.asarray(p, dtype=np.float64)
     if expect_vector and arr.ndim != 1:
         raise ValueError("expected a single probability vector")
@@ -31,13 +32,16 @@ def _check_probs(p, expect_vector: bool = False) -> np.ndarray:
         raise ValueError("probability vectors need at least 2 entries")
     if not np.all(np.isfinite(arr)):
         raise ValueError("probability vector contains non-finite entries")
-    if arr.min() < -PROBABILITY_TOL or arr.max() > 1.0 + PROBABILITY_TOL:
+    low, high = arr.min(), arr.max()
+    if low < -PROBABILITY_TOL or high > 1.0 + PROBABILITY_TOL:
         raise ValueError("probability entries must lie in [0, 1]")
-    if np.any(np.abs(arr.sum(axis=1) - 1.0) > PROBABILITY_TOL):
+    if np.any(np.abs(reduce(np.add, arr.T) - 1.0) > PROBABILITY_TOL):  # column adds: their order is below 1e-9
         raise ValueError("probability entries must sum to 1")
-    return np.clip(arr, 0.0, 1.0)
+    return arr if 0.0 <= low and high <= 1.0 else np.clip(arr, 0.0, 1.0)
 
 
+# The scorers never write to their checked rows. Row maxima and top twos are running maxima over columns,
+# one flat loop per class; they only compare, so their bits are those of max(axis=1) and np.partition.
 def _entropy_rows(p: np.ndarray) -> np.ndarray:
     # 0 * ln 0 := 0, so one-hot vectors score exactly 0 (the +0.0 avoids -0.0)
     safe = np.where(p > 0.0, p, 1.0)
@@ -45,12 +49,15 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
 
 
 def _margin_rows(p: np.ndarray) -> np.ndarray:
-    part = np.partition(p, p.shape[1] - 2, axis=1)
-    return -(part[:, -1] - part[:, -2])
+    top1, top2 = np.maximum(p[:, 0], p[:, 1]), np.minimum(p[:, 0], p[:, 1])
+    for column in p.T[2:]:
+        np.maximum(top2, np.minimum(top1, column), out=top2)
+        np.maximum(top1, column, out=top1)
+    return -(top1 - top2)
 
 
 def _least_confidence_rows(p: np.ndarray) -> np.ndarray:
-    return 1.0 - p.max(axis=1)
+    return 1.0 - reduce(np.maximum, p.T)
 
 
 _ROW_SCORERS = {

@@ -475,6 +475,7 @@ def _numpy_columns(fh, layout: _Layout):
     what the two read differently: a record over several lines or a line past
     csv's field size limit, ``\\x1c``-``\\x1f`` (numpy strips them around a
     number), an int64 of more digits than ``int`` takes, or a byte not UTF-8.
+    Also None for text past U+FFFF, which can crash numpy 2.4.6 in an int64 field.
     """
     field_limit = csv.field_size_limit()
     max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
@@ -484,7 +485,8 @@ def _numpy_columns(fh, layout: _Layout):
     def checked(batch):
         text = "".join(batch)
         if (max(map(len, batch)) > field_limit or any(map(text.__contains__, "\x1c\x1d\x1e\x1f"))
-                or zeros and zeros in text or not text.isascii() and _UNDECODABLE.search(text)):
+                or zeros and zeros in text
+                or not text.isascii() and (max(text) > "\uffff" or _UNDECODABLE.search(text))):
             raise ValueError("left to the row reader")
         rows[0] += len(batch) - batch.count("\n") - batch.count("\r\n") - batch.count("\r")
         return batch
@@ -575,7 +577,10 @@ def _row_columns(path, layout: _Layout):
 
 
 def write_dataset(split: DatasetSplit, path) -> None:
-    """Serialize a split to CSV such that load_dataset round-trips it exactly."""
+    """Serialize a split to CSV such that load_dataset round-trips it exactly; an id it would strip is a DataError."""
+    changed = sorted(p for p in {*split.pool.patients, *split.test.patients} if not p or p.strip() != p)
+    if changed:
+        raise DataError(f"patient id {changed[0]!r} would not load back unchanged: load_dataset strips it")
     schema = CsvSchema()
     header = [schema.sample_id, schema.patient_id, schema.label, schema.split]
     header += [f"{schema.feature_prefix}{i}" for i in range(split.feature_dim)]

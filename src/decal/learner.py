@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -123,22 +124,29 @@ def _as_batch(model: Model, features) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _forward(model: Model, x: np.ndarray, h=None, z=None) -> tuple[np.ndarray, np.ndarray]:
+def _bias_rows(model: Model) -> tuple[np.ndarray | None, np.ndarray]:
+    """The biases as rows that broadcast over a batch; the linear model's hidden one is None."""
+    return None if model.b_hidden is None else model.b_hidden[..., None, :], model.b_out[..., None, :]
+
+
+def _forward(model: Model, x: np.ndarray, h=None, z=None, biases=None) -> tuple[np.ndarray, np.ndarray]:
     """Penultimate activations h (x itself for the linear model) and logits z of a batch.
 
-    Given arrays ``h`` and ``z`` of the results' shapes, they receive the results.
+    Given arrays ``h`` and ``z`` of the results' shapes, they receive the results; ``biases`` are :func:`_bias_rows`.
     """
+    b_hidden, b_out = biases or _bias_rows(model)
     if model.w_hidden is not None:
         h = np.matmul(x, model.w_hidden, h)
-        h += model.b_hidden[..., None, :]
+        h += b_hidden
         x = np.tanh(h, h)
     z = np.matmul(x, model.w_out, z)
-    z += model.b_out[..., None, :]
+    z += b_out
     return x, z
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    p = np.exp(z - z.max(axis=1, keepdims=True))
+    # the row max is a running max over columns (exact); sum(axis=1) adds 8+ classes in another order than columns
+    p = np.exp(z - reduce(np.maximum, z.T)[:, None])
     p /= p.sum(axis=1, keepdims=True)
     return p
 
@@ -191,18 +199,20 @@ def evaluate(model: Model, features, labels) -> float:
 
 
 class _Work:
-    """Every intermediate of a loss-and-gradient call, so that a training step allocates nothing.
+    """Every intermediate and every view of a loss-and-gradient call, so that a training step makes neither.
 
     ``lead`` is the batch's leading shape: (rows,) for a model, (trials, rows)
     for a stack. ``grads`` receive the gradients; fresh arrays if not given.
+    Its views of the model follow in-place updates, as Adam's; a new stack shape needs a new ``_Work``.
     """
 
     def __init__(self, model: Model, lead: tuple[int, ...], grads=None):
         width, classes = model.w_out.shape[-2:]
         self.grads = [np.empty_like(p) for p in model.parameters()] if grads is None else grads
-        self.h = self.dh = self.dtanh = None
+        self.h = self.dh = self.dtanh = self.h_t = None
         if model.w_hidden is not None:
             self.h, self.dh, self.dtanh = (np.empty((*lead, width)) for _ in range(3))
+            self.h_t = self.h.swapaxes(-1, -2)
         self.z, self.e = np.empty((*lead, classes)), np.empty((*lead, classes))
         self.zmax = np.empty((*lead, 1))
         self.log_norm, self.picked = np.empty(lead), np.empty(lead)
@@ -210,6 +220,7 @@ class _Work:
         self.rows = np.array(float(lead[-1]))  # 0-d: a ufunc converts a Python scalar on every call
         # views that every call takes, made once
         self.z_flat, self.zmax_flat, self.log_norm_col = self.z.reshape(-1), self.zmax[..., 0], self.log_norm[..., None]
+        self.biases, self.w_out_t = _bias_rows(model), model.w_out.swapaxes(-1, -2)
 
 
 def _targets(labels, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -233,37 +244,41 @@ def cross_entropy_loss_and_grads(model: Model, features, labels,
     ``out``, arrays of those shapes, they are written into it and it is
     returned; otherwise they are fresh arrays.
 
-    Private to the trainer: its steps pass ``out`` as a ``_Work``, which
-    holds every intermediate, and ``labels`` as the ``_targets`` pair it
-    gathered once per epoch. Any other call is converted to that form here.
+    Private to the trainer: its steps pass ``out`` as the model's ``_Work``,
+    ``features`` as the batch and its ``swapaxes(-1, -2)``, and ``labels`` as
+    the ``_targets`` pair gathered once per epoch. That form checks nothing and
+    returns the loss summed over rows. Any other call is checked and converted to it here.
     """
-    x, _ = _as_batch(model, features)
-    if x.shape[-2] == 0:
-        raise ValueError("empty batch")
     if isinstance(out, _Work):
-        (onehot, picks), work = labels, out
+        (x, x_t), (onehot, picks), work = features, labels, out
     else:
-        (onehot, picks), work = _targets(labels, model.num_classes), _Work(model, x.shape[:-1], out)
+        x, _ = _as_batch(model, features)
+        if x.shape[-2] == 0:
+            raise ValueError("empty batch")
+        x_t, (onehot, picks) = x.swapaxes(-1, -2), _targets(labels, model.num_classes)
+        work = _Work(model, x.shape[:-1], out)
 
-    h, z = _forward(model, x, work.h, work.z)
+    h, z = _forward(model, x, work.h, work.z, work.biases)
     zmax = np.maximum.reduce(z, -1, None, work.zmax, True)
     log_norm = np.add.reduce(np.exp(np.subtract(z, zmax, work.e), work.e), -1, None, work.log_norm)
     np.add(work.zmax_flat, np.log(log_norm, log_norm), log_norm)
     # the label's logit is taken, not multiplied out of the one-hot row: an infinite logit would give nan
     picked = work.z_flat.take(picks, None, work.picked)
-    loss = np.divide(np.add.reduce(np.subtract(log_norm, picked, picked), -1, None, work.loss), work.rows, work.loss)
+    loss = np.add.reduce(np.subtract(log_norm, picked, picked), -1, None, work.loss)
 
     dz = np.exp(np.subtract(z, work.log_norm_col, z), z)  # the logits are not needed again
     np.subtract(dz, onehot, dz)
     np.divide(dz, work.rows, dz)
     grads = work.grads
-    np.matmul(h.swapaxes(-1, -2), dz, grads[-2])
+    np.matmul(x_t if work.h_t is None else work.h_t, dz, grads[-2])
     np.add.reduce(dz, -2, None, grads[-1])
-    if model.w_hidden is not None:
-        dh = np.matmul(dz, model.w_out.swapaxes(-1, -2), work.dh)
+    if work.h_t is not None:
+        dh = np.matmul(dz, work.w_out_t, work.dh)
         np.multiply(dh, np.subtract(_ONE, np.multiply(h, h, work.dtanh), work.dtanh), dh)
-        np.matmul(x.swapaxes(-1, -2), dh, grads[0])
+        np.matmul(x_t, dh, grads[0])
         np.add.reduce(dh, -2, None, grads[1])
+    if work is not out:
+        loss = np.divide(loss, work.rows, loss)
     return (float(loss) if loss.ndim == 0 else loss), grads
 
 
@@ -331,8 +346,9 @@ class _Stack:
                      *(a[:k] for a in self.scratch))
         grads = self._split(self.grad[:k])
         works = {rows: _Work(self.model, (k, rows), grads) for rows in {end - start for start, end in self.spans}}
-        self.batches = [(self.xs[:k, start:end], (self.onehots[:k, start:end], self.picks[:k, start:end]),
-                         works[end - start]) for start, end in self.spans]
+        self.batches = [((x := self.xs[:k, start:end], x.swapaxes(-1, -2)),
+                         (self.onehots[:k, start:end], self.picks[:k, start:end]), works[end - start])
+                        for start, end in self.spans]
         self.eval_views = [None if a is None else a[:k] for a in self.eval_arrays]
 
     def shuffle(self, rngs: list[np.random.Generator]) -> None:
@@ -429,15 +445,16 @@ def train_lockstep(models: list[Model], features, labels, cfg: LearnerConfig,
     for epoch in range(1, cfg.max_epochs + 1):
         stack.shuffle(rngs)
         for batch in range(len(stack.batches)):
-            features_view, targets, work = stack.batches[batch]
-            loss, _ = cross_entropy_loss_and_grads(stack.model, features_view, targets, out=work)
+            features, targets, work = stack.batches[batch]
+            loss_sum, _ = cross_entropy_loss_and_grads(stack.model, features, targets, out=work)
             step += 1
-            finite = list(map(math.isfinite, loss.tolist()))
+            finite = list(map(math.isfinite, loss_sum.tolist()))  # a sum is finite exactly when its mean is
             if not all(finite):
                 for row in np.flatnonzero(np.logical_not(finite)):
                     trial = stack.rows[row]
                     stack.release(row, models[trial])
-                    outcomes[trial] = TrainingDiverged(f"training diverged: loss is {float(loss[row])} at step {step}")
+                    outcomes[trial] = TrainingDiverged(
+                        f"training diverged: loss is {loss_sum[row] / work.rows} at step {step}")
                 stack.keep(np.flatnonzero(finite))
                 if not stack.rows:
                     return outcomes

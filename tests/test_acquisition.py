@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decal import acquisition
+from decal import acquisition, learner
 from decal.acquisition import (
     badge_seeding,
     score_entropy,
@@ -75,6 +75,82 @@ class TestScorers:
         assert score_entropy(q) >= score_entropy(p) - tolerance
         assert score_margin(q) >= score_margin(p) - tolerance
         assert score_least_confidence(q) >= score_least_confidence(p) - tolerance
+
+
+def reference_softmax(z):
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+def reference_margin_rows(p):
+    part = np.partition(p, p.shape[1] - 2, axis=1)
+    return -(part[:, -1] - part[:, -2])
+
+
+def reference_least_confidence_rows(p):
+    return 1.0 - p.max(axis=1)
+
+
+def fuzzed_logits(rng, classes):
+    """Logits at scales from near-uniform to saturating, often rounded to exact ties."""
+    z = rng.standard_normal((int(rng.integers(1, 300)), classes)) * rng.choice([1e-3, 1.0, 8.0, 60.0])
+    if rng.random() < 0.5:  # ties within rows, and between the top two
+        z = np.round(z * rng.choice([0.5, 2.0])) / 2.0
+    if rng.random() < 0.2:
+        z[:, 1:] = z[:, :1]
+    return z
+
+
+def fuzzed_posteriors(rng, classes):
+    p = reference_softmax(fuzzed_logits(rng, classes))
+    one_hot = rng.random(len(p)) < 0.3
+    p[one_hot] = np.eye(classes)[rng.integers(0, classes, int(one_hot.sum()))]
+    if rng.random() < 0.3:  # exact ties on a coarse grid, rows summing to 1
+        q = np.round(p * 4)
+        q[q.sum(axis=1) == 0, 0] = 1.0
+        p = q / q.sum(axis=1, keepdims=True)
+    return p
+
+
+class TestColumnScorers:
+    """The running-column forms are bitwise the ``max(axis=1)`` and ``np.partition`` forms they replaced."""
+
+    @pytest.mark.parametrize("classes", range(2, 13))
+    def test_softmax_equals_the_row_max_form(self, classes):
+        rng = np.random.default_rng(classes)
+        for _ in range(40):
+            z = fuzzed_logits(rng, classes)
+            assert learner._softmax(z).tobytes() == reference_softmax(z).tobytes()
+
+    @pytest.mark.parametrize("classes", range(2, 13))
+    def test_margin_and_least_confidence_equal_the_partition_and_max_forms(self, classes):
+        rng = np.random.default_rng(100 + classes)
+        for _ in range(40):
+            p = fuzzed_posteriors(rng, classes)
+            before = p.copy()
+            assert acquisition.score_rows("margin", p).tobytes() == reference_margin_rows(p).tobytes()
+            assert (acquisition.score_rows("least_confidence", p).tobytes()
+                    == reference_least_confidence_rows(p).tobytes())
+            assert p.tobytes() == before.tobytes()  # the checked rows are the caller's, uncopied
+
+    def test_check_probs_copies_only_to_clip(self):
+        p = np.array([[0.25, 0.75], [1.0, 0.0]])
+        assert acquisition._check_probs(p) is p
+        q = np.array([[1.0 + 5e-10, -5e-10], [0.5, 0.5]])
+        clipped = acquisition._check_probs(q)
+        assert clipped.tolist() == [[1.0, 0.0], [0.5, 0.5]] and q[0, 1] == -5e-10
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[0.5, 0.5 + 2e-9]], "must sum to 1"),
+        ([[0.5, 0.5], [0.25, 0.75 - 2e-9]], "must sum to 1"),
+        ([[1.0 + 2e-9, -2e-9]], r"must lie in \[0, 1\]"),
+        ([[np.inf, 0.0]], "non-finite"),
+        ([[1.0]], "at least 2 entries"),
+    ])
+    def test_check_probs_messages(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            acquisition.score_rows("entropy", np.array(bad))
 
 
 class TestSelectTopK:

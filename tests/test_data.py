@@ -1,4 +1,8 @@
+import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decal
 from decal import data
 from decal.data import (
     CsvSchema,
@@ -241,6 +246,25 @@ class TestLoadDataset:
         assert text.count('"') == 2 and f'"{patient}"' in text
         assert text.endswith("3,e,1,test,2.0\n")
 
+    # load_dataset strips patient ids, so "a" and "a " would load back as one patient
+    @pytest.mark.parametrize("patient", ["a ", " a", "a\r", "\ta\n", "a\u3000"])
+    def test_patient_id_with_outer_whitespace_is_refused(self, tmp_path, patient):
+        split = make_split([(0, "a", [0.5], 0), (1, patient, [0.25], 1)],
+                           [(2, "d", [1.0], 0), (3, "e", [2.0], 1)])
+        out = tmp_path / "out.csv"
+        with pytest.raises(DataError, match=f"patient id {re.escape(repr(patient))} would not load back unchanged"):
+            write_dataset(split, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("patient", ["", " ", "\r", "\u3000"])
+    def test_patient_id_empty_once_stripped_is_refused(self, tmp_path, patient):
+        split = make_split([(0, "c", [0.5], 0), (1, "c", [0.25], 1)],
+                           [(2, patient, [1.0], 0), (3, "e", [2.0], 1)])
+        out = tmp_path / "out.csv"
+        with pytest.raises(DataError, match=f"patient id {re.escape(repr(patient))} would not load back unchanged"):
+            write_dataset(split, out)
+        assert not out.exists()
+
 
 # Replacement fields for the fuzz below: unbounded ints reach past int64, text
 # reaches commas, quotes, newlines and non-ASCII digits.
@@ -273,6 +297,33 @@ def test_fuzzed_csv_raises_only_data_errors(data):
             load_dataset(path)
         except DataError:
             pass
+
+
+# An int field holding a character past U+FFFF could crash numpy 2.4.6's loadtxt
+# (SIGSEGV), so each case runs `decal run` in a process of its own: the repro
+# file, then one code point of each of planes 1-16 in one of three placements.
+PAST_THE_BMP = [("label", "\U0010DAD9")] + [
+    (("sample_id", "label")[plane % 2], ("{}", "1{}", "{}1")[plane % 3].format(chr(plane * 0x10000 + 0xDAD9)))
+    for plane in range(1, 17)
+]
+
+
+@pytest.mark.parametrize("column, value", PAST_THE_BMP,
+                         ids=["repro", *(f"plane-{plane}" for plane in range(1, 17))])
+def test_int_field_past_the_bmp_is_a_row_error_not_a_crash(tmp_path, column, value):
+    fields = {"sample_id": "1", "patient_id": "B", "label": "0", "split": "pool", "f0": "0.2"}
+    fields[column] = value
+    path = write_csv(tmp_path, "sample_id,patient_id,label,split,f0\n0,A,0,pool,0.1\n"
+                               f"{','.join(fields.values())}\n2,C,1,test,0.3\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": {"csv_path": str(path)}}), encoding="utf-8")
+    src = str(Path(decal.__file__).parents[1])
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "decal.cli", "run", "--config", str(config),
+                           "--out", str(tmp_path / "out")], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 2, done.stderr.decode("utf-8", "replace")
+    assert done.stderr.decode("utf-8") == f"data error: {path}:3: invalid literal for int() with base 10: {value!r}\n"
 
 
 # A row fault for the test below: (column, value, the error message of a row with it).

@@ -407,6 +407,54 @@ class TestGradients:
                 assert np.linalg.norm(g - numeric) / denom <= 1e-4
 
 
+class TestTrainerForm:
+    """The trainer's form of the loss call (a ``_Work`` as ``out``) against the public, checked call."""
+
+    # minibatch 16 over 37 rows: two full batches and a short last one of 5
+    @pytest.mark.parametrize("trials", [1, 2, 5])
+    @pytest.mark.parametrize("hidden_width", [0, 16])
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    def test_summed_loss_and_gradients_are_bitwise_the_public_call(self, trials, hidden_width, classes):
+        rng = np.random.default_rng(100 * trials + 10 * classes + hidden_width)
+        cfg = LearnerConfig(hidden_width=hidden_width, learning_rate=0.05, minibatch_size=16)
+        x = rng.standard_normal((trials, 37, 4)) * rng.choice([0.5, 3.0], size=(trials, 1, 4))
+        y = rng.integers(0, classes, size=(trials, 37))
+        stack = learner._Stack([init_model(cfg, 4, classes, seed=t) for t in range(trials)], x, y, cfg)
+        rngs = [np.random.default_rng(t) for t in range(trials)]
+        step = 0
+        for epoch in range(3):
+            if epoch == 2 and trials > 1:  # the stack's views are rebuilt for its kept rows
+                stack.keep(np.arange(1, trials))
+            stack.shuffle(rngs)
+            for features, targets, work in stack.batches:
+                loss_sum, grads = cross_entropy_loss_and_grads(stack.model, features, targets, out=work)
+                loss_sum, grads = loss_sum.copy(), [g.copy() for g in grads]
+                loss, expected = cross_entropy_loss_and_grads(stack.model, features[0], targets[0].argmax(-1))
+                assert loss_sum.shape == loss.shape == (len(stack.rows),)
+                assert np.divide(loss_sum, work.rows).tobytes() == loss.tobytes()
+                for g, e in zip(grads, expected):
+                    assert g.shape == e.shape and g.tobytes() == e.tobytes()
+                step += 1
+                stack.update(step)  # in place, so the next call sees the updated biases through the views
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("nan", [True, False], ids=["nan", "inf"])
+    def test_diverged_message_names_the_mean_loss(self, nan):
+        # the linear model's label logit overflows to -inf on every row (+inf loss), or a feature is nan
+        x = np.tile([[1e308, 0.0]], (6, 1))
+        y = np.zeros(6, dtype=np.int64)
+        if nan:
+            x[2, 1] = np.nan
+        cfg = LearnerConfig(hidden_width=0, max_epochs=1, minibatch_size=8)
+        model = init_model(cfg, 2, 2, seed=0)
+        model.w_out[0] = [-10.0, 0.5]
+        loss, _ = cross_entropy_loss_and_grads(model, x, y)
+        assert np.isnan(loss) if nan else loss == np.inf
+        with pytest.raises(TrainingDiverged) as caught:
+            train_round(model, x, y, cfg, seed=0)
+        assert str(caught.value) == f"training diverged: loss is {loss} at step 1"
+
+
 def lockstep_trials(per_class, hidden_width):
     """Four training sets of equal size that stop at different epochs of a 1.0 target.
 
