@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -117,6 +118,8 @@ class RoundRecord:
 
     ``relaxed_count`` belongs to the batch that brought the labeled set to
     this round's size (the initialization batch for round 0).
+    ``reached_target`` is the round's :class:`learner.TrainResult` verdict; it is
+    not in ``raw.csv``, so a record read back has None, and equality ignores it.
     """
 
     trial_seed: int
@@ -125,6 +128,7 @@ class RoundRecord:
     test_accuracy: float
     epochs_used: int
     relaxed_count: int
+    reached_target: bool | None = field(default=None, compare=False)
 
     def __post_init__(self):
         for name in ("trial_seed", "round_index", "train_size", "epochs_used", "relaxed_count"):
@@ -230,6 +234,7 @@ class _Trial:
             test_accuracy=learner.evaluate(model, self.split.test.features, self.split.test.labels),
             epochs_used=outcome.epochs_used,
             relaxed_count=self.batch.relaxed_count,
+            reached_target=outcome.reached_target,
         ))
 
 
@@ -330,7 +335,12 @@ def _chunk_outcomes(future, run, chunk: list) -> list[tuple[list[RoundRecord], s
 
 
 def _run_configs(cfgs: list[ExperimentConfig], workers: int) -> list[ExperimentResult]:
-    """Run the configs' trials as one set, config by config, over the first config's dataset; one result each."""
+    """Run the configs' trials as one set, config by config, over the first config's dataset; one result each.
+
+    A result keeps its config's failures and the records of the seeds that finished in every config; when
+    there are none, the first failure in config order is raised as a DecalError. The rounds that stopped at
+    the epoch cap without reaching the accuracy target are counted in one warning per config.
+    """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
     split = build_dataset(cfgs[0].dataset, cfgs[0].base_seed)
@@ -343,17 +353,19 @@ def _run_configs(cfgs: list[ExperimentConfig], workers: int) -> list[ExperimentR
         outcomes = [outcome for future, chunk in zip(futures, chunks) for outcome in _chunk_outcomes(future, run, chunk)]
     else:
         outcomes = run(trials)
+    finished = Counter(seed for (_, seed), (_, error) in zip(trials, outcomes) if error is None)
+    paired = {seed for seed, times in finished.items() if times == len(cfgs)}  # a config runs a seed once
+    if not paired:  # the outcomes are in config order
+        raise DecalError(next(error for _, error in outcomes if error is not None))
     results = []
     for cfg in cfgs:
         own, outcomes = outcomes[:cfg.trials], outcomes[cfg.trials:]
-        records = tuple(record for trial_records, _ in own for record in trial_records)
+        records = tuple(record for trial_records, _ in own for record in trial_records if record.trial_seed in paired)
         failures = tuple(error for _, error in own if error is not None)
-        if not records:
-            raise DecalError(failures[0])
-        capped = sum(record.epochs_used == cfg.learner.max_epochs for record in records)
-        if capped:
-            log.warning("%s (%s init): %d of %d rounds hit the epoch cap of %d and may have missed the accuracy target",
-                        cfg.strategy, cfg.init_mode, capped, len(records), cfg.learner.max_epochs)
+        missed = sum(not record.reached_target for record in records)
+        if missed:
+            log.warning("%s (%s init): %d of %d rounds hit the epoch cap of %d without reaching the accuracy target",
+                        cfg.strategy, cfg.init_mode, missed, len(records), cfg.learner.max_epochs)
         results.append(ExperimentResult(config=cfg, records=records, curve=aggregate_curve(records), failures=failures))
     return results
 
@@ -367,8 +379,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     order, so the output is scheduling-independent. A trial whose training
     diverges, or that kills its worker process also when rerun alone, leaves
     its message in ``failures``, in seed order; when no trial finishes, the
-    first of them is raised as a DecalError. Rounds that trained for
-    ``max_epochs`` epochs are counted in one warning per run.
+    first of them is raised as a DecalError. Rounds that stopped at
+    ``max_epochs`` without reaching the accuracy target are counted in one
+    warning per run.
     """
     return _run_configs([cfg], workers)[0]
 
@@ -455,11 +468,6 @@ def percent_change_variants(treatments, baselines) -> dict[str, float]:
     }
 
 
-def _only_seeds(result: ExperimentResult, seeds) -> ExperimentResult:
-    records = tuple(record for record in result.records if record.trial_seed in seeds)
-    return replace(result, records=records, curve=aggregate_curve(records))
-
-
 @dataclass(frozen=True)
 class InitComparison:
     """Side-by-side result of two experiments that differ only in init_mode."""
@@ -487,13 +495,13 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
     The configs must be identical apart from init_mode, and their init modes
     must differ; both are checked before the dataset is built. The config with
     init_mode "decal" is the treatment. Its trials and the baseline's run as
-    one set of 2 x trials over min(workers, 2 x trials) chunks, each run
-    keeping its own failures and epoch-cap warning, the treatment's first.
-    Both results keep only the trial seeds that finished in both runs, with
-    their curves aggregated over those seeds, and their ``failures``; when no
-    seed finished in both, the first failure is raised as a DecalError. The
-    variants pair the trials by seed, and ``percent_change`` is their percent
-    change of means. A zero baseline gives NaN; the runs are still reported.
+    one set of 2 x trials over min(workers, 2 x trials) chunks, through the
+    runner of :func:`run_experiment`, the treatment first. So each result
+    keeps its own failures and epoch-cap warning, and the records of only the
+    seeds that finished in both runs; when there are none, the first failure,
+    the treatment's if it has one, is raised as a DecalError. The variants
+    pair those trials by seed, and ``percent_change`` is their percent change
+    of means. A zero baseline gives NaN; the runs are still reported.
     """
     if replace(cfg_a, init_mode="random") != replace(cfg_b, init_mode="random"):
         raise ConfigError("configs must be identical except for init_mode")
@@ -504,15 +512,8 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
 
     treatment_cfg, baseline_cfg = (cfg_a, cfg_b) if cfg_a.init_mode == "decal" else (cfg_b, cfg_a)
     treatment, baseline = _run_configs([treatment_cfg, baseline_cfg], workers)
-    paired = {r.trial_seed for r in treatment.records} & {r.trial_seed for r in baseline.records}
-    if not paired:
-        raise DecalError((treatment.failures + baseline.failures)[0])
-    treatment, baseline = _only_seeds(treatment, paired), _only_seeds(baseline, paired)
-    t_trials, b_trials = (
-        {r.trial_seed: r.test_accuracy for r in result.records if r.round_index == round_index}
-        for result in (treatment, baseline)
-    )
-    variants = percent_change_variants(t_trials.values(), [b_trials[seed] for seed in t_trials])
+    variants = percent_change_variants(*([r.test_accuracy for r in result.records if r.round_index == round_index]
+                                         for result in (treatment, baseline)))
     return InitComparison(
         round_index=round_index,
         strategy=cfg_a.strategy,

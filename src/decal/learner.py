@@ -64,7 +64,7 @@ class Model:
     """Classifier parameters; the hidden arrays are None for the linear model.
 
     The trainer's stack of models is one Model whose arrays carry a leading
-    trial axis.
+    trial axis; only the trainer's form of the loss call takes it.
     """
 
     w_hidden: np.ndarray | None
@@ -112,12 +112,14 @@ def init_model(cfg: LearnerConfig, feature_dim: int, num_classes: int, seed: int
 
 
 def _as_batch(model: Model, features) -> tuple[np.ndarray, bool]:
+    """One model's batch as rows, and whether ``features`` was a single row; a stack of models is refused."""
+    if model.w_out.ndim != 2:
+        raise ValueError("model arrays carry a trial axis: a stack of models trains only inside train_lockstep")
     x = np.asarray(features, dtype=np.float64)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    # a stacked model's arrays carry a leading trial axis, and so do its batches
-    if x.ndim != model.w_out.ndim or x.shape[-1] != model.feature_dim:
+    if x.ndim != 2 or x.shape[1] != model.feature_dim:
         raise ValueError(
             f"feature dimension mismatch: expected {model.feature_dim}, got shape {np.shape(features)}"
         )
@@ -236,18 +238,14 @@ def cross_entropy_loss_and_grads(model: Model, features, labels,
                                  out: list[np.ndarray] | None = None) -> tuple[float, list[np.ndarray]]:
     """Mean cross-entropy over a batch of class indices ``labels`` plus analytic parameter gradients.
 
-    A stacked model, whose arrays carry a leading trial axis, takes one batch
-    per trial as ``features`` (trials, rows, dim) and returns one loss per
-    trial, as an array.
-
     Gradients are returned in the order of ``model.parameters()``. Given
     ``out``, arrays of those shapes, they are written into it and it is
     returned; otherwise they are fresh arrays.
 
-    Private to the trainer: its steps pass ``out`` as the model's ``_Work``,
-    ``features`` as the batch and its ``swapaxes(-1, -2)``, and ``labels`` as
-    the ``_targets`` pair gathered once per epoch. That form checks nothing and
-    returns the loss summed over rows. Any other call is checked and converted to it here.
+    Private to the trainer: its steps pass the stack of models, ``out`` as its ``_Work``, ``features`` as
+    the (trials, rows, dim) batch and its ``swapaxes(-1, -2)``, and ``labels`` as the ``_targets`` pair
+    gathered once per epoch. That form checks nothing and returns each trial's loss summed over rows.
+    Any other call takes one model, and is checked and converted to it here.
     """
     if isinstance(out, _Work):
         (x, x_t), (onehot, picks), work = features, labels, out
@@ -277,9 +275,9 @@ def cross_entropy_loss_and_grads(model: Model, features, labels,
         np.multiply(dh, np.subtract(_ONE, np.multiply(h, h, work.dtanh), work.dtanh), dh)
         np.matmul(x_t, dh, grads[0])
         np.add.reduce(dh, -2, None, grads[1])
-    if work is not out:
-        loss = np.divide(loss, work.rows, loss)
-    return (float(loss) if loss.ndim == 0 else loss), grads
+    if work is out:
+        return loss, grads
+    return float(np.divide(loss, work.rows, loss)), grads
 
 
 @dataclass(frozen=True)
@@ -301,7 +299,8 @@ class _Stack:
     A trial that leaves is dropped and the rows behind it move up, so a step
     costs what the remaining trials need. The parameter, moment and data
     arrays are allocated here; what the steps use are views of them, rebuilt
-    with fresh work arrays when the stack shrinks.
+    with fresh work arrays when the stack shrinks. :meth:`accuracy` hands out
+    fresh logits with each accuracy, for the caller to drop rows from both.
     """
 
     def __init__(self, models: list[Model], x: np.ndarray, y: np.ndarray, cfg: LearnerConfig):
@@ -327,9 +326,6 @@ class _Stack:
         self.pick_offsets = np.empty_like(self.y)  # a batch's picks minus its labels, as in _targets
         for start, end in self.spans:
             self.pick_offsets[:, start:end] = np.arange(trials * (end - start)).reshape(trials, -1) * first.num_classes
-        self.eval_arrays = (None if first.w_hidden is None else np.empty((trials, n, self.shapes[0][1])),
-                            np.empty((trials, n, first.num_classes)), np.empty((trials, n), dtype=np.intp),
-                            np.empty((trials, n), dtype=bool))
         self.rows = list(range(trials))  # the trial that each row holds
         self._view()
 
@@ -349,7 +345,6 @@ class _Stack:
         self.batches = [((x := self.xs[:k, start:end], x.swapaxes(-1, -2)),
                          (self.onehots[:k, start:end], self.picks[:k, start:end]), works[end - start])
                         for start, end in self.spans]
-        self.eval_views = [None if a is None else a[:k] for a in self.eval_arrays]
 
     def shuffle(self, rngs: list[np.random.Generator]) -> None:
         """Gather each trial's rows in a fresh permutation of its own, so every minibatch is a view."""
@@ -378,19 +373,16 @@ class _Stack:
         np.multiply(np.divide(moment1, bias1, a), learning_rate, a)
         np.subtract(flat, np.divide(a, np.add(np.sqrt(np.divide(moment2, bias2, b), b), epsilon, b), a), flat)
 
-    def accuracy(self) -> np.ndarray:
-        """Full-train accuracy of each row: the fraction of rows whose argmax logit is the label."""
-        k, n = len(self.rows), self.x.shape[1]
-        hidden, logits, predicted, hits = self.eval_views
-        _, z = _forward(self.model, self.x[:k], hidden, logits)
-        return np.equal(z.argmax(-1, predicted), self.y[:k], hits).sum(-1) / n
+    def accuracy(self) -> tuple[np.ndarray, np.ndarray]:
+        """Full-train accuracy of each row (the fraction of rows whose argmax logit is the label), and those logits."""
+        _, z = _forward(self.model, self.x[:len(self.rows)])
+        return (z.argmax(-1) == self.y[:len(self.rows)]).sum(-1) / self.x.shape[1], z
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop every row not in ``rows`` (ascending); the kept rows move up in order."""
         k = len(rows)
-        # the last evaluation's logits too: a trial capped at the epoch where another leaves is checked after this
         for array in (self.flat, self.moment1, self.moment2, self.grad, self.x, self.y, self.onehot,
-                      self.xs, self.ys, self.onehots, self.eval_arrays[1]):
+                      self.xs, self.ys, self.onehots):
             array[:k] = array[rows]
         self.rows = [self.rows[row] for row in rows]
         self._pick()
@@ -403,11 +395,12 @@ class _Stack:
             setattr(model, name, part.reshape(shape))
         return flat
 
-    def finish(self, row: int, model: Model, result: TrainResult, step: int) -> TrainResult | TrainingDiverged:
+    def finish(self, row: int, model: Model, result: TrainResult, step: int, logits) -> TrainResult | TrainingDiverged:
+        """Release the row's model; its result, unless its parameters or its last ``logits`` are not finite."""
         flat = self.release(row, model)
         # each loss is taken before its update, so only this sees the last update diverge;
         # finite parameters near the float limit can still overflow the logits of the last evaluation
-        if not (np.isfinite(flat).all() and np.isfinite(self.eval_views[1][row]).all()):
+        if not (np.isfinite(flat).all() and np.isfinite(logits).all()):
             return TrainingDiverged(f"training diverged: parameters or logits are not finite after step {step}")
         return result
 
@@ -427,8 +420,9 @@ def train_lockstep(models: list[Model], features, labels, cfg: LearnerConfig,
     reaches ``cfg.train_accuracy_target``, at ``cfg.max_epochs``, or at a
     non-finite minibatch loss. Its outcome, in the order of ``models``, is
     its :class:`TrainResult`, or the :class:`TrainingDiverged` that
-    ``train_round`` would raise; the other trials go on. Each model's arrays
-    are rebound to views of a flat copy of its parameters when it leaves.
+    ``train_round`` would raise; the other trials go on. A trial leaving after
+    an evaluation is checked against its own row of that evaluation's logits.
+    A model leaves with its arrays rebound to views of a flat copy of its parameters.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -441,7 +435,7 @@ def train_lockstep(models: list[Model], features, labels, cfg: LearnerConfig,
     rngs = [np.random.default_rng(seed) for seed in seeds]
     outcomes: list = [None] * len(models)
     step = 0
-    accuracy = stack.accuracy()
+    accuracy, logits = stack.accuracy()
     for epoch in range(1, cfg.max_epochs + 1):
         stack.shuffle(rngs)
         for batch in range(len(stack.batches)):
@@ -459,19 +453,19 @@ def train_lockstep(models: list[Model], features, labels, cfg: LearnerConfig,
                 if not stack.rows:
                     return outcomes
             stack.update(step)
-        accuracy = stack.accuracy()
+        accuracy, logits = stack.accuracy()
         reached = accuracy >= cfg.train_accuracy_target
         if reached.any():
             for row in np.flatnonzero(reached):
                 result = TrainResult(epochs_used=epoch, reached_target=True, train_accuracy=float(accuracy[row]))
-                outcomes[stack.rows[row]] = stack.finish(row, models[stack.rows[row]], result, step)
-            accuracy = accuracy[~reached]
+                outcomes[stack.rows[row]] = stack.finish(row, models[stack.rows[row]], result, step, logits[row])
+            accuracy, logits = accuracy[~reached], logits[~reached]
             stack.keep(np.flatnonzero(~reached))
             if not stack.rows:
                 return outcomes
     for row, trial in enumerate(stack.rows):
         result = TrainResult(epochs_used=cfg.max_epochs, reached_target=False, train_accuracy=float(accuracy[row]))
-        outcomes[trial] = stack.finish(row, models[trial], result, step)
+        outcomes[trial] = stack.finish(row, models[trial], result, step, logits[row])
     return outcomes
 
 

@@ -390,6 +390,22 @@ class TestEpochCapWarning:
         assert warnings[0].startswith("decal_entropy (decal init): 8 of 8 rounds hit the epoch cap of 3")
         assert warnings[1].startswith("decal_entropy (random init): 8 of 8 rounds hit the epoch cap of 3")
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_no_warning_when_every_round_reaches_the_target_at_the_cap(self, tmp_path, caplog, capsys, workers):
+        # each round reaches the 0.5 target in its one epoch, so every row's epochs_used is max_epochs
+        raw = {
+            "dataset": {"preset": "large-uniform"},
+            "learner": {"hidden_width": 8, "learning_rate": 0.05, "train_accuracy_target": 0.5, "max_epochs": 1},
+            "experiment": {"strategy": "entropy", "init_mode": "decal", "init_size": 64, "batch_size": 64,
+                           "rounds": 2, "trials": 2},
+        }
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, raw), "--out", str(out), "--workers", workers]) == 0
+        capsys.readouterr()
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+        with open(out / "raw.csv", encoding="utf-8") as fh:
+            assert [int(row["epochs_used"]) for row in csv.DictReader(fh)] == [1] * 6
+
     def test_no_warning_when_rounds_stop_early(self, tmp_path, caplog, capsys):
         out = tmp_path / "out"
         assert main(["run", "--config", write_config(tmp_path, config_dict()), "--out", str(out)]) == 0

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -300,30 +301,63 @@ def test_fuzzed_csv_raises_only_data_errors(data):
 
 
 # An int field holding a character past U+FFFF could crash numpy 2.4.6's loadtxt
-# (SIGSEGV), so each case runs `decal run` in a process of its own: the repro
-# file, then one code point of each of planes 1-16 in one of three placements.
+# (SIGSEGV), so the cases run `decal run` in a subprocess: the repro file, then
+# one code point of each of planes 1-16 in one of three placements.
 PAST_THE_BMP = [("label", "\U0010DAD9")] + [
     (("sample_id", "label")[plane % 2], ("{}", "1{}", "{}1")[plane % 3].format(chr(plane * 0x10000 + 0xDAD9)))
     for plane in range(1, 17)
 ]
+PAST_THE_BMP_IDS = ["repro", *(f"plane-{plane}" for plane in range(1, 17))]
+
+# Calls decal.cli.main on each (case, argv) of the JSON list in argv[1]. It prints a line as a case
+# starts and one with its exit code and stderr as it ends, so a crash names the case it hit.
+RUN_CASES = """
+import contextlib, io, json, sys
+from decal.cli import main
+for case, argv in json.loads(sys.argv[1]):
+    print(json.dumps({"case": case}), flush=True)
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    print(json.dumps({"case": case, "code": code, "stderr": stderr.getvalue()}), flush=True)
+"""
 
 
-@pytest.mark.parametrize("column, value", PAST_THE_BMP,
-                         ids=["repro", *(f"plane-{plane}" for plane in range(1, 17))])
-def test_int_field_past_the_bmp_is_a_row_error_not_a_crash(tmp_path, column, value):
-    fields = {"sample_id": "1", "patient_id": "B", "label": "0", "split": "pool", "f0": "0.2"}
-    fields[column] = value
-    path = write_csv(tmp_path, "sample_id,patient_id,label,split,f0\n0,A,0,pool,0.1\n"
-                               f"{','.join(fields.values())}\n2,C,1,test,0.3\n")
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"dataset": {"csv_path": str(path)}}), encoding="utf-8")
+@pytest.fixture(scope="module")
+def past_the_bmp_runs(tmp_path_factory):
+    """Each case's (CSV path, exit code, stderr) from one subprocess, or why the subprocess did not report it."""
+    cases, paths = [], {}
+    for case, (column, value) in zip(PAST_THE_BMP_IDS, PAST_THE_BMP):
+        directory = tmp_path_factory.mktemp(case)
+        fields = {"sample_id": "1", "patient_id": "B", "label": "0", "split": "pool", "f0": "0.2"}
+        fields[column] = value
+        paths[case] = write_csv(directory, "sample_id,patient_id,label,split,f0\n0,A,0,pool,0.1\n"
+                                           f"{','.join(fields.values())}\n2,C,1,test,0.3\n")
+        config = directory / "config.json"
+        config.write_text(json.dumps({"dataset": {"csv_path": str(paths[case])}}), encoding="utf-8")
+        cases.append((case, ["run", "--config", str(config), "--out", str(directory / "out")]))
     src = str(Path(decal.__file__).parents[1])
-    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "decal.cli", "run", "--config", str(config),
-                           "--out", str(tmp_path / "out")], env=env, capture_output=True, timeout=120)
-    assert done.returncode == 2, done.stderr.decode("utf-8", "replace")
-    assert done.stderr.decode("utf-8") == f"data error: {path}:3: invalid literal for int() with base 10: {value!r}\n"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", RUN_CASES, json.dumps(cases)], env=env, capture_output=True,
+                          timeout=120)
+    reports = [json.loads(line) for line in done.stdout.decode("ascii").splitlines()]
+    ended = {report["case"]: report for report in reports if "code" in report}
+    running = next((report["case"] for report in reports if report["case"] not in ended), None)
+    how = f"signal {signal.Signals(-done.returncode).name}" if done.returncode < 0 else f"exit {done.returncode}"
+    lost = (f"not reported: the subprocess ended by {how} while running case {running}\n"
+            + done.stderr.decode("utf-8", "replace"))
+    return {case: (paths[case], ended[case]["code"], ended[case]["stderr"]) if case in ended else lost
+            for case, _ in cases}
+
+
+@pytest.mark.parametrize("column, value", PAST_THE_BMP, ids=PAST_THE_BMP_IDS)
+def test_int_field_past_the_bmp_is_a_row_error_not_a_crash(past_the_bmp_runs, column, value):
+    run = past_the_bmp_runs[PAST_THE_BMP_IDS[PAST_THE_BMP.index((column, value))]]
+    if isinstance(run, str):
+        pytest.fail(run)
+    path, code, stderr = run
+    assert code == 2, stderr
+    assert stderr == f"data error: {path}:3: invalid literal for int() with base 10: {value!r}\n"
 
 
 # A row fault for the test below: (column, value, the error message of a row with it).

@@ -286,6 +286,30 @@ class TestLockstepRunner:
         assert result.records == tuple(r for r in expected.records if r.trial_seed != 101)
 
 
+class TestReachedTarget:
+    def test_each_record_carries_its_rounds_training_verdict(self, monkeypatch):
+        verdicts = []
+        train_lockstep = learner.train_lockstep
+
+        def recording_train_lockstep(*args):
+            outcomes = train_lockstep(*args)
+            verdicts.extend(outcome.reached_target for outcome in outcomes)
+            return outcomes
+
+        monkeypatch.setattr(learner, "train_lockstep", recording_train_lockstep)
+        # one trial, so the verdicts are in record order; some rounds reach the target and some are capped
+        cfg = small_cfg(learner=replace(FAST_LEARNER, train_accuracy_target=0.97, max_epochs=20), trials=1)
+        result = run_experiment(cfg)
+        assert [record.reached_target for record in result.records] == verdicts
+        assert set(verdicts) == {True, False}
+
+    def test_records_read_back_have_none_and_compare_without_it(self):
+        record = RoundRecord(0, 0, 10, 0.5, 1, 0, reached_target=True)
+        read_back = RoundRecord(0, 0, 10, 0.5, 1, 0)
+        assert read_back.reached_target is None
+        assert record == read_back
+
+
 class TestAggregateCurve:
     def test_two_point_statistics(self):
         records = [
@@ -475,6 +499,17 @@ class TestCompareInitializations:
         cfg = small_cfg(strategy="random", init_mode="decal", rounds=0, trials=2)
         self.diverge(monkeypatch, {"decal": 100, "random": 101})
         with pytest.raises(DecalError, match="^trial 100 round 0: training diverged: stand-in$"):
+            compare_initializations(cfg, replace(cfg, init_mode="random"), 0)
+
+    def test_a_baseline_with_no_finished_seed_raises_the_treatments_first_failure(self, monkeypatch):
+        # no seed finished in both runs, so the first failure in run order is raised: the treatment runs first
+        def fault(cfg, trial_seed, round_index):
+            if trial_seed in {"decal": {101}, "random": {100, 101}}[cfg.init_mode]:
+                raise TrainingDiverged(f"{cfg.init_mode} trial {trial_seed} round 0: training diverged: stand-in")
+
+        inject_at_round(monkeypatch, fault)
+        cfg = small_cfg(strategy="random", init_mode="decal", rounds=0, trials=2)
+        with pytest.raises(DecalError, match="^decal trial 101 round 0: training diverged: stand-in$"):
             compare_initializations(cfg, replace(cfg, init_mode="random"), 0)
 
     def test_zero_baseline_gives_nan_change(self, tmp_path):

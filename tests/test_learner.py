@@ -407,6 +407,11 @@ class TestGradients:
                 assert np.linalg.norm(g - numeric) / denom <= 1e-4
 
 
+def trial_model(stack, row):
+    """The model of one row of the stack: views of that row of the stack's parameters."""
+    return replace(stack.model, **{name: getattr(stack.model, name)[row] for name in stack.names})
+
+
 class TestTrainerForm:
     """The trainer's form of the loss call (a ``_Work`` as ``out``) against the public, checked call."""
 
@@ -429,11 +434,14 @@ class TestTrainerForm:
             for features, targets, work in stack.batches:
                 loss_sum, grads = cross_entropy_loss_and_grads(stack.model, features, targets, out=work)
                 loss_sum, grads = loss_sum.copy(), [g.copy() for g in grads]
-                loss, expected = cross_entropy_loss_and_grads(stack.model, features[0], targets[0].argmax(-1))
-                assert loss_sum.shape == loss.shape == (len(stack.rows),)
-                assert np.divide(loss_sum, work.rows).tobytes() == loss.tobytes()
-                for g, e in zip(grads, expected):
-                    assert g.shape == e.shape and g.tobytes() == e.tobytes()
+                assert loss_sum.shape == (len(stack.rows),)
+                for row in range(len(stack.rows)):  # each row against a call on that trial's own model
+                    model = trial_model(stack, row)
+                    loss, expected = cross_entropy_loss_and_grads(model, features[0][row], targets[0][row].argmax(-1))
+                    assert type(loss) is float
+                    assert np.divide(loss_sum[row], work.rows).tobytes() == np.float64(loss).tobytes()
+                    for g, e in zip(grads, expected):
+                        assert g[row].shape == e.shape and g[row].tobytes() == e.tobytes()
                 step += 1
                 stack.update(step)  # in place, so the next call sees the updated biases through the views
 
@@ -531,12 +539,12 @@ class TestLockstep:
         accuracy, calls = learner._Stack.accuracy, []
 
         def at_the_cap(stack):
-            result = accuracy(stack)
+            result, logits = accuracy(stack)
             calls.append(len(stack.rows))
             if len(calls) == cfg.max_epochs + 1:  # the first call is before epoch 1
-                stack.eval_views[1][stack.rows.index(bad), 0, 0] = np.inf
+                logits[stack.rows.index(bad), 0, 0] = np.inf
                 result[0] = 1.0
-            return result
+            return result, logits
 
         monkeypatch.setattr(learner._Stack, "accuracy", at_the_cap)
         outcomes = train_lockstep([init_model(cfg, 2, 3, seed=9 + t) for t in range(4)], x, y, cfg, seeds)
@@ -572,3 +580,28 @@ class TestLockstep:
         y[0, 0] = 3
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
             train_lockstep([init_model(cfg, 2, 3, seed=t) for t in range(4)], x, y, cfg, [0, 1, 2, 3])
+
+
+class TestStackRefused:
+    """Only the trainer's form of the loss call takes a stack of models; every public call refuses it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda model, x, y: penultimate(model, x),
+        lambda model, x, y: predict_proba(model, x),
+        lambda model, x, y: gradient_embedding(model, x),
+        lambda model, x, y: evaluate(model, x, y),
+        lambda model, x, y: cross_entropy_loss_and_grads(model, x, y),
+        lambda model, x, y: train_round(model, x, y, FAST, seed=0),
+    ], ids=["penultimate", "predict_proba", "gradient_embedding", "evaluate", "loss_and_grads", "train_round"])
+    @pytest.mark.parametrize("batch", ["stacked", "one-trial"])
+    @pytest.mark.parametrize("hidden_width", [4, 0], ids=["hidden", "linear"])
+    def test_a_stacked_model_is_refused(self, call, batch, hidden_width):
+        cfg = replace(FAST, hidden_width=hidden_width)
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((2, 5, 4)), rng.integers(0, 3, size=(2, 5))
+        stack = learner._Stack([init_model(cfg, 4, 3, seed=t) for t in range(2)], x, y, cfg)
+        if batch == "one-trial":
+            x, y = x[0], y[0]
+        with pytest.raises(ValueError, match="^model arrays carry a trial axis: a stack of models trains only "
+                                             "inside train_lockstep$"):
+            call(stack.model, x, y)
