@@ -81,8 +81,8 @@ def _cmd_gen(args) -> int:
     write_dataset(split, args.out)
     print(
         f"wrote {args.out}: pool {len(split.pool)} samples / "
-        f"{len(set(split.pool.patients))} patients, test {len(split.test)} samples / "
-        f"{len(set(split.test.patients))} patients, {split.num_classes} classes, d={split.feature_dim}"
+        f"{len(split.pool.patient_names)} patients, test {len(split.test)} samples / "
+        f"{len(split.test.patient_names)} patients, {split.num_classes} classes, d={split.feature_dim}"
     )
     return EXIT_OK
 

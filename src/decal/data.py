@@ -15,10 +15,9 @@ import csv
 import re
 import sys
 import warnings
-from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, compress
 from pathlib import Path
 from types import SimpleNamespace
@@ -46,7 +45,8 @@ class SampleSet:
 
     Rows are kept in ascending sample-id order, sorted once on construction,
     so row order and id order agree: every tie-break and random draw over
-    rows follows ascending sample id, whatever order the input came in.
+    rows follows ascending sample id, whatever order the input came in. Patients come as a (codes, names)
+    pair like :func:`encode_names` makes: ``patient_codes`` per row, ``patient_names`` ascending, none unused.
     """
 
     def __init__(self, ids, patients, features, labels):
@@ -55,16 +55,19 @@ class SampleSet:
         ids = np.array(ids, dtype=np.int64)
         features = np.array(features, dtype=np.float64)
         labels = np.array(labels, dtype=np.int64)
-        patients = tuple(map(str, patients))
+        codes, names = np.array(patients[0], dtype=np.int64), tuple(patients[1])
         if features.ndim != 2:
             raise DataError("features must be a 2-D array of shape (n_samples, feature_dim)")
         n = features.shape[0]
-        if not (len(ids) == len(patients) == len(labels) == n):
+        if not (len(ids) == len(codes) == len(labels) == n):
             raise DataError("ids, patients, features and labels must have equal length")
         if n == 0:
             raise DataError("a sample set must contain at least one sample")
         if ids.min() < 0:
             raise DataError("sample ids must be non-negative")
+        if (codes.min() < 0 or codes.max() != len(names) - 1 or not np.bincount(codes).all()
+                or any(map(str.__ge__, names, names[1:]))):
+            raise DataError(f"patient codes must use each of 0..{len(names) - 1}, naming distinct ascending names")
         order = np.argsort(ids) if np.any(ids[1:] < ids[:-1]) else None
         sorted_ids = ids if order is None else ids[order]
         if np.any(sorted_ids[1:] == sorted_ids[:-1]):
@@ -74,12 +77,12 @@ class SampleSet:
         if not np.all(np.isfinite(features)):
             raise DataError("features must be finite (no NaN or Inf)")
         if order is not None:
-            ids, features, labels = sorted_ids, features[order], labels[order]
-            patients = tuple(patients[i] for i in order)
-        for arr in (ids, features, labels):
+            ids, features, labels, codes = sorted_ids, features[order], labels[order], codes[order]
+        for arr in (ids, features, labels, codes):
             arr.setflags(write=False)
         self.ids = ids
-        self.patients = patients
+        self.patient_codes = codes
+        self.patient_names = names
         self.features = features
         self.labels = labels
 
@@ -87,13 +90,10 @@ class SampleSet:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    @cached_property
-    def patient_codes(self) -> np.ndarray:
-        """Per-row int patient code; codes number the patients in sorted id order."""
-        code_of = {name: code for code, name in enumerate(sorted(set(self.patients)))}
-        codes = np.array([code_of[p] for p in self.patients], dtype=np.int64)
-        codes.setflags(write=False)
-        return codes
+    @property
+    def patients(self) -> tuple[str, ...]:
+        """Each row's patient name, made from the codes on every call."""
+        return tuple(map(self.patient_names.__getitem__, self.patient_codes.tolist()))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -108,12 +108,26 @@ class SampleSet:
         return rows
 
     def patients_for(self, sample_ids) -> list[str]:
-        return [self.patients[row] for row in self.positions(sample_ids)]
+        return [self.patient_names[code] for code in self.patient_codes[self.positions(sample_ids)].tolist()]
+
+
+def encode_names(names) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The (codes, names) pair of per-row names: codes number the distinct names in ascending order."""
+    distinct = sorted(dict.fromkeys(names))  # kept in first-seen order, which is often sorted already
+    code_of = {name: code for code, name in enumerate(distinct)}
+    return np.fromiter(map(code_of.__getitem__, names), np.int64, len(names)), tuple(distinct)
+
+
+def _part(ids, codes, names, features, labels) -> SampleSet:
+    """A SampleSet of these rows, their patients renumbered 0..P-1 in ``names`` order over only those they hold."""
+    used = np.bincount(codes, minlength=len(names)) > 0
+    codes = (np.cumsum(used) - 1)[codes]  # the caller's codes can go before the set copies these
+    return SampleSet(ids, (codes, compress(names, used.tolist())), features, labels)
 
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    """An unlabeled pool (with hidden labels) and a patient-disjoint test set."""
+    """An unlabeled pool (with hidden labels) and a patient-disjoint test set, each coding only its own patients."""
 
     pool: SampleSet
     test: SampleSet
@@ -135,14 +149,14 @@ class DatasetSplit:
         shared_ids = np.intersect1d(self.pool.ids, self.test.ids, assume_unique=True)
         if len(shared_ids):
             raise DataError(f"sample id {int(shared_ids[0])} appears in both pool and test")
-        shared_patients = sorted(set(self.pool.patients) & set(self.test.patients))
+        shared_patients = set(self.pool.patient_names).intersection(self.test.patient_names)
         if shared_patients:
-            raise PatientOverlapError(shared_patients[0])
+            raise PatientOverlapError(min(shared_patients))
 
 
 def patient_distribution(pool: SampleSet) -> dict[str, int]:
-    """Multiplicity count per patient; counts sum to the pool size."""
-    return dict(Counter(pool.patients))
+    """Multiplicity count per patient, in name order, from one count of the codes; counts sum to the pool size."""
+    return dict(zip(pool.patient_names, np.bincount(pool.patient_codes).tolist()))
 
 
 class LabeledSet:
@@ -162,7 +176,7 @@ def normalize_features(split: DatasetSplit, mu: float, sigma: float) -> DatasetS
             features = (part.features - mu) / sigma
         if not np.isfinite(features).all():
             raise ConfigError(f"normalize mu {mu}, sigma {sigma} makes features non-finite")
-        return SampleSet(part.ids, part.patients, features, part.labels)
+        return SampleSet(part.ids, (part.patient_codes, part.patient_names), features, part.labels)
 
     return replace(split, pool=transform(split.pool), test=transform(split.test))
 
@@ -263,8 +277,8 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> DatasetSplit:
 
     Patients are assigned classes round-robin; per class, a
     ``test_fraction_of_patients`` share of patients (at least one, never all)
-    is held out entirely to the test split. A config that would draw more than
-    ``_MAX_FEATURE_VALUES`` feature values, or non-finite ones, is a ConfigError.
+    is held out entirely to the test split. Patient p is named ``p%04d``; each split codes its patients in name
+    order. A config that would draw more than ``_MAX_FEATURE_VALUES`` feature values, or non-finite ones, is a ConfigError.
     """
     rng = np.random.default_rng(seed)
     n_classes, n_patients, dim = cfg.num_classes, cfg.num_patients, cfg.feature_dim
@@ -307,11 +321,13 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> DatasetSplit:
             "generated features are not finite; lower class_separation, patient_offset_scale or noise_scale"
         )
     in_test = np.isin(owner, sorted(test_patients))
-    names = np.array([f"p{p:04d}" for p in range(n_patients)], dtype=object)
+    names = ["p%04d" % p for p in range(n_patients)]  # %-formatting: a third faster than an f-string here
+    code = np.argsort(sorted(range(n_patients), key=names.__getitem__))  # place in name order: "p10000" < "p2000"
+    names.sort()
 
     def part(mask: np.ndarray) -> SampleSet:
         rows = np.flatnonzero(mask)
-        return SampleSet(rows, names[owner[rows]], features[rows], patient_class[owner[rows]])
+        return _part(rows, code[owner[rows]], names, features[rows], patient_class[owner[rows]])
 
     return DatasetSplit(
         pool=part(~in_test),
@@ -392,6 +408,7 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
     vouch for is read again from the top, row by row (:func:`_row_columns`), so
     ``path`` must be a file that can be opened twice. An error then names the
     first faulty physical line, whether its fault is a row, csv or decoding one.
+    Patient ids are stripped, and each split codes its patients in name order.
     """
     schema = schema or CsvSchema()
     with _open_csv(path) as fh:
@@ -425,7 +442,7 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
             )
         layout = _Layout(len(header), *col.values(), [i for _, i in feature_cols])  # col is in role order
 
-        ids, labels, features, patients, in_test, lines = _numpy_columns(fh, layout) or _row_columns(path, layout)
+        ids, labels, features, (codes, names), in_test, lines = _numpy_columns(fh, layout) or _row_columns(path, layout)
     in_pool = ~in_test
 
     for name, mask in ((SPLIT_POOL, in_pool), (SPLIT_TEST, in_test)):
@@ -447,7 +464,7 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
         )
 
     def part(mask: np.ndarray) -> SampleSet:
-        return SampleSet(ids[mask], list(compress(patients, mask.tolist())), features[mask], labels[mask])
+        return _part(ids[mask], codes[mask], names, features[mask], labels[mask])
 
     return DatasetSplit(
         pool=part(in_pool), test=part(in_test),
@@ -476,6 +493,7 @@ def _numpy_columns(fh, layout: _Layout):
     csv's field size limit, ``\\x1c``-``\\x1f`` (numpy strips them around a
     number), an int64 of more digits than ``int`` takes, or a byte not UTF-8.
     Also None for text past U+FFFF, which can crash numpy 2.4.6 in an int64 field.
+    Only distinct raw patient and split values are stripped and checked, after the table is let go.
     """
     field_limit = csv.field_size_limit()
     max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
@@ -503,17 +521,19 @@ def _numpy_columns(fh, layout: _Layout):
     except (ValueError, Warning):
         return None
     n = len(table)
-    ids, labels = table[f"c{layout.sample_id}"], table[f"c{layout.label}"]
+    ids, labels = table[f"c{layout.sample_id}"].copy(), table[f"c{layout.label}"].copy()
     features = np.column_stack([table[f"c{i}"] for i in layout.features])
-    patients = list(map(str.strip, table[f"c{layout.patient_id}"].tolist()))
-    splits = list(map(str.strip, table[f"c{layout.split}"].tolist()))
+    raw_codes, raw_names = encode_names(table[f"c{layout.patient_id}"].tolist())
+    split_codes, split_names = encode_names(table[f"c{layout.split}"].tolist())
+    del table  # with its strings, before the objects below: freed after them, it left the heap fragmented
+    codes, names = encode_names([name.strip() for name in raw_names])  # " a" and "a" are one; "" sorts first
     sorted_ids = np.sort(ids)
-    if (n != rows[0] or ids.min() < 0 or labels.min() < 0 or "" in patients
-            or splits.count(SPLIT_POOL) + splits.count(SPLIT_TEST) != n
+    if (n != rows[0] or ids.min() < 0 or labels.min() < 0 or "" in names[:1]
+            or not {SPLIT_POOL, SPLIT_TEST}.issuperset(map(str.strip, split_names))
             or not np.isfinite(features).all() or np.any(sorted_ids[1:] == sorted_ids[:-1])):
         return None
-    in_test = np.fromiter(map(SPLIT_TEST.__eq__, splits), bool, n)
-    return ids, labels, features, patients, in_test, None
+    in_test = np.array([name.strip() == SPLIT_TEST for name in split_names])[split_codes]
+    return ids, labels, features, (codes[raw_codes], names), in_test, None
 
 
 def _row_columns(path, layout: _Layout):
@@ -521,8 +541,8 @@ def _row_columns(path, layout: _Layout):
 
     The one source of row error messages, and the only place that maps sample
     ids to lines. Without a faulty row, the body's (ids, labels, features,
-    patients, in_test, line of each row), converted by Python's ``int`` and
-    ``float``, which take spellings numpy refuses (``1_0``).
+    patients as :func:`encode_names` codes them, in_test, line of each row),
+    converted by Python's ``int`` and ``float``, which take spellings numpy refuses (``1_0``).
     """
     dim = len(layout.features)
     seen: dict[int, int] = {}  # sample id -> the line it was read on
@@ -572,22 +592,22 @@ def _row_columns(path, layout: _Layout):
             features.append(feats)
             in_test.append(split_value == SPLIT_TEST)
     return (np.fromiter(seen, np.int64, len(seen)), np.array(labels, np.int64),
-            np.array(features, np.float64).reshape(len(seen), dim), patients, np.array(in_test, bool),
+            np.array(features, np.float64).reshape(len(seen), dim), encode_names(patients), np.array(in_test, bool),
             list(seen.values()))
 
 
 def write_dataset(split: DatasetSplit, path) -> None:
     """Serialize a split to CSV such that load_dataset round-trips it exactly; an id it would strip is a DataError."""
-    changed = sorted(p for p in {*split.pool.patients, *split.test.patients} if not p or p.strip() != p)
+    changed = sorted(p for p in {*split.pool.patient_names, *split.test.patient_names} if not p or p.strip() != p)
     if changed:
         raise DataError(f"patient id {changed[0]!r} would not load back unchanged: load_dataset strips it")
     schema = CsvSchema()
     header = [schema.sample_id, schema.patient_id, schema.label, schema.split]
     header += [f"{schema.feature_prefix}{i}" for i in range(split.feature_dim)]
     write_csv(path, header, (
-        [part.ids[i], part.patients[i], part.labels[i], split_name, *part.features[i]]
+        [part.ids[i], patient, part.labels[i], split_name, *part.features[i]]
         for split_name, part in ((SPLIT_POOL, split.pool), (SPLIT_TEST, split.test))
-        for i in range(len(part))
+        for i, patient in enumerate(part.patients)
     ))
 
 

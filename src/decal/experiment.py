@@ -295,9 +295,9 @@ def _check_batch(batch: patients.QueryBatch, k: int, labeled_mask: np.ndarray, p
         raise InvariantViolation("batch selected ids outside the remaining pool")
     if batch.relaxed_count < 0 or batch.relaxed_count > k:
         raise InvariantViolation(f"relaxed_count {batch.relaxed_count} out of range")
-    if constrained and batch.relaxed_count == 0:
-        if len(np.unique(pool.patient_codes[rows])) != len(members):
-            raise InvariantViolation("unique-patient batch repeats a patient")
+    # each relaxed slot re-uses a patient already in the batch, and every other slot brings a new one
+    if constrained and len(np.unique(pool.patient_codes[rows])) != k - batch.relaxed_count:
+        raise InvariantViolation(f"unique-patient batch repeats a patient: expected {k - batch.relaxed_count} patients")
     return rows
 
 

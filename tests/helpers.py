@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from decal import experiment
-from decal.data import DatasetSplit, SampleSet
+from decal.data import DatasetSplit, SampleSet, encode_names
 from decal.learner import Model
 
 
@@ -15,7 +15,7 @@ def make_sampleset(rows):
     patients = [r[1] for r in rows]
     features = np.array([r[2] for r in rows], dtype=np.float64)
     labels = [r[3] for r in rows]
-    return SampleSet(ids, patients, features, labels)
+    return SampleSet(ids, encode_names(patients), features, labels)
 
 
 def make_split(pool_rows, test_rows, num_classes=None):
@@ -39,7 +39,8 @@ def split_equal(a, b) -> bool:
     def part_equal(x, y):
         return (
             np.array_equal(x.ids, y.ids)
-            and x.patients == y.patients
+            and np.array_equal(x.patient_codes, y.patient_codes)
+            and x.patient_names == y.patient_names
             and np.array_equal(x.features, y.features)
             and np.array_equal(x.labels, y.labels)
         )

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from decal.cli import main
 from decal.config import load_config_file, parse_config
-from decal.data import load_dataset
+from decal.data import SampleSet, load_dataset
 from decal.errors import DecalError, TrainingDiverged
 from decal.experiment import build_dataset, run_trial
 from decal.patients import INIT_MODES, STRATEGIES
@@ -429,6 +429,27 @@ class TestCsvDatasetRun:
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "raw.csv").exists()
+        capsys.readouterr()
+
+
+class TestNoPerRowPatientNames:
+    """A run reads patients only as codes: per-row names are made for writing datasets and tests alone."""
+
+    @pytest.mark.parametrize("source", ["preset", "csv"])
+    def test_run_never_asks_for_per_row_patient_names(self, tmp_path, capsys, monkeypatch, source):
+        raw = config_dict(strategy="decal_margin", rounds=1, trials=1, init_size=16, batch_size=8)
+        if source == "preset":
+            raw["dataset"] = {"preset": "skewed"}
+        else:
+            assert main(["gen", "--preset", "large-uniform", "--seed", "2", "--out", str(tmp_path / "data.csv")]) == 0
+            raw["dataset"] = {"csv_path": str(tmp_path / "data.csv"), "normalize": {"mu": 0.2, "sigma": 0.1}}
+
+        def fail(*args):
+            raise AssertionError("per-row patient names made during a run")
+
+        monkeypatch.setattr(SampleSet, "patients", property(fail))
+        monkeypatch.setattr(SampleSet, "patients_for", fail)
+        assert main(["run", "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
 
 

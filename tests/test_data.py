@@ -19,6 +19,7 @@ from decal.data import (
     CsvSchema,
     DatasetSplit,
     ImageCountSpec,
+    SampleSet,
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
@@ -508,6 +509,24 @@ class TestSampleSet:
     def test_patient_codes_number_patients_in_sorted_order(self):
         part = make_sampleset([(0, "zed", [0.0], 0), (1, "amy", [0.0], 0), (2, "zed", [0.0], 0)])
         assert part.patient_codes.tolist() == [1, 0, 1]
+
+    def test_patient_codes_are_a_frozen_attribute_set_at_construction(self):
+        part = SampleSet([7, 3], (np.array([0, 1]), ("b", "c")), [[0.0], [1.0]], [0, 1])
+        assert vars(part)["patient_codes"] is part.patient_codes  # no cached property
+        assert part.patient_codes.dtype == np.int64 and not part.patient_codes.flags.writeable
+        assert part.patient_codes.tolist() == [1, 0] and part.patients == ("c", "b")  # sorted with the ids
+
+    @pytest.mark.parametrize("codes, names, code_range", [
+        ([0, 0], ("a", "b"), "0..1"),
+        ([0, 2], ("a", "b"), "0..1"),
+        ([-1, 1], ("a", "b"), "0..1"),
+        ([1, 2], ("a", "b", "c"), "0..2"),
+        ([0, 1], ("b", "a"), "0..1"),
+        ([0, 1], ("a", "a"), "0..1"),
+    ], ids=["unused-name", "code-past-names", "negative-code", "unused-first-name", "unsorted-names", "repeated-name"])
+    def test_bad_code_and_name_pairs_are_rejected(self, codes, names, code_range):
+        with pytest.raises(DataError, match=f"patient codes must use each of {code_range}, naming distinct ascending names"):
+            SampleSet([0, 1], (codes, names), [[0.0], [1.0]], [0, 1])
 
     def test_positions_of_ids(self):
         part = make_sampleset([(5, "B", [5.0], 1), (2, "A", [2.0], 0), (9, "C", [9.0], 1)])

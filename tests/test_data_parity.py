@@ -33,11 +33,18 @@ from decal.data import (
     csv_rows,
     generate_synthetic,
     load_dataset,
+    normalize_features,
 )
 from decal.errors import ConfigError, CsvParseError, DataError, FeatureDimensionError
 from decal.presets import PRESETS
 
 _INT64_MAX = 2**63 - 1
+
+
+def oracle_codes(patients):
+    """The oracle's (codes, names) of per-row patient names: a dict over their sorted set, kept apart from ``decal.data``."""
+    code_of = {name: code for code, name in enumerate(sorted(set(patients)))}
+    return np.array([code_of[p] for p in patients], dtype=np.int64), tuple(sorted(code_of))
 
 
 def reference_load_dataset(path, schema=None):
@@ -145,7 +152,7 @@ def reference_load_dataset(path, schema=None):
 
     def part(name: str) -> SampleSet:
         b = rows[name]
-        return SampleSet(b["ids"], b["patients"], np.array(b["features"], dtype=np.float64), b["labels"])
+        return SampleSet(b["ids"], oracle_codes(b["patients"]), np.array(b["features"], dtype=np.float64), b["labels"])
 
     return DatasetSplit(
         pool=part(SPLIT_POOL), test=part(SPLIT_TEST),
@@ -205,7 +212,7 @@ def reference_generate_synthetic(cfg, seed):
 
     def part(mask: np.ndarray) -> SampleSet:
         rows = np.flatnonzero(mask)
-        return SampleSet(rows, names[owner[rows]], features[rows], patient_class[owner[rows]])
+        return SampleSet(rows, oracle_codes(names[owner[rows]].tolist()), features[rows], patient_class[owner[rows]])
 
     return DatasetSplit(
         pool=part(~in_test),
@@ -220,8 +227,9 @@ def bitwise_equal(a: DatasetSplit, b: DatasetSplit) -> bool:
     def same(x: SampleSet, y: SampleSet) -> bool:
         return all(
             u.dtype == v.dtype and u.shape == v.shape and u.strides == v.strides and u.tobytes() == v.tobytes()
-            for u, v in ((x.ids, y.ids), (x.features, y.features), (x.labels, y.labels))
-        ) and x.patients == y.patients
+            for u, v in ((x.ids, y.ids), (x.patient_codes, y.patient_codes), (x.features, y.features),
+                         (x.labels, y.labels))
+        ) and x.patient_names == y.patient_names
 
     return (a.num_classes, a.feature_dim) == (b.num_classes, b.feature_dim) and same(a.pool, b.pool) and same(a.test, b.test)
 
@@ -620,3 +628,63 @@ class TestGeneratorParity:
         assert counts.tolist() == expected.tolist()
         assert low <= counts.min() and counts.max() <= high
         assert rng.random() == oracle.random()
+
+
+def assert_coded_like_the_oracle(part: SampleSet, patients):
+    """``part`` holds the per-row ``patients`` (in sample-id order) as the oracle codes them."""
+    codes, names = oracle_codes(patients)
+    assert part.patient_codes.dtype == np.int64 and part.patient_codes.tolist() == codes.tolist()
+    assert part.patient_names == names
+    assert part.patients == tuple(patients)
+    assert part.patients_for(part.ids[::-1]) == list(patients)[::-1]
+
+
+class TestPatientCodesOracle:
+    """Codes, names and the per-row names made from them, against the oracle of per-row strings."""
+
+    def test_generator_past_10000_patients_codes_by_name_not_number(self):
+        # one image per patient: sample id i is patient i, named p%04d, and "p10000" < "p2000"
+        cfg = SyntheticConfig(
+            num_classes=2, num_patients=10_500, images_per_patient=ImageCountSpec(low=1),
+            feature_dim=1, class_separation=1.0, patient_offset_scale=0.5,
+            test_fraction_of_patients=0.2, noise_scale=0.3,
+        )
+        split = generate_synthetic(cfg, 4)
+        assert bitwise_equal(split, reference_generate_synthetic(cfg, 4))
+        for part in (split.pool, split.test):
+            assert_coded_like_the_oracle(part, [f"p{i:04d}" for i in part.ids.tolist()])
+        # rows follow patient numbers, and from p10000 on codes do not
+        assert (np.diff(split.pool.patient_codes) < 0).any() and (np.diff(split.test.patient_codes) < 0).any()
+
+    # " a", "a " and "a" are one patient; "10" sorts before "9"
+    PATIENTS = {0: " a", 1: "a ", 2: "10", 3: "\u00e9", 4: "9", 5: "a", 6: "\u00e9 ", 7: "Z", 8: "t1", 9: "t\u00e9", 10: " t1"}
+    TEST_IDS = {8, 9, 10}
+
+    def write(self, path):
+        lines = ["sample_id,patient_id,label,split,f0"] + [
+            f"{i},{patient},{i % 2},{'test' if i in self.TEST_IDS else 'pool'},{i / 4!r}"
+            for i, patient in reversed(self.PATIENTS.items())
+        ]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("reader", ["numpy", "rows"])
+    def test_csv_readers_code_stripped_ids(self, tmp_path, reader):
+        path = self.write(tmp_path / "data.csv")
+        if reader == "numpy":
+            leave = mock.patch.object(data, "_row_columns", side_effect=AssertionError("left to the row reader"))
+        else:
+            leave = mock.patch.object(data, "_numpy_columns", return_value=None)
+        with leave:
+            split = assert_loads_like_the_row_loop(path)
+        for part in (split.pool, split.test):
+            assert_coded_like_the_oracle(part, [self.PATIENTS[i].strip() for i in part.ids.tolist()])
+        assert split.pool.patient_names == ("10", "9", "Z", "a", "\u00e9")
+        assert split.test.patient_names == ("t1", "t\u00e9")
+
+    def test_normalize_features_keeps_the_codes(self, tmp_path):
+        split = load_dataset(self.write(tmp_path / "data.csv"))
+        normalized = normalize_features(split, 0.5, 2.0)
+        for before, after in ((split.pool, normalized.pool), (split.test, normalized.test)):
+            assert_coded_like_the_oracle(after, [self.PATIENTS[i].strip() for i in after.ids.tolist()])
+            assert after.patient_codes.tobytes() == before.patient_codes.tobytes()

@@ -167,6 +167,14 @@ def _repeated_patient(pool, rows, k):
     return QueryBatch(_ids(pool, rows[repeated][:2]) + _ids(pool, rows[~repeated][:k - 2]))
 
 
+def _relaxed_repeats(pool, rows, k):
+    # relaxed_count 1 allows one slot on a patient already in the batch; here two slots are
+    codes = pool.patient_codes[rows]
+    firsts = np.unique(codes, return_index=True)[1][:k - 2]  # the first candidate row of k - 2 patients
+    repeats = np.setdiff1d(np.flatnonzero(np.isin(codes, codes[firsts])), firsts)[:2]
+    return QueryBatch(_ids(pool, rows[np.concatenate([firsts, repeats])]), relaxed_count=1)
+
+
 # each fake selection gets the candidate rows and k; batch_size is 6 in small_cfg() and config_dict()
 BAD_BATCHES = {
     "wrong-size": (lambda pool, rows, k: QueryBatch(_ids(pool, rows[:k - 1])),
@@ -181,6 +189,7 @@ BAD_BATCHES = {
     "relaxed-count": (lambda pool, rows, k: QueryBatch(_ids(pool, rows[:k]), relaxed_count=k + 1),
                       "relaxed_count 7 out of range"),
     "repeated-patient": (_repeated_patient, "unique-patient batch repeats a patient"),
+    "relaxed-batch-repeated-patient": (_relaxed_repeats, "unique-patient batch repeats a patient: expected 5 patients"),
 }
 
 
@@ -196,6 +205,14 @@ class TestBatchContracts:
         config = write_config(tmp_path, config_dict())
         assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 3
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("init_mode, strategy", [("decal", "decal_entropy"), ("random", "decal_random")])
+    def test_relaxed_batches_pass(self, init_mode, strategy):
+        # 64-image batches from the 45 patients of the skewed pool relax every decal_* batch and decal init
+        cfg = small_cfg(dataset=DatasetSource(preset="skewed"), init_mode=init_mode, strategy=strategy,
+                        init_size=64, batch_size=64, rounds=2, base_seed=3)
+        records = run_trial(cfg, cfg.base_seed)
+        assert [r.relaxed_count > 0 for r in records] == [init_mode == "decal", True, True]
 
 
 ONE_IMAGE_PER_PATIENT = replace(
