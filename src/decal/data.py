@@ -4,9 +4,9 @@ Every sample carries a patient identity, and the pool and test splits never
 share a patient, so test accuracy always measures generalization to unseen
 patients. Ground-truth labels in the pool are treated as hidden until a
 trial of ``experiment`` labels their rows. Label spending is audited in the
-trial loop: ``experiment._check_batch`` checks every batch and maps its
-sample ids to the rows that are added, and the trial checks the number of
-labeled rows against the budget every round.
+trial loop: ``experiment._check_batch`` checks the pool rows of every batch
+before they are added, and the trial checks the number of labeled rows
+against the budget every round.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> DatasetSplit:
     counts = cfg.images_per_patient.draw(rng, n_patients)
     offsets = rng.standard_normal((n_patients, dim))  # scaled by patient_offset_scale below
 
-    test_patients: set[int] = set()
+    held_out = np.zeros(n_patients, dtype=bool)  # per patient: in the test split
     for c in range(n_classes):
         members = np.flatnonzero(patient_class == c)
         if len(members) < 2:
@@ -302,7 +302,7 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> DatasetSplit:
             )
         n_test = int(np.floor(cfg.test_fraction_of_patients * len(members) + 0.5))
         n_test = min(max(n_test, 1), len(members) - 1)
-        test_patients.update(int(p) for p in rng.choice(members, size=n_test, replace=False))
+        held_out[rng.choice(members, size=n_test, replace=False)] = True
 
     n_images = sum(counts.tolist())  # Python ints: an int64 sum can wrap past the bound below
     if n_images * dim > _MAX_FEATURE_VALUES:
@@ -320,7 +320,7 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> DatasetSplit:
         raise ConfigError(
             "generated features are not finite; lower class_separation, patient_offset_scale or noise_scale"
         )
-    in_test = np.isin(owner, sorted(test_patients))
+    in_test = held_out[owner]
     names = ["p%04d" % p for p in range(n_patients)]  # %-formatting: a third faster than an f-string here
     code = np.argsort(sorted(range(n_patients), key=names.__getitem__))  # place in name order: "p10000" < "p2000"
     names.sort()

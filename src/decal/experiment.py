@@ -169,8 +169,8 @@ def run_trial(cfg: ExperimentConfig, trial_seed: int, dataset: DatasetSplit | No
     Round 0 labels the initial batch, round r > 0 the batch round r-1's model
     picks from the unlabeled rows; each round then trains and evaluates a
     fresh model. ``on_batch(stage, round_index, batch)`` lets callers audit each
-    batch before it is labeled, as ("init", 0) or ("query", r-1). This is the
-    one-trial call of the lockstep runner that every run uses.
+    batch, its members as sample ids, before it is labeled, as ("init", 0) or ("query", r-1). This is
+    the one-trial call of the lockstep runner that every run uses.
     """
     split = dataset if dataset is not None else build_dataset(cfg.dataset, cfg.base_seed)
     ((records, error),) = _run_lockstep(split, [(cfg, trial_seed)], on_batch)
@@ -208,8 +208,8 @@ class _Trial:
         else:
             batch = patients.select_query_batch(strategy, self.model, pool, self.candidates, size, seed)
         rows = _check_batch(batch, size, self.labeled_mask, pool, constrained=constrained)
-        if on_batch is not None:
-            on_batch(stage, max(round_index - 1, 0), batch)
+        if on_batch is not None:  # hooks audit sample ids, not rows
+            on_batch(stage, max(round_index - 1, 0), replace(batch, members=tuple(pool.ids[rows].tolist())))
         self.labeled_mask[rows] = True
         self.labeled_rows = np.concatenate([self.labeled_rows, rows])
         self.candidates = np.flatnonzero(~self.labeled_mask)
@@ -281,20 +281,19 @@ def _run_lockstep(split: DatasetSplit, trials,
 
 def _check_batch(batch: patients.QueryBatch, k: int, labeled_mask: np.ndarray, pool,
                  constrained: bool) -> np.ndarray:
-    """Re-check batch contracts instead of trusting the selection module; return the members' rows."""
-    members = batch.members
-    if len(members) != k:
-        raise InvariantViolation(f"batch has {len(members)} members, expected {k}")
-    if len(set(members)) != len(members):
-        raise InvariantViolation("batch contains duplicate sample ids")
-    try:
-        rows = pool.positions(members)
-    except KeyError:
-        raise InvariantViolation("batch selected ids outside the pool") from None
+    """Re-check batch contracts instead of trusting the selection module; return the batch's pool rows."""
+    rows = np.array(batch.members, dtype=np.int64)
+    if len(rows) != k:
+        raise InvariantViolation(f"batch has {len(rows)} members, expected {k}")
+    if rows.min() < 0 or rows.max() >= len(pool):  # a negative row would index from the end
+        raise InvariantViolation(f"batch selected rows outside the pool's 0..{len(pool) - 1}")
+    if len(np.unique(rows)) != k:
+        raise InvariantViolation("batch contains duplicate rows")
     if labeled_mask[rows].any():
-        raise InvariantViolation("batch selected ids outside the remaining pool")
-    if batch.relaxed_count < 0 or batch.relaxed_count > k:
-        raise InvariantViolation(f"relaxed_count {batch.relaxed_count} out of range")
+        raise InvariantViolation("batch selected rows outside the remaining pool")
+    most = k if constrained else 0  # only the unique-patient fallback relaxes a slot
+    if not 0 <= batch.relaxed_count <= most:
+        raise InvariantViolation(f"relaxed_count {batch.relaxed_count} out of range 0..{most}")
     # each relaxed slot re-uses a patient already in the batch, and every other slot brings a new one
     if constrained and len(np.unique(pool.patient_codes[rows])) != k - batch.relaxed_count:
         raise InvariantViolation(f"unique-patient batch repeats a patient: expected {k - batch.relaxed_count} patients")

@@ -32,8 +32,13 @@ STRATEGIES = acquisition.BASE_STRATEGIES + tuple(
 class QueryBatch:
     """Ordered selection for one round.
 
-    ``relaxed_count`` is the number of slots filled by the fallback rule;
-    when it is zero, all members come from pairwise-distinct patients.
+    ``members`` are entries of what the caller passed in: pool rows from
+    :func:`select_query_batch` and :func:`decal_initialize`, sample ids from
+    the id-keyed :func:`constrain_unique_patients`. ``relaxed_count`` counts
+    the slots filled by the unique-patient fallback. Only a unique-patient
+    batch (``decal_*`` or decal init) with none relaxed holds distinct
+    patients; an unconstrained batch has ``relaxed_count`` 0 and may repeat
+    a patient.
     """
 
     members: tuple[int, ...]
@@ -84,10 +89,6 @@ def _unique_patient_prefix(ranked_codes: np.ndarray, k: int) -> tuple[np.ndarray
     return np.concatenate([kept, fill]), len(fill)
 
 
-def _batch(pool: SampleSet, rows: np.ndarray, relaxed: int) -> QueryBatch:
-    return QueryBatch(members=tuple(pool.ids[rows].tolist()), relaxed_count=int(relaxed))
-
-
 def decal_initialize(pool: SampleSet, n: int, seed: int) -> QueryBatch:
     """Patient-diverse first labeled set: one image from each of n patients.
 
@@ -115,11 +116,9 @@ def decal_initialize(pool: SampleSet, n: int, seed: int) -> QueryBatch:
 
     relaxed = n - drawn
     if relaxed:
-        free = np.ones(len(pool), dtype=bool)
-        free[rows] = False
-        rest = np.flatnonzero(free)
+        rest = np.setdiff1d(np.arange(len(pool)), rows)
         rows.extend(rest[rng.choice(len(rest), size=relaxed, replace=False)].tolist())
-    return _batch(pool, np.array(rows, dtype=np.int64), relaxed)
+    return QueryBatch(members=tuple(rows), relaxed_count=relaxed)
 
 
 def select_query_batch(
@@ -133,8 +132,8 @@ def select_query_batch(
     """Produce one round's batch from the given unlabeled pool rows.
 
     One pipeline serves every strategy: rank the candidate rows (descending
-    score, a random permutation, or BADGE seeding), apply the unique-patient
-    step for ``decal_*`` strategies, then map rows to sample ids. Rankings
+    score, a random permutation, or BADGE seeding) and apply the unique-patient
+    step for ``decal_*`` strategies; the batch's members are pool rows. Rankings
     are deduplicated by patient afterwards; decal_badge enforces the
     constraint inside the seeding loop itself. The random strategies ignore
     ``model``; "random" over every pool row is the random initial batch.
@@ -162,7 +161,7 @@ def select_query_batch(
     if base == "badge":
         grads = learner.gradient_embedding(model, pool.features[rows])
         picked, relaxed = acquisition.badge_seeding(grads, k, seed, groups=codes)
-        return _batch(pool, rows[picked], relaxed)
+        return QueryBatch(tuple(rows[picked].tolist()), relaxed)
 
     if base == "random":
         order = np.random.default_rng(seed).permutation(len(rows))
@@ -170,11 +169,11 @@ def select_query_batch(
         scores = acquisition.score_rows(base, learner.predict_proba(model, pool.features[rows]))
         order = acquisition.rank_rows(scores, k)
     if not constrained:
-        return _batch(pool, rows[order[:k]], 0)
+        return QueryBatch(tuple(rows[order[:k]].tolist()))
     kept, relaxed = _unique_patient_prefix(codes[order], k)
     depth = k
     while relaxed and len(order) < len(rows):  # the head may hold too few patients: rank deeper
         depth *= 4
         order = acquisition.rank_rows(scores, depth)
         kept, relaxed = _unique_patient_prefix(codes[order], k)
-    return _batch(pool, rows[order[kept]], relaxed)
+    return QueryBatch(tuple(rows[order[kept]].tolist()), relaxed)

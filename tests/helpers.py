@@ -18,6 +18,11 @@ def make_sampleset(rows):
     return SampleSet(ids, encode_names(patients), features, labels)
 
 
+def batch_ids(pool, batch) -> list[int]:
+    """The sample ids of a batch of pool rows, in batch order: the form an id-keyed oracle gives."""
+    return pool.ids[list(batch.members)].tolist()
+
+
 def make_split(pool_rows, test_rows, num_classes=None):
     pool = make_sampleset(pool_rows)
     test = make_sampleset(test_rows)

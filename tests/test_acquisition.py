@@ -17,7 +17,7 @@ from decal.acquisition import (
 )
 from decal.learner import gradient_embedding
 from decal.patients import select_query_batch
-from helpers import linear_model, make_sampleset
+from helpers import batch_ids, linear_model, make_sampleset
 
 
 def probability_vectors(min_classes=2, max_classes=6):
@@ -242,7 +242,7 @@ def id_pool(ids):
 def select_random(pool, k, seed):
     """The "random" strategy over every row of ``pool``."""
     model = linear_model(np.eye(2), np.zeros(2))
-    return list(select_query_batch("random", model, pool, np.arange(len(pool)), k, seed).members)
+    return batch_ids(pool, select_query_batch("random", model, pool, np.arange(len(pool)), k, seed))
 
 
 class TestSelectRandom:
@@ -538,7 +538,7 @@ class TestMakeRanking:
             (300, "C", [50.0, 0.0, 0.0], 0),
         ])
         batch = select_query_batch("entropy", model, pool, [0, 1, 2], 3, seed=0)
-        assert batch.members == (100, 200, 300)
+        assert batch_ids(pool, batch) == [100, 200, 300]
 
     def test_score_strategies_return_full_ranking(self):
         model = linear_model(np.eye(3), np.zeros(3))
@@ -546,13 +546,13 @@ class TestMakeRanking:
         pool = make_sampleset([(i, f"p{i}", rng.standard_normal(3), 0) for i in (1, 2, 3, 4)])
         for strategy in ("entropy", "margin", "least_confidence"):
             batch = select_query_batch(strategy, model, pool, [0, 1, 2, 3], 4, seed=0)
-            assert sorted(batch.members) == [1, 2, 3, 4]
+            assert sorted(batch_ids(pool, batch)) == [1, 2, 3, 4]
 
     def test_random_permutation(self):
         model = linear_model(np.eye(2), np.zeros(2))
         pool = make_sampleset([(i, f"p{i}", [0.0, 0.0], 0) for i in (4, 5, 6)])
         batch = select_query_batch("random", model, pool, [0, 1, 2], 3, seed=2)
-        assert sorted(batch.members) == [4, 5, 6]
+        assert sorted(batch_ids(pool, batch)) == [4, 5, 6]
 
     def test_badge_k1_is_max_norm_sample(self):
         model = linear_model(np.eye(3), np.zeros(3))
@@ -563,7 +563,7 @@ class TestMakeRanking:
         norms = np.linalg.norm(gradient_embedding(model, features), axis=1)
         expected = int(pool.ids[np.argmax(norms)])
         batch = select_query_batch("badge", model, pool, [0, 1], 1, seed=0)
-        assert batch.members == (expected,)
+        assert batch_ids(pool, batch) == [expected]
 
     def test_unknown_strategy(self):
         model = linear_model(np.eye(2), np.zeros(2))

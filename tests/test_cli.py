@@ -433,23 +433,44 @@ class TestCsvDatasetRun:
 
 
 class TestNoPerRowPatientNames:
-    """A run reads patients only as codes: per-row names are made for writing datasets and tests alone."""
+    """A run reads patients only as codes and batches only as pool rows.
 
-    @pytest.mark.parametrize("source", ["preset", "csv"])
-    def test_run_never_asks_for_per_row_patient_names(self, tmp_path, capsys, monkeypatch, source):
+    Per-row patient names and sample-id lookups are made for writing datasets and tests alone.
+    """
+
+    @staticmethod
+    def config(tmp_path, source):
+        """The run's config file; a CSV source is written here, before any patch."""
         raw = config_dict(strategy="decal_margin", rounds=1, trials=1, init_size=16, batch_size=8)
         if source == "preset":
             raw["dataset"] = {"preset": "skewed"}
         else:
             assert main(["gen", "--preset", "large-uniform", "--seed", "2", "--out", str(tmp_path / "data.csv")]) == 0
             raw["dataset"] = {"csv_path": str(tmp_path / "data.csv"), "normalize": {"mu": 0.2, "sigma": 0.1}}
+        return write_config(tmp_path, raw)
+
+    @pytest.mark.parametrize("source", ["preset", "csv"])
+    def test_run_never_asks_for_per_row_patient_names(self, tmp_path, capsys, monkeypatch, source):
+        config = self.config(tmp_path, source)
 
         def fail(*args):
             raise AssertionError("per-row patient names made during a run")
 
         monkeypatch.setattr(SampleSet, "patients", property(fail))
         monkeypatch.setattr(SampleSet, "patients_for", fail)
-        assert main(["run", "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "out")]) == 0
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("source", ["preset", "csv"])
+    def test_run_never_maps_sample_ids_to_rows(self, tmp_path, capsys, monkeypatch, source):
+        # selection hands pool rows to the labeled set: no batch goes through sample ids
+        config = self.config(tmp_path, source)
+
+        def fail(*args):
+            raise AssertionError("sample ids mapped to rows during a run")
+
+        monkeypatch.setattr(SampleSet, "positions", fail)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -157,14 +158,14 @@ class TestRunTrial:
         assert tuple(batch.relaxed_count > 0 for batch in batches) == relaxed
 
 
-def _ids(pool, rows):
-    return tuple(pool.ids[rows].tolist())
+def _rows(rows):
+    return tuple(rows.tolist())
 
 
 def _repeated_patient(pool, rows, k):
     codes = pool.patient_codes[rows]
     repeated = codes == codes[np.argmax(np.bincount(codes)[codes] > 1)]  # first patient with 2+ rows
-    return QueryBatch(_ids(pool, rows[repeated][:2]) + _ids(pool, rows[~repeated][:k - 2]))
+    return QueryBatch(_rows(rows[repeated][:2]) + _rows(rows[~repeated][:k - 2]))
 
 
 def _relaxed_repeats(pool, rows, k):
@@ -172,21 +173,27 @@ def _relaxed_repeats(pool, rows, k):
     codes = pool.patient_codes[rows]
     firsts = np.unique(codes, return_index=True)[1][:k - 2]  # the first candidate row of k - 2 patients
     repeats = np.setdiff1d(np.flatnonzero(np.isin(codes, codes[firsts])), firsts)[:2]
-    return QueryBatch(_ids(pool, rows[np.concatenate([firsts, repeats])]), relaxed_count=1)
+    return QueryBatch(_rows(rows[np.concatenate([firsts, repeats])]), relaxed_count=1)
 
 
-# each fake selection gets the candidate rows and k; batch_size is 6 in small_cfg() and config_dict()
+# each fake selection gets the candidate rows and k and returns pool rows; batch_size is 6 in
+# small_cfg() and config_dict()
 BAD_BATCHES = {
-    "wrong-size": (lambda pool, rows, k: QueryBatch(_ids(pool, rows[:k - 1])),
+    "wrong-size": (lambda pool, rows, k: QueryBatch(_rows(rows[:k - 1])),
                    "batch has 5 members, expected 6"),
-    "duplicate-id": (lambda pool, rows, k: QueryBatch(_ids(pool, rows[[0, *range(k - 1)]])),
-                     "batch contains duplicate sample ids"),
-    "non-pool-id": (lambda pool, rows, k: QueryBatch(_ids(pool, rows[:k - 1]) + (int(pool.ids.max()) + 1,)),
-                    "batch selected ids outside the pool"),
-    "labeled-id": (lambda pool, rows, k: QueryBatch(
-                       _ids(pool, rows[:k - 1]) + _ids(pool, np.setdiff1d(np.arange(len(pool)), rows)[:1])),
-                   "batch selected ids outside the remaining pool"),
-    "relaxed-count": (lambda pool, rows, k: QueryBatch(_ids(pool, rows[:k]), relaxed_count=k + 1),
+    "duplicate-row": (lambda pool, rows, k: QueryBatch(_rows(rows[[0, *range(k - 1)]])),
+                      "batch contains duplicate rows"),
+    "non-pool-row": (lambda pool, rows, k: QueryBatch(_rows(rows[:k - 1]) + (2 * len(pool),)),
+                     "batch selected rows outside the pool"),
+    "row-at-pool-size": (lambda pool, rows, k: QueryBatch(_rows(rows[:k - 1]) + (len(pool),)),
+                         "batch selected rows outside the pool"),
+    # numpy would read row -1 as the pool's last row, which is unlabeled here
+    "negative-row": (lambda pool, rows, k: QueryBatch(_rows(rows[:k - 1]) + (-1,)),
+                     "batch selected rows outside the pool"),
+    "labeled-row": (lambda pool, rows, k: QueryBatch(
+                        _rows(rows[:k - 1]) + _rows(np.setdiff1d(np.arange(len(pool)), rows)[:1])),
+                    "batch selected rows outside the remaining pool"),
+    "relaxed-count": (lambda pool, rows, k: QueryBatch(_rows(rows[:k]), relaxed_count=k + 1),
                       "relaxed_count 7 out of range"),
     "repeated-patient": (_repeated_patient, "unique-patient batch repeats a patient"),
     "relaxed-batch-repeated-patient": (_relaxed_repeats, "unique-patient batch repeats a patient: expected 5 patients"),
@@ -203,6 +210,21 @@ class TestBatchContracts:
         with pytest.raises(InvariantViolation, match=message):
             run_trial(small_cfg(), 100)
         config = write_config(tmp_path, config_dict())
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 3
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("relaxed_strategy", ["random", "entropy"], ids=["random-init", "entropy-query"])
+    def test_relaxed_unconstrained_batch_is_invariant_violation(self, monkeypatch, tmp_path, capsys,
+                                                                relaxed_strategy):
+        # only the unique-patient fallback relaxes a slot, so a random init or an entropy batch has none
+        def select(strategy, model, pool, rows, k, seed):
+            return QueryBatch(_rows(rows[:k]), relaxed_count=int(strategy == relaxed_strategy))
+
+        monkeypatch.setattr(patients, "select_query_batch", select)
+        message = "relaxed_count 1 out of range 0..0"
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            run_trial(small_cfg(strategy="entropy", init_mode="random"), 100)
+        config = write_config(tmp_path, config_dict(strategy="entropy", init_mode="random"))
         assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 3
         assert f"error: {message}" in capsys.readouterr().err
 

@@ -14,7 +14,7 @@ from decal.patients import (
     decal_initialize,
     select_query_batch,
 )
-from helpers import linear_model, make_sampleset
+from helpers import batch_ids, linear_model, make_sampleset
 
 
 def best_per_patient_oracle(ranking, patient_of, k):
@@ -96,9 +96,13 @@ class TestConstrainUniquePatients:
 
 
 def badge_pool(patients, dim=3, seed=0):
-    """One row per entry of ``patients``, with random features."""
+    """One row per entry of ``patients``, with random features; sample ids are not row numbers."""
     rng = np.random.default_rng(seed)
-    return make_sampleset([(i, p, rng.standard_normal(dim), i % 2) for i, p in enumerate(patients)])
+    return make_sampleset([(1000 + i, p, rng.standard_normal(dim), i % 2) for i, p in enumerate(patients)])
+
+
+def batch_patients(pool, batch):
+    return pool.patients_for(batch_ids(pool, batch))
 
 
 BADGE_MODEL = init_model(LearnerConfig(hidden_width=4), 3, 2, seed=0)
@@ -111,7 +115,7 @@ class TestSelectBadgeUniquePatients:
         pool = badge_pool(["A"] * 10 + ["B"] * 10)
         for seed in range(10):
             batch = select_query_batch("decal_badge", BADGE_MODEL, pool, np.arange(20), 2, seed=seed)
-            assert set(pool.patients_for(batch.members)) == {"A", "B"}
+            assert set(batch_patients(pool, batch)) == {"A", "B"}
             assert batch.relaxed_count == 0
 
     def test_single_patient_relaxes(self):
@@ -137,11 +141,12 @@ class TestSelectBadgeUniquePatients:
 
 
 def patient_pool(n_patients, images_per_patient, dim=2):
+    """Sample ids 1000 upwards, so a row number is never mistaken for an id."""
     rows = []
     sid = 0
     for p in range(n_patients):
         for _ in range(images_per_patient):
-            rows.append((sid, f"p{p:04d}", [float(sid)] * dim, p % 2))
+            rows.append((1000 + sid, f"p{p:04d}", [float(sid)] * dim, p % 2))
             sid += 1
     return make_sampleset(rows)
 
@@ -150,7 +155,7 @@ class TestInitialization:
     def test_decal_1000_unique_patients(self):
         pool = patient_pool(1005, 2)
         batch = decal_initialize(pool, 1000, seed=0)
-        patients = set(pool.patients_for(batch.members))
+        patients = set(batch_patients(pool, batch))
         assert len(batch.members) == 1000
         assert len(patients) == 1000
         assert batch.relaxed_count == 0
@@ -158,18 +163,19 @@ class TestInitialization:
     def test_decal_128_unique_patients(self):
         pool = patient_pool(200, 3)
         batch = decal_initialize(pool, 128, seed=1)
-        assert len(set(pool.patients_for(batch.members))) == 128
+        assert len(set(batch_patients(pool, batch))) == 128
 
     def test_decal_exact_patient_count(self):
         pool = patient_pool(3, 4)
         batch = decal_initialize(pool, 3, seed=2)
-        assert len(set(pool.patients_for(batch.members))) == 3
+        assert len(set(batch_patients(pool, batch))) == 3
 
     def test_decal_relaxes_beyond_patient_count(self):
         pool = patient_pool(4, 5)
         batch = decal_initialize(pool, 10, seed=3)
         assert len(batch.members) == 10
         assert len(set(batch.members)) == 10
+        assert set(batch.members) <= set(range(len(pool)))
         assert batch.relaxed_count == 6
 
     def test_decal_bounds(self):
@@ -192,7 +198,7 @@ class TestInitialization:
     def test_random_whole_pool(self):
         pool = patient_pool(5, 2)
         batch = self.random_init(pool, 10, seed=0)
-        assert sorted(batch.members) == sorted(int(i) for i in pool.ids)
+        assert sorted(batch_ids(pool, batch)) == sorted(int(i) for i in pool.ids)
         assert batch.relaxed_count == 0
 
     def test_random_deterministic(self):
@@ -201,7 +207,7 @@ class TestInitialization:
         assert batch == self.random_init(pool, 20, seed=4)
         # the first n rows of one seeded permutation of the whole pool
         rows = np.random.default_rng(4).permutation(len(pool))[:20]
-        assert list(batch.members) == pool.ids[rows].tolist()
+        assert list(batch.members) == rows.tolist()
 
     def test_random_too_large(self):
         pool = patient_pool(4, 2)
@@ -235,10 +241,10 @@ class TestSelectQueryBatch:
         batch = select_query_batch(strategy, model, split.pool, candidates, k, seed=3)
         assert len(batch.members) == k
         assert len(set(batch.members)) == k
-        assert set(batch.members) <= set(split.pool.ids.tolist())
+        assert set(batch.members) <= set(candidates.tolist())
         if strategy.startswith("decal_"):
             assert batch.relaxed_count == 0
-            assert len(set(split.pool.patients_for(batch.members))) == k
+            assert len(set(batch_patients(split.pool, batch))) == k
         # determinism
         again = select_query_batch(strategy, model, split.pool, candidates, k, seed=3)
         assert again == batch
@@ -251,7 +257,7 @@ class TestSelectQueryBatch:
         patient_of = dict(zip(ids, split.pool.patients))
         expected = constrain_unique_patients(ranking, patient_of, 12)
         got = select_query_batch("decal_entropy", model, split.pool, np.arange(len(ids)), 12, seed=0)
-        assert got == expected
+        assert QueryBatch(tuple(batch_ids(split.pool, got)), got.relaxed_count) == expected
 
     def test_unconstrained_score_strategy_is_topk_prefix(self, setup):
         split, model = setup
@@ -259,7 +265,7 @@ class TestSelectQueryBatch:
         scores = score_rows("margin", predict_proba(model, split.pool.features))
         ranking = select_top_k(dict(zip(ids, scores)), 12)
         got = select_query_batch("margin", model, split.pool, np.arange(len(ids)), 12, seed=0)
-        assert list(got.members) == ranking
+        assert batch_ids(split.pool, got) == ranking
 
     def test_unknown_strategy_rejected(self, setup):
         split, model = setup
@@ -305,9 +311,9 @@ def reference_select_query_batch(strategy, model, pool, candidate_rows, k, seed)
     else:
         order = np.argsort(-score_rows(base, predict_proba(model, pool.features[rows])), kind="stable")
     if not constrained:
-        return QueryBatch(tuple(pool.ids[rows[order[:k]]].tolist()), 0)
+        return QueryBatch(tuple(rows[order[:k]].tolist()), 0)
     kept, relaxed = reference_unique_patient_prefix(pool.patient_codes[rows][order], k)
-    return QueryBatch(tuple(pool.ids[rows[order[kept]]].tolist()), relaxed)
+    return QueryBatch(tuple(rows[order[kept]].tolist()), relaxed)
 
 
 # A 3-class linear model over 2 features: quantized features give few distinct posteriors,
@@ -361,7 +367,7 @@ class TestDepthLimitedSelection:
             batch = select_query_batch(strategy, TIE_MODEL, pool, np.arange(264), 16, seed=0)
             assert batch == reference_select_query_batch(strategy, TIE_MODEL, pool, np.arange(264), 16, seed=0)
             assert batch.relaxed_count == 0
-            assert len(set(pool.patients_for(batch.members))) == 16
+            assert len(set(batch_patients(pool, batch))) == 16
 
 
 class TestUniquePatientPrefix:
