@@ -15,7 +15,7 @@ import csv
 import re
 import sys
 import warnings
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, compress
@@ -369,11 +369,16 @@ def csv_rows(path):
         yield from _file_rows(fh, path)
 
 
+@contextmanager
 def _open_csv(path):
     try:
-        return open(path, newline="", encoding="utf-8", errors="surrogateescape")
+        fh = open(path, newline="", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
+        if fh.buffer.peek(3)[:3] == b"\xef\xbb\xbf":  # one leading byte-order mark, as spreadsheet exports write
+            fh.buffer.read(3)
+        yield fh
 
 
 def _file_rows(fh, path):

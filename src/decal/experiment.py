@@ -193,20 +193,17 @@ class _Trial:
         self.error: str | None = None
 
     def label_batch(self, round_index: int, on_batch=None) -> None:
-        """Select, check and label this round's batch."""
+        """Select, check and label this round's batch; round 0 reads no query strategy, so strategies share it."""
         cfg, pool = self.cfg, self.split.pool
         if round_index == 0:
-            stage, strategy, size = "init", "random", cfg.init_size
-            constrained = cfg.init_mode == "decal"
+            stage, size, constrained = "init", cfg.init_size, cfg.init_mode == "decal"
             seed = derive_seed(self.seed, 0, _INIT_STREAM)
+            batch = (patients.decal_initialize(pool, size, seed) if constrained
+                     else patients.select_query_batch("random", None, pool, self.candidates, size, seed))
         else:
-            stage, strategy, size = "query", cfg.strategy, cfg.batch_size
-            constrained = strategy.startswith(patients.DECAL_PREFIX)
+            stage, size, constrained = "query", cfg.batch_size, cfg.strategy.startswith(patients.DECAL_PREFIX)
             seed = derive_seed(self.seed, round_index - 1, _QUERY_STREAM)
-        if stage == "init" and constrained:
-            batch = patients.decal_initialize(pool, size, seed)
-        else:
-            batch = patients.select_query_batch(strategy, self.model, pool, self.candidates, size, seed)
+            batch = patients.select_query_batch(cfg.strategy, self.model, pool, self.candidates, size, seed)
         rows = _check_batch(batch, size, self.labeled_mask, pool, constrained=constrained)
         if on_batch is not None:  # hooks audit sample ids, not rows
             on_batch(stage, max(round_index - 1, 0), replace(batch, members=tuple(pool.ids[rows].tolist())))

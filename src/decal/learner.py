@@ -235,26 +235,26 @@ def _targets(labels, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cross_entropy_loss_and_grads(model: Model, features, labels,
-                                 out: list[np.ndarray] | None = None) -> tuple[float, list[np.ndarray]]:
+                                 out: _Work | None = None) -> tuple[float, list[np.ndarray]]:
     """Mean cross-entropy over a batch of class indices ``labels`` plus analytic parameter gradients.
 
-    Gradients are returned in the order of ``model.parameters()``. Given
-    ``out``, arrays of those shapes, they are written into it and it is
-    returned; otherwise they are fresh arrays.
+    Gradients are fresh arrays, returned in the order of ``model.parameters()``.
 
     Private to the trainer: its steps pass the stack of models, ``out`` as its ``_Work``, ``features`` as
     the (trials, rows, dim) batch and its ``swapaxes(-1, -2)``, and ``labels`` as the ``_targets`` pair
     gathered once per epoch. That form checks nothing and returns each trial's loss summed over rows.
-    Any other call takes one model, and is checked and converted to it here.
+    Any other call takes one model and no ``out``, and is checked and converted to it here.
     """
     if isinstance(out, _Work):
         (x, x_t), (onehot, picks), work = features, labels, out
+    elif out is not None:
+        raise TypeError(f"out must be the trainer's _Work or None, got {type(out).__name__}")
     else:
         x, _ = _as_batch(model, features)
         if x.shape[-2] == 0:
             raise ValueError("empty batch")
         x_t, (onehot, picks) = x.swapaxes(-1, -2), _targets(labels, model.num_classes)
-        work = _Work(model, x.shape[:-1], out)
+        work = _Work(model, x.shape[:-1])
 
     h, z = _forward(model, x, work.h, work.z, work.biases)
     zmax = np.maximum.reduce(z, -1, None, work.zmax, True)

@@ -95,30 +95,26 @@ def decal_initialize(pool: SampleSet, n: int, seed: int) -> QueryBatch:
     Draws min(n, #patients) patients uniformly without replacement and one
     of each patient's images uniformly; if n exceeds the patient count the
     remainder is drawn uniformly from the unselected images and counted as
-    relaxed. Deterministic in seed.
+    relaxed. Deterministic in seed. It makes three array draws and no loop over
+    patients: the patients, one image of each, and the relaxed remainder.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > len(pool):
         raise ValueError(f"n ({n}) exceeds pool size ({len(pool)})")
 
-    codes = pool.patient_codes
-    by_patient = np.argsort(codes, kind="stable")  # each patient's rows, ascending
-    starts = np.concatenate(([0], np.cumsum(np.bincount(codes))))
-    n_patients = len(starts) - 1
+    by_patient = np.argsort(pool.patient_codes, kind="stable")  # each patient's rows, ascending
+    counts = np.bincount(pool.patient_codes)
 
     rng = np.random.default_rng(seed)
-    drawn = min(n, n_patients)
-    rows: list[int] = []
-    for code in rng.choice(n_patients, size=drawn, replace=False):
-        first, count = int(starts[code]), int(starts[code + 1] - starts[code])
-        rows.append(int(by_patient[first + int(rng.integers(count))]))
-
-    relaxed = n - drawn
+    chosen = rng.choice(len(counts), size=min(n, len(counts)), replace=False)
+    # integers over an array of bounds draws what one scalar call per bound would, in order
+    rows = by_patient[(np.cumsum(counts) - counts)[chosen] + rng.integers(counts[chosen])]
+    relaxed = n - len(rows)
     if relaxed:
         rest = np.setdiff1d(np.arange(len(pool)), rows)
-        rows.extend(rest[rng.choice(len(rest), size=relaxed, replace=False)].tolist())
-    return QueryBatch(members=tuple(rows), relaxed_count=relaxed)
+        rows = np.concatenate([rows, rest[rng.choice(len(rest), size=relaxed, replace=False)]])
+    return QueryBatch(members=tuple(rows.tolist()), relaxed_count=relaxed)
 
 
 def select_query_batch(

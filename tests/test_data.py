@@ -219,6 +219,41 @@ class TestLoadDataset:
         monkeypatch.setattr(data, "_numpy_columns", lambda fh, layout: None)
         assert split_equal(load_dataset(path), expected)
 
+    @pytest.mark.parametrize("reader", ["numpy", "rows"])
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, reader):
+        # spreadsheet "CSV UTF-8" exports start with EF BB BF; a quoted line break sends a file to the row reader
+        if reader == "numpy":
+            write_dataset(generate_synthetic(PRESETS["skewed"], 0), tmp_path / "plain.csv")
+            plain = tmp_path / "plain.csv"
+        else:
+            plain = write_csv(tmp_path, BASIC_CSV.replace("0,A,0,pool", '0,"A\nA",0,pool'), "plain.csv")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = load_dataset(plain)
+        row_reads = []
+        row_columns = data._row_columns
+        monkeypatch.setattr(data, "_row_columns", lambda *args: row_reads.append(args) or row_columns(*args))
+        assert split_equal(load_dataset(marked), expected)
+        assert len(row_reads) == (reader == "rows")
+
+    @pytest.mark.parametrize("marks, message", [
+        (1, "missing required column 'patient_id'"),  # the header's own fault, not the mark's
+        (2, "missing required column 'sample_id'"),  # only one mark is skipped
+    ])
+    def test_a_byte_order_mark_leaves_the_header_on_line_1(self, tmp_path, marks, message):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * marks + BASIC_CSV.replace("patient_id", "who").encode())
+        with pytest.raises(CsvParseError, match=r"data\.csv:1: " + message) as err:
+            load_dataset(path)
+        assert err.value.line_number == 1
+
+    def test_a_byte_order_mark_leaves_row_lines_as_they_are(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + BASIC_CSV.replace("1,A,1,pool", "1,A,one,pool").encode())
+        with pytest.raises(CsvParseError, match=r"data\.csv:3: ") as err:
+            load_dataset(path)
+        assert err.value.line_number == 3
+
     def test_schema_remapping(self, tmp_path):
         text = BASIC_CSV.replace("sample_id,patient_id", "sid,subject")
         schema = CsvSchema(sample_id="sid", patient_id="subject")

@@ -114,6 +114,23 @@ class TestRunTrial:
             patients = dataset.pool.patients_for(batch.members)
             assert len(set(patients)) == len(batch.members)
 
+    @pytest.mark.parametrize("init_mode", INIT_MODES)
+    def test_round_zero_does_not_depend_on_the_strategy(self, init_mode):
+        # round 0 reads no query strategy: every strategy of a seed labels one init batch and
+        # records one first round; the query batches after it are the strategies' own
+        source = DatasetSource(preset="skewed")
+        dataset = build_dataset(source, 0)
+        firsts, batches = set(), {"init": set(), "query": set()}
+        for strategy in patients.STRATEGIES:
+            cfg = small_cfg(dataset=source, strategy=strategy, init_mode=init_mode, init_size=16, batch_size=16,
+                            rounds=1, base_seed=0)
+            records = run_trial(cfg, 0, dataset=dataset,
+                                on_batch=lambda stage, round_index, batch: batches[stage].add(batch))
+            firsts.add((records[0], records[0].reached_target))
+        assert len(patients.STRATEGIES) == 10
+        assert len(firsts) == len(batches["init"]) == 1
+        assert len(batches["query"]) > 1
+
     def test_accuracies_in_unit_interval(self):
         records = run_trial(small_cfg(), 100)
         assert all(0.0 <= r.test_accuracy <= 1.0 for r in records)

@@ -355,16 +355,13 @@ class TestFusedTrainer:
 
 
 class TestGradients:
-    def test_out_receives_and_is_returned(self):
+    def test_out_other_than_the_trainers_work_is_refused(self):
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal((7, 4)), rng.integers(0, 3, size=7)
-        for hidden_width in (8, 0):
-            model = init_model(LearnerConfig(hidden_width=hidden_width), 4, 3, seed=1)
-            out = [np.full_like(p, np.nan) for p in model.parameters()]
-            _, grads = cross_entropy_loss_and_grads(model, x, y, out=out)
-            assert grads is out
-            for g, expected in zip(out, reference_loss_and_grads(model, x, y)):
-                assert g.tobytes() == expected.tobytes()
+        model = init_model(LearnerConfig(hidden_width=8), 4, 3, seed=1)
+        for out in ([np.empty_like(p) for p in model.parameters()], (), np.empty(3)):
+            with pytest.raises(TypeError, match="_Work or None"):
+                cross_entropy_loss_and_grads(model, x, y, out=out)
 
     def test_fresh_arrays_without_out(self):
         rng = np.random.default_rng(4)

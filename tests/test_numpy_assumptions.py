@@ -1,0 +1,57 @@
+"""numpy behaviour that bitwise claims of decal rest on, one named test each.
+
+Each case fuzzes the behaviour directly, so a numpy that changes it fails
+here, next to its cause, and not only as a changed golden digest. The other
+assumptions are tested where the code that needs them is:
+
+- ``Generator.choice``'s inverse-CDF arithmetic, which ``acquisition._draw``
+  restates: ``tests/test_acquisition.py::TestBadgeDraw``;
+- the running-column posterior scorers and ``_softmax``'s row-sum order,
+  against the ``max(axis=1)`` and ``np.partition`` forms:
+  ``tests/test_acquisition.py::TestColumnScorers``;
+- ``np.loadtxt`` splitting and converting fields as the csv module and
+  Python's ``int`` and ``float`` do: the parity cases of
+  ``tests/test_data_parity.py``.
+"""
+
+import numpy as np
+
+
+def test_integers_over_an_array_of_bounds_draws_one_scalar_call_per_bound():
+    # decal_initialize draws one image of each chosen patient in one call
+    rng = np.random.default_rng(909)
+    for case in range(400):
+        top = [2, 7, 2**32, 2**40][case % 4]  # bounds of 1 draw nothing; past 2**32 needs 64-bit draws
+        bounds = rng.integers(1, top, size=int(rng.integers(0, 50)), endpoint=True)
+        batched, scalar = np.random.default_rng(case), np.random.default_rng(case)
+        drawn = batched.integers(bounds)
+        assert drawn.dtype == np.int64
+        assert drawn.tolist() == [int(scalar.integers(int(bound))) for bound in bounds]
+        assert batched.bit_generator.state == scalar.bit_generator.state
+        assert batched.integers(1 << 62) == scalar.integers(1 << 62)
+
+
+def test_einsum_of_a_row_does_not_depend_on_the_other_rows():
+    # a batched BADGE pick would measure rows of several trials in one call
+    rng = np.random.default_rng(911)
+    for case in range(300):
+        n, dim = int(rng.integers(1, 300)), int(rng.integers(1, 100))
+        diff = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-150, 150)
+        whole = np.einsum("ij,ij->i", diff, diff)
+        rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        part = diff[rows]
+        assert np.einsum("ij,ij->i", part, part).tobytes() == whole[rows].tobytes()
+        row = int(rows[0])
+        alone = diff[row:row + 1]
+        assert np.einsum("ij,ij->i", alone, alone).tobytes() == whole[row:row + 1].tobytes()
+
+
+def test_cumsum_along_axis_1_equals_each_rows_own_cumsum():
+    # a batched BADGE draw would take every trial's CDF row in one call
+    rng = np.random.default_rng(913)
+    for case in range(300):
+        trials, n = int(rng.integers(1, 12)), int(rng.integers(1, 600))
+        weights = rng.random((trials, n)) ** int(rng.integers(1, 40))
+        whole = np.cumsum(weights, axis=1)
+        for t in range(trials):
+            assert whole[t].tobytes() == np.cumsum(weights[t]).tobytes()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decal.acquisition import score_rows, select_top_k
-from decal.data import ImageCountSpec, SyntheticConfig, generate_synthetic
+from decal.data import ImageCountSpec, SampleSet, SyntheticConfig, generate_synthetic
 from decal.learner import LearnerConfig, init_model, predict_proba
 from decal.patients import (
     STRATEGIES,
@@ -151,6 +151,27 @@ def patient_pool(n_patients, images_per_patient, dim=2):
     return make_sampleset(rows)
 
 
+def reference_decal_initialize(pool, n, seed):
+    """decal init as one scalar ``rng.integers`` call per chosen patient, in a Python loop: the oracle."""
+    codes = pool.patient_codes
+    by_patient = np.argsort(codes, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(codes))))
+    n_patients = len(starts) - 1
+
+    rng = np.random.default_rng(seed)
+    drawn = min(n, n_patients)
+    rows = []
+    for code in rng.choice(n_patients, size=drawn, replace=False):
+        first, count = int(starts[code]), int(starts[code + 1] - starts[code])
+        rows.append(int(by_patient[first + int(rng.integers(count))]))
+
+    relaxed = n - drawn
+    if relaxed:
+        rest = np.setdiff1d(np.arange(len(pool)), rows)
+        rows.extend(rest[rng.choice(len(rest), size=relaxed, replace=False)].tolist())
+    return QueryBatch(members=tuple(rows), relaxed_count=relaxed)
+
+
 class TestInitialization:
     def test_decal_1000_unique_patients(self):
         pool = patient_pool(1005, 2)
@@ -189,6 +210,25 @@ class TestInitialization:
         pool = patient_pool(50, 3)
         assert decal_initialize(pool, 30, seed=9) == decal_initialize(pool, 30, seed=9)
         assert decal_initialize(pool, 30, seed=9) != decal_initialize(pool, 30, seed=10)
+
+    def test_matches_the_per_patient_loop(self):
+        """The array draws give the batch, row for row, that one scalar draw per patient gave."""
+        rng = np.random.default_rng(2027)
+        relaxed = 0
+        for case in range(500):
+            n_patients = int(rng.integers(1, 40))
+            codes = np.repeat(np.arange(n_patients), rng.integers(1, 7, size=n_patients))
+            rng.shuffle(codes)  # a patient's rows are not contiguous
+            size = len(codes)
+            ids = 1000 + 3 * rng.permutation(size)  # sample ids are never row numbers
+            pool = SampleSet(ids, (codes, [f"p{c:03d}" for c in range(n_patients)]),
+                             np.zeros((size, 1)), np.zeros(size, dtype=np.int64))
+            relax = case % 2 and size > n_patients  # every other pool asks for more images than it has patients
+            n = int(rng.integers(n_patients + 1, size + 1) if relax else rng.integers(1, n_patients + 1))
+            batch = decal_initialize(pool, n, seed=case)
+            assert batch == reference_decal_initialize(pool, n, seed=case)
+            relaxed += batch.relaxed_count > 0
+        assert relaxed >= 100
 
     # random init is the "random" strategy over every pool row
     @staticmethod

@@ -125,6 +125,15 @@ class TestRegenerate:
         regenerate_report(tmp_path)
         assert (tmp_path / AGGREGATE_FILENAME).read_bytes() == original_aggregate
 
+    def test_raw_with_a_byte_order_mark_regenerates(self, tmp_path):
+        paths = emit_report([fake_result("entropy", "random"), fake_result("margin", "decal")], tmp_path)
+        original_aggregate = paths["aggregate"].read_bytes()
+        (tmp_path / AGGREGATE_FILENAME).unlink()
+        raw = tmp_path / RAW_FILENAME
+        raw.write_bytes(b"\xef\xbb\xbf" + raw.read_bytes())
+        assert main(["report", "--in", str(tmp_path)]) == 0
+        assert (tmp_path / AGGREGATE_FILENAME).read_bytes() == original_aggregate
+
     def test_missing_raw_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
             regenerate_report(tmp_path)
