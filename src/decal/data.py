@@ -47,15 +47,24 @@ class SampleSet:
     so row order and id order agree: every tie-break and random draw over
     rows follows ascending sample id, whatever order the input came in. Patients come as a (codes, names)
     pair like :func:`encode_names` makes: ``patient_codes`` per row, ``patient_names`` ascending, none unused.
+    The constructor copies what it is given, so a caller's arrays are never frozen or aliased; the dataset
+    builders hand the arrays they have just made to :meth:`_adopt`, which keeps them after the same checks.
     """
 
     def __init__(self, ids, patients, features, labels):
-        # copies, not views: the arrays get frozen below and must not alias
-        # caller-owned data
-        ids = np.array(ids, dtype=np.int64)
-        features = np.array(features, dtype=np.float64)
-        labels = np.array(labels, dtype=np.int64)
-        codes, names = np.array(patients[0], dtype=np.int64), tuple(patients[1])
+        self._keep(np.array(ids, dtype=np.int64), np.array(patients[0], dtype=np.int64), tuple(patients[1]),
+                   np.array(features, dtype=np.float64), np.array(labels, dtype=np.int64))
+
+    @classmethod
+    def _adopt(cls, ids, codes, names, features, labels) -> SampleSet:
+        """A set that keeps and freezes these arrays themselves: only for arrays no one else writes to."""
+        part = cls.__new__(cls)
+        part._keep(np.asarray(ids, dtype=np.int64), np.asarray(codes, dtype=np.int64), tuple(names),
+                   np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64))
+        return part
+
+    def _keep(self, ids, codes, names, features, labels):
+        """Check the arrays, sort them by sample id, freeze them and hold them."""
         if features.ndim != 2:
             raise DataError("features must be a 2-D array of shape (n_samples, feature_dim)")
         n = features.shape[0]
@@ -119,10 +128,9 @@ def encode_names(names) -> tuple[np.ndarray, tuple[str, ...]]:
 
 
 def _part(ids, codes, names, features, labels) -> SampleSet:
-    """A SampleSet of these rows, their patients renumbered 0..P-1 in ``names`` order over only those they hold."""
+    """A SampleSet keeping these fresh arrays, its patients renumbered 0..P-1 in ``names`` order over those it holds."""
     used = np.bincount(codes, minlength=len(names)) > 0
-    codes = (np.cumsum(used) - 1)[codes]  # the caller's codes can go before the set copies these
-    return SampleSet(ids, (codes, compress(names, used.tolist())), features, labels)
+    return SampleSet._adopt(ids, (np.cumsum(used) - 1)[codes], compress(names, used.tolist()), features, labels)
 
 
 @dataclass(frozen=True)
@@ -146,9 +154,11 @@ class DatasetSplit:
                 raise DataError(
                     f"{name} contains label {int(part.labels.max())} outside [0, {self.num_classes})"
                 )
-        shared_ids = np.intersect1d(self.pool.ids, self.test.ids, assume_unique=True)
-        if len(shared_ids):
-            raise DataError(f"sample id {int(shared_ids[0])} appears in both pool and test")
+        # both parts' ids ascend, so the first test id found in the pool is the smallest shared one
+        test_ids = self.test.ids
+        shared = self.pool.ids[np.minimum(np.searchsorted(self.pool.ids, test_ids), len(self.pool) - 1)] == test_ids
+        if shared.any():
+            raise DataError(f"sample id {int(test_ids[shared.argmax()])} appears in both pool and test")
         shared_patients = set(self.pool.patient_names).intersection(self.test.patient_names)
         if shared_patients:
             raise PatientOverlapError(min(shared_patients))
@@ -176,7 +186,7 @@ def normalize_features(split: DatasetSplit, mu: float, sigma: float) -> DatasetS
             features = (part.features - mu) / sigma
         if not np.isfinite(features).all():
             raise ConfigError(f"normalize mu {mu}, sigma {sigma} makes features non-finite")
-        return SampleSet(part.ids, (part.patient_codes, part.patient_names), features, part.labels)
+        return SampleSet._adopt(part.ids, part.patient_codes, part.patient_names, features, part.labels)
 
     return replace(split, pool=transform(split.pool), test=transform(split.test))
 
@@ -187,8 +197,8 @@ def normalize_features(split: DatasetSplit, mu: float, sigma: float) -> DatasetS
 
 # Bound on generated feature values (images x feature_dim), over 250 times the largest
 # preset or benchmark pool (60k images x 6). At the bound one float64 feature array is
-# 800 MB, and generate_synthetic holds about 3 at its peak (traced: 230 MB for 10^7
-# values), so about 2.4 GB.
+# 800 MB, and generate_synthetic holds about 2.2 at its peak (traced: 175 MB for 10^7
+# values), so about 1.8 GB.
 _MAX_FEATURE_VALUES = 10**8
 
 @dataclass(frozen=True)
@@ -291,7 +301,7 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> DatasetSplit:
     patient_class = np.arange(n_patients) % n_classes
     # one draw for all patients, patient after patient, is the stream of one draw per patient
     counts = cfg.images_per_patient.draw(rng, n_patients)
-    offsets = rng.standard_normal((n_patients, dim))  # scaled by patient_offset_scale below
+    offsets = rng.standard_normal((n_patients, dim))  # scaled and shifted to each patient's mean image below
 
     held_out = np.zeros(n_patients, dtype=bool)  # per patient: in the test split
     for c in range(n_classes):
@@ -312,22 +322,29 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int) -> DatasetSplit:
         )
     owner = np.repeat(np.arange(n_patients), counts)  # patient of each row; sample id = row
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite features are reported below
-        means = cfg.class_separation * directions / norms
-        features = (means[patient_class] + cfg.patient_offset_scale * offsets)[owner]
-        # one draw for all images, patient after patient, is the stream of one draw per patient
-        features += cfg.noise_scale * rng.standard_normal((n_images, dim))
+        # in place, bitwise means[patient_class] + patient_offset_scale * offsets: IEEE + and * commute
+        offsets *= cfg.patient_offset_scale
+        offsets += (cfg.class_separation * directions / norms)[patient_class]
+        # one draw for all images, patient after patient, is the stream of one draw per patient; scaled and
+        # shifted in place, so that repeat's copies of the patients' means are the one other array this size
+        features = rng.standard_normal((n_images, dim))
+        features *= cfg.noise_scale
+        features += np.repeat(offsets, counts, axis=0)
     if not np.isfinite(features).all():
         raise ConfigError(
             "generated features are not finite; lower class_separation, patient_offset_scale or noise_scale"
         )
     in_test = held_out[owner]
     names = ["p%04d" % p for p in range(n_patients)]  # %-formatting: a third faster than an f-string here
-    code = np.argsort(sorted(range(n_patients), key=names.__getitem__))  # place in name order: "p10000" < "p2000"
-    names.sort()
+    code = np.arange(n_patients)  # place in name order, which is number order up to p9999
+    if n_patients > 10_000:  # "p10000" < "p2000"
+        code = np.argsort(sorted(range(n_patients), key=names.__getitem__))
+        names.sort()
 
     def part(mask: np.ndarray) -> SampleSet:
         rows = np.flatnonzero(mask)
-        return _part(rows, code[owner[rows]], names, features[rows], patient_class[owner[rows]])
+        patient = owner[rows]
+        return _part(rows, code[patient], names, features[rows], patient_class[patient])
 
     return DatasetSplit(
         pool=part(~in_test),
@@ -361,7 +378,7 @@ def csv_rows(path):
     """(physical line the row ends on, row) per non-blank row of the UTF-8 file at ``path``.
 
     Lines are decoded as the reader reaches them, so csv and decoding faults are a
-    CsvParseError at the first faulty line. A file that cannot be opened is a DataError naming it.
+    CsvParseError at the first faulty line. A file that cannot be opened or read is a DataError naming it.
     It reads raw CSVs and a dataset row by row; a dataset's header is read the same way
     (:func:`_file_rows`) from the file numpy then reads the body of.
     """
@@ -371,14 +388,14 @@ def csv_rows(path):
 
 @contextmanager
 def _open_csv(path):
+    """The open text file at ``path``; an OSError opening it or reading it in the block is a DataError naming it."""
     try:
-        fh = open(path, newline="", encoding="utf-8", errors="surrogateescape")
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+            if fh.buffer.peek(3)[:3] == b"\xef\xbb\xbf":  # one leading byte-order mark, as spreadsheet exports write
+                fh.buffer.read(3)
+            yield fh
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    with fh:
-        if fh.buffer.peek(3)[:3] == b"\xef\xbb\xbf":  # one leading byte-order mark, as spreadsheet exports write
-            fh.buffer.read(3)
-        yield fh
 
 
 def _file_rows(fh, path):

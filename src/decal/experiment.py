@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -330,6 +331,13 @@ def _chunk_outcomes(future, run, chunk: list) -> list[tuple[list[RoundRecord], s
     return outcomes
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_configs(cfgs: list[ExperimentConfig], workers: int) -> list[ExperimentResult]:
     """Run the configs' trials as one set, config by config, over the first config's dataset; one result each.
 
@@ -342,8 +350,10 @@ def _run_configs(cfgs: list[ExperimentConfig], workers: int) -> list[ExperimentR
     split = build_dataset(cfgs[0].dataset, cfgs[0].base_seed)
     run = partial(_run_lockstep, split)
     trials = [(cfg, seed) for cfg in cfgs for seed in range(cfg.base_seed, cfg.base_seed + cfg.trials)]
-    # contiguous chunks of as equal a size as they can be, the longer ones first
-    chunks = [[trials[i] for i in part] for part in np.array_split(range(len(trials)), min(workers, len(trials)))]
+    # contiguous chunks of as equal a size as they can be, the longer ones first; one process each,
+    # so no more than the CPUs that can run them
+    n_chunks = min(workers, len(trials), _usable_cpus())
+    chunks = [[trials[i] for i in part] for part in np.array_split(range(len(trials)), n_chunks)]
     if len(chunks) > 1:
         futures = _pool_futures(run, chunks, len(chunks))
         outcomes = [outcome for future, chunk in zip(futures, chunks) for outcome in _chunk_outcomes(future, run, chunk)]
@@ -369,8 +379,8 @@ def _run_configs(cfgs: list[ExperimentConfig], workers: int) -> list[ExperimentR
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run cfg.trials trials with seeds base_seed..base_seed+trials-1.
 
-    The trials share one dataset build and are split into min(workers, trials)
-    contiguous chunks, each run in lockstep, in a process of its own when
+    The trials share one dataset build and are split into min(workers, trials,
+    usable CPUs) contiguous chunks, each run in lockstep, in a process of its own when
     there are several chunks. Records are always assembled in trial-seed
     order, so the output is scheduling-independent. A trial whose training
     diverges, or that kills its worker process also when rerun alone, leaves
@@ -491,7 +501,7 @@ def compare_initializations(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig,
     The configs must be identical apart from init_mode, and their init modes
     must differ; both are checked before the dataset is built. The config with
     init_mode "decal" is the treatment. Its trials and the baseline's run as
-    one set of 2 x trials over min(workers, 2 x trials) chunks, through the
+    one set of 2 x trials over min(workers, 2 x trials, usable CPUs) chunks, through the
     runner of :func:`run_experiment`, the treatment first. So each result
     keeps its own failures and epoch-cap warning, and the records of only the
     seeds that finished in both runs; when there are none, the first failure,

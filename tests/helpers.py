@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import errno
+import io
+import os
+from pathlib import Path
+
 import numpy as np
 
-from decal import experiment
+from decal import data, experiment
 from decal.data import DatasetSplit, SampleSet, encode_names
 from decal.learner import Model
 
@@ -89,9 +94,42 @@ def inject_at_round(monkeypatch, fault):
     monkeypatch.setattr(experiment._Trial, "record_round", faulty)
 
 
+def allow_cpus(monkeypatch, cpus):
+    """Let ``workers`` up to ``cpus`` start that many pool processes, whatever CPUs the host lets this process use."""
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+
+
 def forbid_trials(monkeypatch):
     """Make any trial that starts fail the test."""
     def fail(*args, **kwargs):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(experiment._Trial, "label_batch", fail)
+
+
+class _EioAfter(io.RawIOBase):
+    """Raw bytes that read as ``data`` and then fail with EIO, as a disk that breaks mid-file does."""
+
+    def __init__(self, data: bytes):
+        self.data, self.pos = data, 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        if self.pos == len(self.data):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        n = min(len(buf), len(self.data) - self.pos)
+        buf[:n] = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return n
+
+
+def fail_reads_after(monkeypatch, path, n_bytes):
+    """Make ``decal.data`` open ``path`` as a file whose reads raise EIO past its first ``n_bytes``."""
+    def opener(file, mode="r", **kwargs):
+        if Path(file) != Path(path):
+            return open(file, mode, **kwargs)
+        return io.TextIOWrapper(io.BufferedReader(_EioAfter(Path(path).read_bytes()[:n_bytes])), **kwargs)
+
+    monkeypatch.setattr(data, "open", opener, raising=False)

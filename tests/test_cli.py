@@ -21,7 +21,7 @@ from decal.experiment import build_dataset, run_trial
 from decal.patients import INIT_MODES, STRATEGIES
 from decal.presets import PRESETS
 from decal.report import write_raw_csv
-from helpers import forbid_trials, inject_at_round, write_reversed_test_csv
+from helpers import allow_cpus, fail_reads_after, forbid_trials, inject_at_round, write_reversed_test_csv
 
 
 def config_dict(**experiment_overrides):
@@ -292,6 +292,11 @@ class TestDivergedTraining:
 
 
 class TestCrashedWorker:
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        # a crashing trial must run in a pool worker, and the compare case's chunks at 3 workers need 3 CPUs
+        allow_cpus(monkeypatch, 3)
+
     def test_finished_trials_are_kept(self, tmp_path, capfd, monkeypatch):
         def crash_on_trial_2(cfg, trial_seed, round_index):
             if trial_seed == 2:
@@ -415,7 +420,20 @@ class TestEpochCapWarning:
             assert max(int(row["epochs_used"]) for row in csv.DictReader(fh)) < 40
 
 
+# a file that opens and whose every read fails with EIO: reading from offset 0 of the process's memory
+UNREADABLE = pathlib.Path("/proc/self/mem")
+needs_unreadable = pytest.mark.skipif(not UNREADABLE.exists(), reason="no /proc/self/mem on this platform")
+
+
 class TestCsvDatasetRun:
+    @needs_unreadable
+    def test_dataset_whose_reads_fail_is_data_error(self, tmp_path, capsys):
+        raw = config_dict()
+        raw["dataset"] = {"csv_path": str(UNREADABLE)}
+        assert main(["run", "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"data error: cannot read {UNREADABLE}: Input/output error\n"
+        assert not (tmp_path / "o").exists()
+
     def test_generated_csv_with_schema_and_normalization(self, tmp_path, capsys):
         data_csv = tmp_path / "data.csv"
         assert main(["gen", "--preset", "large-uniform", "--seed", "2", "--out", str(data_csv)]) == 0
@@ -547,6 +565,20 @@ class TestReport:
     def test_missing_dir_is_data_error(self, tmp_path, capsys):
         assert main(["report", "--in", str(tmp_path / "missing")]) == 2
         capsys.readouterr()
+
+    @needs_unreadable
+    def test_raw_csv_whose_reads_fail_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "raw.csv").symlink_to(UNREADABLE)
+        assert main(["report", "--in", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"data error: cannot read {tmp_path / 'raw.csv'}: Input/output error\n"
+
+    def test_raw_csv_that_fails_mid_file_is_data_error(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, config_dict()), "--out", str(out)]) == 0
+        capsys.readouterr()
+        fail_reads_after(monkeypatch, out / "raw.csv", (out / "raw.csv").stat().st_size // 2)
+        assert main(["report", "--in", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: cannot read {out / 'raw.csv'}: Input/output error\n"
 
     def test_in_naming_a_file_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "file"

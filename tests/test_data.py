@@ -35,7 +35,7 @@ from decal.errors import (
     PatientOverlapError,
 )
 from decal.presets import PRESETS
-from helpers import make_sampleset, make_split, split_equal
+from helpers import fail_reads_after, make_sampleset, make_split, split_equal
 
 BASIC_CSV = """sample_id,patient_id,label,split,f0,f1
 0,A,0,pool,0.1,0.2
@@ -197,6 +197,23 @@ class TestLoadDataset:
         for path in (tmp_path, tmp_path / "missing.csv", write_csv(tmp_path, BASIC_CSV) / "x.csv"):
             with pytest.raises(DataError, match=f"cannot read {re.escape(str(path))}: "):
                 load_dataset(path)
+
+    # 0 bytes: the byte-order-mark check fails; 30: the header; half: numpy's read of the body
+    @pytest.mark.parametrize("cut", [0, 30, 0.5])
+    def test_read_error_after_opening_is_data_error_naming_it(self, tmp_path, monkeypatch, cut):
+        path = tmp_path / "data.csv"
+        write_dataset(generate_synthetic(PRESETS["skewed"], 0), path)
+        fail_reads_after(monkeypatch, path, int(cut * path.stat().st_size) if cut == 0.5 else cut)
+        with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: Input/output error$"):
+            load_dataset(path)
+
+    def test_csv_rows_read_error_is_data_error_naming_it(self, tmp_path, monkeypatch):
+        path = write_csv(tmp_path, BASIC_CSV)
+        fail_reads_after(monkeypatch, path, 60)  # 2 bytes into line 3
+        rows = data.csv_rows(path)
+        assert [next(rows)[0], next(rows)[0]] == [1, 2]
+        with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: Input/output error$"):
+            next(rows)
 
     def test_file_is_closed_when_a_row_is_rejected(self, tmp_path, monkeypatch):
         handles = []
@@ -509,8 +526,9 @@ class TestGenerateSynthetic:
             split = generate_synthetic(cfg, seed=0)
             assert (len(split.pool) + len(split.test)) * split.feature_dim * 250 < data._MAX_FEATURE_VALUES
 
-    def test_peak_memory_is_at_most_three_feature_arrays(self):
-        # 10**6 feature values: the peak is 2.97 arrays, so one more copy of the features fails this
+    def test_peak_memory_is_at_most_two_and_a_half_feature_arrays(self):
+        # 10**6 feature values: the peak is 2.28 arrays (the features, and repeat's copies of the patients'
+        # means or the two splits' rows), so another pool-sized temporary or copy of the features fails this
         cfg = synth_cfg(num_patients=1000, images_per_patient=ImageCountSpec(low=10), feature_dim=100)
         tracemalloc.start()
         try:
@@ -518,7 +536,7 @@ class TestGenerateSynthetic:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * (len(split.pool) + len(split.test)) * cfg.feature_dim * 8
+        assert peak <= 2.5 * (len(split.pool) + len(split.test)) * cfg.feature_dim * 8
 
     # at seed 2 a class-mean direction has an entry past 1.8, so a separation of 1e308 overflows
     @pytest.mark.parametrize("key", ["class_separation", "patient_offset_scale", "noise_scale"])
@@ -562,6 +580,42 @@ class TestSampleSet:
     def test_bad_code_and_name_pairs_are_rejected(self, codes, names, code_range):
         with pytest.raises(DataError, match=f"patient codes must use each of {code_range}, naming distinct ascending names"):
             SampleSet([0, 1], (codes, names), [[0.0], [1.0]], [0, 1])
+
+    def test_public_constructor_leaves_the_callers_arrays_writable_and_unshared(self):
+        ids, codes, features, labels = np.array([3, 1]), np.array([1, 0]), np.array([[0.5], [1.5]]), np.array([0, 1])
+        for unsorted in (True, False):  # with and without a reorder by sample id
+            given = [ids if unsorted else ids[::-1].copy(), codes, features, labels]
+            part = SampleSet(given[0], (codes, ("a", "b")), features, labels)
+            for mine, kept in zip(given, (part.ids, part.patient_codes, part.features, part.labels)):
+                assert mine.flags.writeable and not kept.flags.writeable
+                assert not np.shares_memory(mine, kept)
+
+    @pytest.mark.parametrize("ids, codes, names, features, labels, message", [
+        ([0, 1], [0, 0], ("a", "b"), [[0.0], [1.0]], [0, 1], "patient codes must use each of 0..1"),
+        ([0, 0], [0, 0], ("a",), [[0.0], [1.0]], [0, 1], "sample ids must be unique"),
+        ([-1, 0], [0, 0], ("a",), [[0.0], [1.0]], [0, 1], "sample ids must be non-negative"),
+        ([0, 1], [0, 0], ("a",), [[0.0], [np.inf]], [0, 1], "features must be finite"),
+        ([0, 1], [0, 0], ("a",), [[0.0], [1.0]], [0, -1], "labels must be non-negative"),
+        ([0, 1], [0, 0], ("a",), [0.0, 1.0], [0, 1], "features must be a 2-D array"),
+        ([0, 1], [0], ("a",), [[0.0], [1.0]], [0, 1], "must have equal length"),
+        ([], [], (), np.zeros((0, 1)), [], "at least one sample"),
+    ])
+    def test_builders_sets_run_the_constructors_checks(self, ids, codes, names, features, labels, message):
+        made = [np.array(ids, np.int64), np.array(codes, np.int64), names, np.array(features, np.float64),
+                np.array(labels, np.int64)]
+        with pytest.raises(DataError, match=message) as public:
+            SampleSet(made[0], (made[1], made[2]), *made[3:])
+        with pytest.raises(DataError) as adopted:
+            SampleSet._adopt(*made)
+        assert str(adopted.value) == str(public.value)
+
+    def test_builders_sets_keep_their_arrays_frozen_and_sorted(self):
+        made = [np.array([9, 2]), np.array([0, 1]), ("a", "b"), np.array([[9.0], [2.0]]), np.array([1, 0])]
+        part = SampleSet._adopt(*made)
+        assert part.ids.tolist() == [2, 9] and part.patients == ("b", "a") and part.features[:, 0].tolist() == [2.0, 9.0]
+        made[0] = np.array([2, 9])  # already in id order: the set holds the arrays it was given
+        part = SampleSet._adopt(*made)
+        assert part.ids is made[0] and part.features is made[3] and not made[3].flags.writeable
 
     def test_positions_of_ids(self):
         part = make_sampleset([(5, "B", [5.0], 1), (2, "A", [2.0], 0), (9, "C", [9.0], 1)])
@@ -633,6 +687,15 @@ class TestSplitInvariants:
                 [(0, "A", [0.0], 0), (1, "B", [1.0], 1)],
                 [(0, "C", [2.0], 1)],
             )
+
+    def test_smallest_shared_sample_id_is_named(self):
+        with pytest.raises(DataError, match="^sample id 4 appears in both pool and test$"):
+            make_split(
+                [(1, "A", [0.0], 0), (4, "A", [0.0], 1), (9, "B", [1.0], 1)],
+                [(0, "C", [2.0], 1), (9, "C", [2.0], 0), (4, "C", [2.0], 0), (12, "C", [2.0], 0)],
+            )
+        split = make_split([(1, "A", [0.0], 0), (4, "B", [1.0], 1)], [(0, "C", [2.0], 1), (5, "C", [2.0], 0)])
+        assert split.test.ids.tolist() == [0, 5]
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(DataError):

@@ -10,9 +10,11 @@ same exception type with the same message.
 """
 
 import csv
+import hashlib
 import io
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -628,6 +630,46 @@ class TestGeneratorParity:
         assert counts.tolist() == expected.tolist()
         assert low <= counts.min() and counts.max() <= high
         assert rng.random() == oracle.random()
+
+
+def split_digest(split: DatasetSplit) -> str:
+    """SHA-256 of a split's class count, feature width, and each part's arrays (dtype, shape, bytes) and names."""
+    digest = hashlib.sha256(repr((split.num_classes, split.feature_dim)).encode())
+    for part in (split.pool, split.test):
+        for arr in (part.ids, part.patient_codes, part.features, part.labels):
+            digest.update(repr((arr.dtype.str, arr.shape)).encode())
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        digest.update("\n".join(part.patient_names).encode())
+    return digest.hexdigest()[:16]
+
+
+# The stress-select generator (a 48k-image pool) and one past 10000 patients, where name order is not number order.
+PINNED_CONFIGS = {
+    **PRESETS,
+    "stress-7500": replace(PRESETS["large-uniform"], num_patients=7500),
+    "uniform-12000": replace(PRESETS["large-uniform"], num_patients=12_000,
+                             images_per_patient=ImageCountSpec(low=1, high=4)),
+}
+
+# Recorded from the generator before it drew its features in place.
+PINNED_DIGESTS = {
+    ("large-uniform", 0): "c7e3febd4486e924", ("large-uniform", 1): "376ba6007662fcca",
+    ("large-uniform", 7): "66d869c7460f41bb", ("large-uniform", 123): "99bb79e5062773f3",
+    ("skewed", 0): "089ac784366ead51", ("skewed", 1): "a35b4894a1dc9b0f",
+    ("skewed", 7): "4308588aa922c9b4", ("skewed", 123): "5831bff711d1a8fe",
+    ("skewed-control", 0): "3142488ba91b166e", ("skewed-control", 1): "7768076c92a50348",
+    ("skewed-control", 7): "eaea422b3528cd93", ("skewed-control", 123): "ba15ba4eb8bf9583",
+    ("stress-7500", 0): "6ecd29bf3207b80c", ("stress-7500", 1): "9535c5faf38853e7",
+    ("stress-7500", 7): "327ae17074a93bd7", ("stress-7500", 123): "5548a9f53251de01",
+    ("uniform-12000", 0): "dfa1e7a6d163fc53", ("uniform-12000", 1): "b53a4a230373b967",
+    ("uniform-12000", 7): "6a0afe374c154818", ("uniform-12000", 123): "d59396fea000a306",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_generated_splits_hash_to_their_pinned_digests(name, seed):
+    assert split_digest(generate_synthetic(PINNED_CONFIGS[name], seed)) == PINNED_DIGESTS[name, seed]
 
 
 def assert_coded_like_the_oracle(part: SampleSet, patients):

@@ -1,12 +1,14 @@
 import math
+import os
 import re
+from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from decal import learner, patients
+from decal import experiment, learner, patients
 from decal.acquisition import BASE_STRATEGIES
 from decal.cli import main
 from decal.data import ImageCountSpec, SyntheticConfig
@@ -28,7 +30,7 @@ from decal.experiment import (
 )
 from decal.learner import LearnerConfig
 from decal.patients import DECAL_PREFIX, INIT_MODES, QueryBatch
-from helpers import forbid_trials, inject_at_round, write_reversed_test_csv
+from helpers import allow_cpus, forbid_trials, inject_at_round, write_reversed_test_csv
 from test_cli import config_dict, write_config
 
 SMALL_SYNTH = SyntheticConfig(
@@ -290,7 +292,8 @@ class TestRunExperiment:
         records = run_trial(small_cfg(trials=1), 100)
         assert [r.test_accuracy for r in records] == list(result.curve.mean_accuracy)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        allow_cpus(monkeypatch, 3)
         cfg = small_cfg(trials=3)
         serial = run_experiment(cfg, workers=1)
         parallel = run_experiment(cfg, workers=3)
@@ -321,8 +324,9 @@ class TestLockstepRunner:
         solo = tuple(r for seed in (0, 1, 3, 4) for r in run_trial(PARTLY_DIVERGING, seed, dataset=dataset))
         assert repr(result.records) == repr(solo)
 
-    def test_output_is_independent_of_the_worker_count(self):
+    def test_output_is_independent_of_the_worker_count(self, monkeypatch):
         # 5 trials in chunks of 5, 3/2 and 2/2/1
+        allow_cpus(monkeypatch, 3)
         results = [run_experiment(PARTLY_DIVERGING, workers=workers) for workers in (1, 2, 3)]
         assert results[0].failures and results[0].records
         for result in results[1:]:
@@ -340,6 +344,43 @@ class TestLockstepRunner:
         result = run_experiment(cfg)
         assert result.failures == ("trial 101 round 2: training diverged: stand-in",)
         assert result.records == tuple(r for r in expected.records if r.trial_seed != 101)
+
+
+class TestWorkerCap:
+    """``workers`` past the CPUs this process may use run as many chunks as there are CPUs; no test here starts a process."""
+
+    def test_workers_past_one_usable_cpu_run_one_chunk_in_this_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+        def no_pool(*args):
+            raise AssertionError("a process pool started")
+
+        monkeypatch.setattr(experiment, "_pool_futures", no_pool)
+        cfg = small_cfg(trials=3)
+        assert run_experiment(cfg, workers=10**9).records == run_experiment(cfg, workers=1).records
+
+    def test_chunks_are_capped_at_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        pools = []
+
+        def in_this_process(run, chunks, workers):
+            pools.append(([len(chunk) for chunk in chunks], workers))
+            futures = [Future() for _ in chunks]
+            for future, chunk in zip(futures, chunks):
+                future.set_result(run(chunk))
+            return futures
+
+        monkeypatch.setattr(experiment, "_pool_futures", in_this_process)
+        cfg = small_cfg(trials=5)
+        result = run_experiment(cfg, workers=64)
+        assert pools == [([3, 2], 2)]
+        assert result.records == run_experiment(cfg, workers=1).records
+
+    @pytest.mark.parametrize("cpu_count, usable", [(6, 6), (None, 1)])
+    def test_cpu_count_stands_in_where_there_is_no_affinity(self, monkeypatch, cpu_count, usable):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert experiment._usable_cpus() == usable
 
 
 class TestReachedTarget:
@@ -485,6 +526,7 @@ class TestCompareInitializations:
                 raise TrainingDiverged(f"trial {trial_seed} round 0: training diverged: stand-in")
 
         inject_at_round(monkeypatch, fail_decal_trial)
+        allow_cpus(monkeypatch, 3)
         comparison = compare_initializations(replace(PARTLY_DIVERGING, init_mode="decal"), PARTLY_DIVERGING, 1,
                                              workers=workers)
         diverged = "trial 2 round 1: training diverged: loss is inf at step 2"

@@ -55,3 +55,31 @@ def test_cumsum_along_axis_1_equals_each_rows_own_cumsum():
         whole = np.cumsum(weights, axis=1)
         for t in range(trials):
             assert whole[t].tobytes() == np.cumsum(weights[t]).tobytes()
+
+
+def test_repeat_along_axis_0_equals_indexing_by_repeated_rows():
+    # the generator repeats each patient's mean image over its images instead of gathering it by owner
+    rng = np.random.default_rng(915)
+    for case in range(300):
+        n, dim = int(rng.integers(1, 60)), int(rng.integers(1, 12))
+        rows = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-300, 300)
+        counts = rng.integers(0, 9, size=n)
+        repeated = np.repeat(rows, counts, axis=0)
+        gathered = rows[np.repeat(np.arange(n), counts)]
+        assert repeated.dtype == gathered.dtype and repeated.shape == gathered.shape
+        assert repeated.tobytes() == gathered.tobytes()
+
+
+def test_scaling_and_adding_in_place_equals_adding_the_scaled_array():
+    # the generator scales its noise and adds the means in place: x *= s; x += b for b + s * x
+    rng = np.random.default_rng(917)
+    for case in range(300):
+        n, dim = int(rng.integers(1, 300)), int(rng.integers(1, 12))
+        x = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-200, 200)
+        b = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-200, 200)
+        s = float(rng.standard_normal() * 10.0 ** rng.integers(-200, 200))
+        with np.errstate(over="ignore"):  # overflowed values must match too
+            expected = b + s * x
+            x *= s
+            x += b
+        assert x.tobytes() == expected.tobytes()
