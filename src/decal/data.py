@@ -15,10 +15,11 @@ import csv
 import re
 import sys
 import warnings
+from array import array
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -425,8 +426,9 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
     0..max(label) with no pool sample raises a parse error at the line of the
     largest label.
 
-    The csv module reads the header and numpy's C reader the body, from the
-    same open file (:func:`_numpy_columns`). A file numpy's columns cannot
+    The csv module reads the header and numpy's C reader the body, about 1 MB
+    of lines at a time, from the same open file (:func:`_numpy_columns`), so a
+    load holds little besides the arrays it returns. A file numpy's columns cannot
     vouch for is read again from the top, row by row (:func:`_row_columns`), so
     ``path`` must be a file that can be opened twice. An error then names the
     first faulty physical line, whether its fault is a row, csv or decoding one.
@@ -505,8 +507,14 @@ class _Layout(NamedTuple):
     features: list[int]
 
 
+# _numpy_columns reads the body a block of _BLOCK_BATCHES batches of whole lines (about _BATCH_CHARS characters
+# each, 1 MB a block) per np.loadtxt call, so a load's short-lived table and strings stay that small in any file
+_BATCH_CHARS = 1 << 16
+_BLOCK_BATCHES = 16
+
+
 def _numpy_columns(fh, layout: _Layout):
-    """:func:`_row_columns` of the rest of ``fh`` but the lines, from one ``np.loadtxt`` call; None to leave them to it.
+    """:func:`_row_columns` of the rest of ``fh`` but the lines, from ``np.loadtxt`` calls; None to leave them to it.
 
     With ``quotechar='"'`` numpy splits fields as ``csv.reader`` does, and each
     number it takes is the one ``int`` or ``float`` makes. None when numpy
@@ -515,46 +523,73 @@ def _numpy_columns(fh, layout: _Layout):
     csv's field size limit, ``\\x1c``-``\\x1f`` (numpy strips them around a
     number), an int64 of more digits than ``int`` takes, or a byte not UTF-8.
     Also None for text past U+FFFF, which can crash numpy 2.4.6 in an int64 field.
-    Only distinct raw patient and split values are stripped and checked, after the table is let go.
+    The body is read in blocks of lines, a call each, and a block's table and strings are let go before the next
+    block is read. No block ends after a line batch that holds a ``"``: from there on the body is one call, as a
+    block that ended inside a quoted field would load, numpy 2.4.6 taking the field as closed.
+    Raw patient and split values are coded as they first appear; only the distinct ones are stripped and checked.
     """
     field_limit = csv.field_size_limit()
     max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     zeros = "0" * (max_digits - 18) if max_digits else None  # an int64 has at most 19 other digits
-    rows = [0]  # non-blank lines read: more than numpy returns if a record spans lines
+    rows = 0  # non-blank lines read: more than numpy returns if a record spans lines
+    quoted = False  # whether a batch read so far holds a '"'
 
     def checked(batch):
+        nonlocal rows, quoted
         text = "".join(batch)
         if (max(map(len, batch)) > field_limit or any(map(text.__contains__, "\x1c\x1d\x1e\x1f"))
                 or zeros and zeros in text
                 or not text.isascii() and (max(text) > "\uffff" or _UNDECODABLE.search(text))):
             raise ValueError("left to the row reader")
-        rows[0] += len(batch) - batch.count("\n") - batch.count("\r\n") - batch.count("\r")
+        rows += len(batch) - batch.count("\n") - batch.count("\r\n") - batch.count("\r")
+        quoted = quoted or '"' in text
         return batch
 
-    # whole lines, about 64 KB at a time, fed to numpy without a Python frame per line
-    lines = chain.from_iterable(map(checked, iter(partial(fh.readlines, 1 << 16), [])))
+    # whole lines, about _BATCH_CHARS at a time, fed to numpy without a Python frame per line
+    batches = map(checked, iter(partial(fh.readlines, _BATCH_CHARS), []))
+
+    def block(first):
+        yield first
+        yield from islice(batches, _BLOCK_BATCHES - 1)
+        if quoted:  # a boundary after a quote could end numpy's input inside a quoted field, which it takes as closed
+            yield from batches
+
+    def coded(code_of: dict, values: list) -> np.ndarray:
+        for value in dict.fromkeys(values):  # the block's distinct values, first seen first
+            code_of.setdefault(value, len(code_of))
+        return np.fromiter(map(code_of.__getitem__, values), np.int64, len(values))
+
     kinds = {layout.sample_id: np.int64, layout.label: np.int64, layout.patient_id: object, layout.split: object}
     dtype = np.dtype([(f"c{i}", kinds.get(i, np.float64)) for i in range(layout.width)])
+    ids, labels, features, raw_codes, split_codes = [], [], [], [], []  # a part per block
+    raw_code_of, split_code_of = {}, {}
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy warns of a body with no rows
-            table = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                               encoding="utf-8", ndmin=1)
-    except (ValueError, Warning):
+        for first in batches:
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always")
+                table = np.loadtxt(chain.from_iterable(block(first)), dtype=dtype, delimiter=",", quotechar='"',
+                                   comments=None, encoding="utf-8", ndmin=1)
+            if warned and len(table):  # numpy warns of a block of blank lines; any other warning: the row reader
+                return None
+            ids.append(table[f"c{layout.sample_id}"].copy())
+            labels.append(table[f"c{layout.label}"].copy())
+            features.append(np.column_stack([table[f"c{i}"] for i in layout.features]))
+            raw_codes.append(coded(raw_code_of, table[f"c{layout.patient_id}"].tolist()))
+            split_codes.append(coded(split_code_of, table[f"c{layout.split}"].tolist()))
+            del table, first  # the loop's names would hold them while the next block is read
+    except ValueError:
         return None
-    n = len(table)
-    ids, labels = table[f"c{layout.sample_id}"].copy(), table[f"c{layout.label}"].copy()
-    features = np.column_stack([table[f"c{i}"] for i in layout.features])
-    raw_codes, raw_names = encode_names(table[f"c{layout.patient_id}"].tolist())
-    split_codes, split_names = encode_names(table[f"c{layout.split}"].tolist())
-    del table  # with its strings, before the objects below: freed after them, it left the heap fragmented
-    codes, names = encode_names([name.strip() for name in raw_names])  # " a" and "a" are one; "" sorts first
+    if not rows:  # no rows: the row reader names the empty split
+        return None
+    ids, labels, features = np.concatenate(ids), np.concatenate(labels), np.concatenate(features)
+    raw_codes, split_codes = np.concatenate(raw_codes), np.concatenate(split_codes)
+    codes, names = encode_names([name.strip() for name in raw_code_of])  # " a" and "a" are one; "" sorts first
     sorted_ids = np.sort(ids)
-    if (n != rows[0] or ids.min() < 0 or labels.min() < 0 or "" in names[:1]
-            or not {SPLIT_POOL, SPLIT_TEST}.issuperset(map(str.strip, split_names))
+    if (len(ids) != rows or ids.min() < 0 or labels.min() < 0 or "" in names[:1]
+            or not {SPLIT_POOL, SPLIT_TEST}.issuperset(map(str.strip, split_code_of))
             or not np.isfinite(features).all() or np.any(sorted_ids[1:] == sorted_ids[:-1])):
         return None
-    in_test = np.array([name.strip() == SPLIT_TEST for name in split_names])[split_codes]
+    in_test = np.array([name.strip() == SPLIT_TEST for name in split_code_of])[split_codes]
     return ids, labels, features, (codes[raw_codes], names), in_test, None
 
 
@@ -568,7 +603,8 @@ def _row_columns(path, layout: _Layout):
     """
     dim = len(layout.features)
     seen: dict[int, int] = {}  # sample id -> the line it was read on
-    labels, patients, features, in_test = [], [], [], []
+    # features flat, a C double per value: a float's own bits, without a Python object per value
+    labels, patients, in_test, features = [], [], [], array("d")
     with closing(csv_rows(path)) as reader:
         next(reader, None)  # the header
         for line_number, row in reader:
@@ -611,11 +647,11 @@ def _row_columns(path, layout: _Layout):
             seen[sample_id] = line_number
             labels.append(label)
             patients.append(patient)
-            features.append(feats)
+            features.extend(feats)
             in_test.append(split_value == SPLIT_TEST)
     return (np.fromiter(seen, np.int64, len(seen)), np.array(labels, np.int64),
-            np.array(features, np.float64).reshape(len(seen), dim), encode_names(patients), np.array(in_test, bool),
-            list(seen.values()))
+            np.frombuffer(features, np.float64).reshape(len(seen), dim), encode_names(patients),
+            np.array(in_test, bool), list(seen.values()))
 
 
 def write_dataset(split: DatasetSplit, path) -> None:

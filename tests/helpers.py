@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import io
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,16 @@ def inject_at_round(monkeypatch, fault):
         return record_round(trial, round_index, *args)
 
     monkeypatch.setattr(experiment._Trial, "record_round", faulty)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes that tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def allow_cpus(monkeypatch, cpus):

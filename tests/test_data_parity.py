@@ -9,6 +9,7 @@ numpy reader among them, must return bitwise the same splits, and raise the
 same exception type with the same message.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -376,28 +377,60 @@ def raw_patient_csv(draw) -> bytes:
     return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(rows).encode("utf-8")
 
 
-def load_bytes_like_the_row_loop(text: bytes):
+def blocks_of_lines(lines):
+    """The numpy reader's blocks made ``lines`` lines long (a batch per line), for block boundaries in small files."""
+    return mock.patch.multiple(data, _BATCH_CHARS=1, _BLOCK_BATCHES=lines)
+
+
+# None: the reader's own block size, which holds every drawn file in one block
+BLOCK_LINES = st.sampled_from([None, 1, 2, 3])
+
+
+def load_bytes_like_the_row_loop(text: bytes, block_lines=None):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         path.write_bytes(text)
-        return assert_loads_like_the_row_loop(path)
+        with blocks_of_lines(block_lines) if block_lines else contextlib.nullcontext():
+            return assert_loads_like_the_row_loop(path)
 
 
 class TestLoaderParity:
     @settings(max_examples=300, deadline=None)
-    @given(drawn_csv())
-    def test_fuzzed_faulty_csv_loads_like_the_row_loop(self, text):
-        load_bytes_like_the_row_loop(text)
+    @given(drawn_csv(), BLOCK_LINES)
+    def test_fuzzed_faulty_csv_loads_like_the_row_loop(self, text, block_lines):
+        load_bytes_like_the_row_loop(text, block_lines)
 
     @settings(max_examples=150, deadline=None)
-    @given(drawn_csv(faults=st.lists(st.sampled_from(HARMLESS), max_size=3)))
-    def test_fuzzed_quoting_and_line_ends_load_like_the_row_loop(self, text):
-        assert isinstance(load_bytes_like_the_row_loop(text), DatasetSplit)
+    @given(drawn_csv(faults=st.lists(st.sampled_from(HARMLESS), max_size=3)), BLOCK_LINES)
+    def test_fuzzed_quoting_and_line_ends_load_like_the_row_loop(self, text, block_lines):
+        assert isinstance(load_bytes_like_the_row_loop(text, block_lines), DatasetSplit)
 
     @settings(max_examples=150, deadline=None)
-    @given(raw_patient_csv())
-    def test_fuzzed_raw_quoting_loads_like_the_row_loop(self, text):
-        load_bytes_like_the_row_loop(text)
+    @given(raw_patient_csv(), BLOCK_LINES)
+    def test_fuzzed_raw_quoting_loads_like_the_row_loop(self, text, block_lines):
+        load_bytes_like_the_row_loop(text, block_lines)
+
+    # Lines 5 and 6 become one record when a quote opens a field of line 5 and closes after line 6's first field.
+    # numpy takes a quoted field left open at the end of its input as closed: with f0 quoted, a block that ended
+    # on line 5 loaded pool ids [0, 1, 7], where the row loop reads one row of 5 feature values on line 6.
+    QUOTE_OVER_LINES = ["patient_id,sample_id,label,split,f0", "q,0,1,pool,0.25", "r,5,1,test,0.5",
+                        "s,6,0,test,0.5", "a,1,0,pool,0.5", "x,7,0,pool,0.75"]
+
+    @pytest.mark.parametrize("block_lines", [1, 2, 3])
+    @pytest.mark.parametrize("column", range(5), ids=["patient", "id", "label", "split", "f0"])
+    def test_quoted_line_break_across_a_block_boundary_loads_like_the_row_loop(self, tmp_path, column, block_lines):
+        # the field of ``column`` opens a quote on line 5 and the quote closes on line 6, after its first field
+        lines = list(self.QUOTE_OVER_LINES)
+        fields = lines[4].split(",")
+        lines[4] = ",".join(fields[:column] + ['"' + fields[column]])
+        lines[5] = lines[5].replace(",", '",', 1)
+        path = self.write(tmp_path / "data.csv", lines)
+        with blocks_of_lines(block_lines):
+            got = assert_loads_like_the_row_loop(path)
+        if column == 0:  # a patient named "a\nx" with sample id 7
+            assert isinstance(got, DatasetSplit) and got.pool.ids.tolist() == [0, 7]
+        else:
+            assert got == (FeatureDimensionError, f"{path}:6: expected 1 feature values, found {column + 1}")
 
     ROWS = ["sample_id,patient_id,label,split,f0"] + [
         f"{i},p{i},{i % 2},{'pool' if i < 6 else 'test'},{i / 8!r}" for i in range(8)
@@ -536,19 +569,28 @@ class TestLoaderParity:
 class TestNoSilentFallback:
     """Clean files must load through numpy's reader: a slow path that is never taken shows in no output."""
 
-    @pytest.mark.parametrize("quoting, line_end", [(None, "\n"), (csv.QUOTE_ALL, "\n"), (csv.QUOTE_MINIMAL, "\r\n")],
-                             ids=["write-dataset", "quote-all", "crlf"])
-    def test_clean_files_never_reach_the_row_reader(self, tmp_path, quoting, line_end):
+    @pytest.mark.parametrize("block_lines", [None, 3])
+    @pytest.mark.parametrize("quoting, line_end, blanks", [
+        (None, "\n", False), (csv.QUOTE_ALL, "\n", False), (csv.QUOTE_MINIMAL, "\r\n", False),
+        (csv.QUOTE_MINIMAL, "\n", True),
+    ], ids=["write-dataset", "quote-all", "crlf", "blank-lines"])
+    def test_clean_files_never_reach_the_row_reader(self, tmp_path, quoting, line_end, blanks, block_lines):
         path = tmp_path / "data.csv"
         data.write_dataset(generate_synthetic(PRESETS["skewed"], 3), path)
         if quoting is not None:
             with open(path, newline="", encoding="utf-8") as fh:
                 rows = list(csv.reader(fh))
+            if blanks:  # 12 blank lines after every 7th row, so that some blocks hold only blank lines
+                rows = [row for i, line in enumerate(rows) for row in [line] + [[]] * 12 * (i % 7 == 6)]
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh, quoting=quoting, lineterminator=line_end).writerows(rows)
         expected = reference_load_dataset(path)
-        with mock.patch.object(data, "_row_columns", side_effect=AssertionError("left to the row reader")):
+        with (mock.patch.object(data, "_row_columns", side_effect=AssertionError("left to the row reader")),
+              mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt,
+              blocks_of_lines(block_lines) if block_lines else contextlib.nullcontext()):
             assert bitwise_equal(load_dataset(path), expected)
+        # with every line quoted the body is one block: no block ends after a quote
+        assert (loadtxt.call_count > 1) == (block_lines is not None and quoting != csv.QUOTE_ALL)
 
 
 HEAVY_TAILED = SyntheticConfig(

@@ -83,3 +83,17 @@ def test_scaling_and_adding_in_place_equals_adding_the_scaled_array():
             x *= s
             x += b
         assert x.tobytes() == expected.tobytes()
+
+
+def test_loadtxt_takes_an_unterminated_quoted_last_field_at_the_end_of_input_as_closed():
+    # why the CSV reader never ends a block after a '"': a block that ended inside a quoted field would load
+    dtype = np.dtype([("id", np.int64), ("patient", object), ("value", np.float64)])
+    rng = np.random.default_rng(919)
+    for case in range(300):
+        value = float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+        before = [f"{i},q{i},{i / 4!r}\n" for i in range(int(rng.integers(0, 4)))]
+        line = f'{case},p,"{value!r}' + ["", "\n", "\r\n", "\r"][case % 4]
+        table = np.loadtxt(before + [line], dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                           encoding="utf-8", ndmin=1)
+        assert len(table) == len(before) + 1
+        assert table["value"][-1:].tobytes() == np.array([value]).tobytes()
