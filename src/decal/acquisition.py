@@ -132,7 +132,7 @@ def select_badge(embeddings: Mapping[int, np.ndarray], k: int, seed: int) -> lis
     return [ids[row] for row in rows]
 
 
-@np.errstate(over="ignore")  # an overflowing weight total is a ValueError below
+@np.errstate(over="ignore")  # an overflowing weight total is _draw's ValueError
 def badge_seeding(matrix: np.ndarray, k: int, seed: int,
                   groups: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """k-means++ seeding over the rows of a gradient-embedding matrix.
@@ -159,7 +159,9 @@ def badge_seeding(matrix: np.ndarray, k: int, seed: int,
     the prune bound are kept up to date on the rows a pick moves or blocks,
     and a picked row's group is found through one stable sort of ``groups``;
     only a relaxed slot rebuilds the weights over every row. Each draw is
-    :func:`_draw`, which is ``rng.choice(n, p=weights / total)`` bit for bit
+    :func:`_draw`: one pass of block sums and one block's running sum place
+    the pick, certified against the exact inverse-CDF draw it otherwise
+    runs, so it is ``rng.choice(n, p=weights / weights.sum())`` bit for bit
     and leaves the generator in the same state.
 
     A ``matrix`` that is not 2-D, or ``groups`` that are not one entry per
@@ -198,7 +200,6 @@ def badge_seeding(matrix: np.ndarray, k: int, seed: int,
     nearest = np.zeros(n, dtype=np.intp)  # dist_sq[i] is to matrix[order[nearest[i]]]
     bound = _PRUNE_FACTOR * dist_sq + _PRUNE_FLOOR
     weights = dist_sq.copy()  # dist_sq on eligible rows, 0 elsewhere
-    buf = np.empty(n)
     for m in range(1, k + 1):
         picked[current] = True
         if num_blocked < n:  # current was eligible, and so is every row of its group
@@ -213,12 +214,8 @@ def badge_seeding(matrix: np.ndarray, k: int, seed: int,
             relaxed += 1
             np.copyto(weights, dist_sq)
             weights[picked] = 0.0
-        total = weights.sum()
-        if total == np.inf:
-            raise ValueError("squared distances between embeddings overflow float64; scale the embeddings down")
-        if total > 0.0:
-            current = _draw(rng, weights, total, buf)
-        else:
+        current = _draw(rng, weights)
+        if current is None:  # no distance mass left
             current = int(np.argmin(picked if num_blocked == n else blocked))  # lowest eligible row
         order[m] = current
         # _sq_distances' bitwise reference form: over at most k - 1 picks its blocks cost more than they save
@@ -235,18 +232,84 @@ def badge_seeding(matrix: np.ndarray, k: int, seed: int,
     return order, relaxed
 
 
-def _draw(rng: np.random.Generator, weights: np.ndarray, total: float, buf: np.ndarray) -> int:
-    """``rng.choice(len(weights), p=weights / total)`` without its checks, through ``buf``.
+def _draw(rng: np.random.Generator, weights: np.ndarray) -> int | None:
+    """``rng.choice(len(weights), p=weights / weights.sum())`` bit for bit, mostly from block sums.
 
-    The arithmetic is the inverse-CDF draw numpy's ``Generator.choice`` makes
-    once its checks pass: the cumulative sum of ``p`` scaled by its last entry,
-    then the first entry above one ``rng.random()``. So the index and the
-    generator's state after the draw are both those of ``choice``.
+    ``weights`` are non-negative. All zero, it returns None and draws
+    nothing; if ``weights.sum()`` overflows it raises the seeding loop's
+    ValueError. Otherwise index and generator state are those of ``choice``,
+    whose draw once its checks pass is exact: ``T = weights.sum()``
+    (pairwise), ``c = cumsum(weights / T)``, ``c /= c[-1]``, and the index
+    ``c.searchsorted(u, side="right")`` for one ``u = rng.random()``.
+
+    Most draws never build ``c``. The running sum of the sums over blocks
+    of B rows (K blocks, total ``A``) finds the block where ``t = u * A``
+    falls; that block's running sum, offset by the blocks before it, finds
+    the first row ``j`` whose approximate prefix ``hi`` exceeds ``t``, and
+    ``lo`` is the prefix before it (0 for row 0). ``j`` is returned when
+    ``lo < t * (1 - D)`` and ``hi > t * (1 + D)``, ``D = 4 * (n + B + K +
+    2) * eps``, eps = 2**-53, and ``A`` lies in [2**-900, 2**900]; any
+    other case, ``u == 0`` included, takes the exact draw with the same ``u``.
+
+    Proof. Let ``P_j`` be the exact prefix sums and ``R_j = P_j / P_{n-1}``.
+    A sum of m non-negative terms in any order is its exact value times
+    ``1 + theta``, ``|theta| <= gamma_{m-1}``, ``gamma_m = m * eps / (1 -
+    m * eps)`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    4.2), down to subnormals since additions underflow exactly. A term of
+    ``lo``, ``hi`` or ``A`` meets at most B - 1 block adds, K - 1
+    running-sum adds and the offset add, so each is within ``gamma_{B+K}``
+    of its exact sum. A term of the exact ``c[j]`` meets one division and
+    n - 1 adds, in ``c[j]`` and again in ``c[-1]``, then the last division:
+    ``c[j] = R_j * (1 + theta)``, ``|theta| <= gamma_{2n+1}`` (``T``
+    cancels), give or take ``e = n * 2**-1070`` from quotients that
+    underflow. ``t`` and the thresholds add three roundings, all relative
+    because the window keeps them normal. So with ``x = (2n + 2B + 2K + 4)
+    * eps`` and ``D = 2x``, ``hi > t * (1 + D)`` gives ``c[j] >= u * (1 +
+    2x) * (1 - x - O(x**2)) - e > u``, and ``lo < t * (1 - D)`` gives
+    ``c[j-1] <= u * (1 - 2x) * (1 + x + O(x**2)) + e <= u``. The margin,
+    about ``u * x``, covers the second-order terms while x <= 1/16 (n up
+    to 2**47) and ``e``, since a nonzero ``u`` is a multiple of 2**-53
+    (pinned in ``tests/test_numpy_assumptions.py``). ``c`` is
+    non-decreasing, so ``j`` is the exact index. In the window ``T``,
+    within ``gamma_{n-1}`` of ``P_{n-1}``, is finite and positive, so the
+    exact draw neither raises nor returns None and ``u`` may come first;
+    outside it ``T`` decides first, as ``choice`` would.
+
+    Certification fails only when a CDF step lies within about ``D * t``
+    of ``t``: probability about ``2 * D * n`` at most, 2e-6 on 48k rows.
     """
-    np.divide(weights, total, out=buf)
-    np.cumsum(buf, out=buf)
-    buf /= buf[-1]
-    return int(buf.searchsorted(rng.random(), side="right"))
+    n = len(weights)
+    prefix = np.add.reduceat(weights, np.arange(0, n, _DRAW_BLOCK))
+    np.add.accumulate(prefix, out=prefix)
+    approx = float(prefix[-1])
+    u = rng.random() if _DRAW_LOW <= approx <= _DRAW_HIGH else None
+    if u:  # neither outside the window nor 0
+        target = u * approx
+        block = int(prefix.searchsorted(target, side="right"))
+        start = block * _DRAW_BLOCK
+        before = float(prefix[block - 1]) if block else 0.0
+        local = np.add.accumulate(weights[start:start + _DRAW_BLOCK])
+        local += before
+        row = int(local.searchsorted(target, side="right"))
+        slack = (n + _DRAW_BLOCK + len(prefix) + 2) * 2.0 ** -51
+        if (row < len(local) and local[row] > target * (1.0 + slack)
+                and (local[row - 1] if row else before) < target * (1.0 - slack)):
+            return start + row
+    total = weights.sum()
+    if total == np.inf:
+        raise ValueError("squared distances between embeddings overflow float64; scale the embeddings down")
+    if total == 0.0:
+        return None
+    if u is None:
+        u = rng.random()
+    cdf = np.cumsum(np.divide(weights, total))
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
+
+
+# The draw's block rows and its window on the approximate total (see _draw).
+_DRAW_BLOCK = 512
+_DRAW_LOW, _DRAW_HIGH = 2.0 ** -900, 2.0 ** 900
 
 
 # A row is measured against a new pick unless its nearest pick is more than

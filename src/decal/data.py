@@ -477,8 +477,10 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
     if num_classes < 2:
         raise DataError(f"{path}: at least 2 classes required, found {num_classes}")
     # O(pool size) whatever the largest label: the sorted distinct labels
-    # equal their positions up to the first missing class
-    present = np.unique(labels[in_pool])
+    # equal their positions up to the first missing class (by a sort, as
+    # np.unique would import numpy.ma)
+    ordered = np.sort(labels[in_pool])
+    present = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
     if len(present) < num_classes:
         missing = int(np.sum(present == np.arange(len(present))))
         if lines is None:  # numpy's columns carry no line numbers

@@ -285,7 +285,7 @@ def _check_batch(batch: patients.QueryBatch, k: int, labeled_mask: np.ndarray, p
         raise InvariantViolation(f"batch has {len(rows)} members, expected {k}")
     if rows.min() < 0 or rows.max() >= len(pool):  # a negative row would index from the end
         raise InvariantViolation(f"batch selected rows outside the pool's 0..{len(pool) - 1}")
-    if len(np.unique(rows)) != k:
+    if _distinct(rows) != k:
         raise InvariantViolation("batch contains duplicate rows")
     if labeled_mask[rows].any():
         raise InvariantViolation("batch selected rows outside the remaining pool")
@@ -293,9 +293,15 @@ def _check_batch(batch: patients.QueryBatch, k: int, labeled_mask: np.ndarray, p
     if not 0 <= batch.relaxed_count <= most:
         raise InvariantViolation(f"relaxed_count {batch.relaxed_count} out of range 0..{most}")
     # each relaxed slot re-uses a patient already in the batch, and every other slot brings a new one
-    if constrained and len(np.unique(pool.patient_codes[rows])) != k - batch.relaxed_count:
+    if constrained and _distinct(pool.patient_codes[rows]) != k - batch.relaxed_count:
         raise InvariantViolation(f"unique-patient batch repeats a patient: expected {k - batch.relaxed_count} patients")
     return rows
+
+
+def _distinct(values: np.ndarray) -> int:
+    """The number of distinct values, by a sort: ``np.unique`` would import ``numpy.ma``."""
+    ordered = np.sort(values)
+    return int(np.count_nonzero(ordered[1:] != ordered[:-1])) + (len(ordered) > 0)
 
 
 _worker_run = None  # _run_lockstep bound to the dataset, set once per pool worker

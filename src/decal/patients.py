@@ -112,7 +112,9 @@ def decal_initialize(pool: SampleSet, n: int, seed: int) -> QueryBatch:
     rows = by_patient[(np.cumsum(counts) - counts)[chosen] + rng.integers(counts[chosen])]
     relaxed = n - len(rows)
     if relaxed:
-        rest = np.setdiff1d(np.arange(len(pool)), rows)
+        unchosen = np.ones(len(pool), dtype=bool)
+        unchosen[rows] = False
+        rest = np.flatnonzero(unchosen)
         rows = np.concatenate([rows, rest[rng.choice(len(rest), size=relaxed, replace=False)]])
     return QueryBatch(members=tuple(rows.tolist()), relaxed_count=relaxed)
 

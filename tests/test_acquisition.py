@@ -455,36 +455,114 @@ def draw_weights(rng, kind, n, u_seed):
         weights = rng.integers(0, 6, size=n) * tiny
     elif kind == "subnormal":
         weights = rng.random(n) * 1e-310
-    elif kind == "at-the-draw":  # the first draw of seed `u_seed` falls at the CDF step after row n // 2
-        weights = rng.random(n) + 0.1
+    elif kind in ("at-the-draw", "at-a-block-edge"):  # the first draw of seed `u_seed` falls at the CDF step
+        weights = rng.random(n) + 0.1  # before row `split`: mid-array, or the first row of a draw block
         u = np.random.default_rng(u_seed).random()
+        split = n // 2 + 1 if kind == "at-the-draw" else n // 2 // acquisition._DRAW_BLOCK * acquisition._DRAW_BLOCK
         if n > 2:  # a step with rows on both sides
-            weights[n // 2 + 1:] *= weights[:n // 2 + 1].sum() * (1.0 - u) / u / weights[n // 2 + 1:].sum()
+            weights[split:] *= weights[:split].sum() * (1.0 - u) / u / weights[split:].sum()
+    elif kind == "blocks-tail":  # n is whole draw blocks plus 1 row, which holds about a third of the mass
+        weights = rng.random(n)
+        weights[-1] *= n / 2
+    elif kind == "near-overflow":  # a sum overflows iff it was 2**e before the exact scaling by 2**(1024 - e)
+        weights = rng.random(n) + 0.1
+        e = int(np.ceil(np.log2(weights.sum())))
+        weights[rng.integers(n)] += 2.0 ** e - weights.sum()  # the pairwise sum lands on 2**e or an ulp off
+        with np.errstate(over="ignore"):  # one row is 2**e itself, and overflows
+            weights = np.ldexp(weights, 1024 - e)
     else:
         weights = rng.random(n)
-    if not weights.sum() > 0.0:
-        weights[rng.integers(n)] = tiny
+    with np.errstate(over="ignore"):
+        if not weights.sum() > 0.0:
+            weights[rng.integers(n)] = tiny
     return weights
+
+
+class _ExactDraws:
+    """numpy, as ``acquisition`` sees it, counting the ``np.divide`` only its exact draw makes."""
+
+    def __init__(self):
+        self.count = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def divide(self, *args, **kwargs):
+        self.count += 1
+        return np.divide(*args, **kwargs)
+
+
+OVERFLOW_MESSAGE = "squared distances between embeddings overflow float64; scale the embeddings down"
 
 
 class TestBadgeDraw:
     """Oracle for the seeding loop's draw: it restates ``Generator.choice``, so a numpy change fails here."""
 
     # "at-the-draw" puts a step of the CDF within rounding of the draw, where dropping the CDF's
-    # scaling by its last entry changes the index
-    @pytest.mark.parametrize("kind", ["uniform", "single", "zeros", "skewed", "squared-1e-162", "subnormal",
-                                      "at-the-draw"])
-    def test_draw_equals_generator_choice(self, kind):
+    # scaling by its last entry changes the index and the certified draw must fall back to the exact one.
+    # Each kind names the path of _draw it must reach: totals outside the certified window take the
+    # exact draw only; "blocks-tail" spans several draw blocks and a 1-row tail; "at-a-block-edge" is
+    # "at-the-draw" with the step before the first row of a draw block.
+    @pytest.mark.parametrize("kind, path", [
+        ("uniform", "certified"), ("single", "certified"), ("zeros", "certified"), ("skewed", "certified"),
+        ("blocks-tail", "certified"), ("squared-1e-162", "exact"), ("subnormal", "exact"),
+        ("near-overflow", "exact"), ("at-the-draw", "both"), ("at-a-block-edge", "both"),
+    ])
+    def test_draw_equals_generator_choice(self, kind, path, monkeypatch):
+        exact = _ExactDraws()
+        monkeypatch.setattr(acquisition, "np", exact)
         rng = np.random.default_rng(29)
+        draws = overflows = block_sum_disagrees = 0
         for case in range(150):
-            n = [1, 2, 5000][case] if case < 3 else int(rng.integers(1, 5001))
+            if kind == "blocks-tail":
+                n = int(rng.integers(2, 10)) * acquisition._DRAW_BLOCK + 1
+            elif kind == "at-a-block-edge":
+                n = int(rng.integers(2 * acquisition._DRAW_BLOCK, 5001))
+            else:
+                n = [1, 2, 5000][case] if case < 3 else int(rng.integers(1, 5001))
             weights = draw_weights(rng, kind, n, u_seed=case)
-            total = weights.sum()
             ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
-            for _ in range(3):
-                expected = theirs.choice(n, p=weights / total)
-                assert acquisition._draw(ours, weights, total, np.empty(n)) == expected
-                assert ours.bit_generator.state == theirs.bit_generator.state
+            with np.errstate(over="ignore"):
+                total = weights.sum()
+                block_total = np.cumsum(np.add.reduceat(weights, np.arange(0, n, acquisition._DRAW_BLOCK)))[-1]
+                block_sum_disagrees += (total == np.inf) != (block_total == np.inf)
+                if total == np.inf:  # the seeding loop's check: a ValueError before anything is drawn
+                    with pytest.raises(ValueError) as raised:
+                        acquisition._draw(ours, weights)
+                    assert raised.value.args == (OVERFLOW_MESSAGE,)
+                    assert ours.bit_generator.state == theirs.bit_generator.state
+                    overflows += 1
+                    continue
+                for _ in range(3):
+                    expected = theirs.choice(n, p=weights / total)
+                    assert acquisition._draw(ours, weights) == expected
+                    assert ours.bit_generator.state == theirs.bit_generator.state
+                    draws += 1
+        certified = draws - exact.count
+        assert {"certified": certified > 0, "exact": certified == 0, "both": certified > 0 < exact.count}[path]
+        if kind == "near-overflow":
+            assert overflows > 0 < draws and block_sum_disagrees > 0
+
+    def test_all_zero_weights_draw_nothing(self):
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        for n in (1, 2, 3 * acquisition._DRAW_BLOCK + 1):
+            assert acquisition._draw(ours, np.zeros(n)) is None
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_a_stress_sized_seeding_falls_back_at_most_once(self, monkeypatch):
+        # the stress pool's shape: 47,872 rows of 48 columns, 8 rows per patient, k = 128
+        rng = np.random.default_rng(31)
+        n = 47872
+        centers = rng.standard_normal((40, 48)) * 3.0
+        matrix = centers[rng.integers(40, size=n)] + rng.standard_normal((n, 48))
+        groups = rng.permutation(np.arange(n) // 8)
+        exact = _ExactDraws()
+        monkeypatch.setattr(acquisition, "np", exact)
+        rows, relaxed = badge_seeding(matrix, 128, seed=5, groups=groups)
+        monkeypatch.undo()
+        assert exact.count <= 1
+        expected, expected_relaxed = reference_badge_seeding(matrix, 128, 5, groups)
+        assert rows.tolist() == expected.tolist() and relaxed == expected_relaxed
 
 
 class TestBadgeLargePool:

@@ -7,12 +7,15 @@ import logging
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import decal
 from decal.cli import main
 from decal.config import load_config_file, parse_config
 from decal.data import SampleSet, load_dataset
@@ -490,6 +493,43 @@ class TestNoPerRowPatientNames:
         monkeypatch.setattr(SampleSet, "positions", fail)
         assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
+
+
+# Runs decal.cli.main on each argv of the JSON list in argv[1], then prints the numpy.ma modules loaded.
+MODULES_AFTER_RUNS = """
+import contextlib, io, json, sys
+from decal.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+print(json.dumps(sorted(name for name in sys.modules if name == "numpy.ma" or name.startswith("numpy.ma."))))
+"""
+
+
+class TestRunImports:
+    def test_run_and_report_never_import_numpy_ma(self, tmp_path, capsys):
+        # np.unique and the set routines import numpy.ma, about 10 ms a process; a fresh interpreter shows it
+        assert main(["gen", "--preset", "large-uniform", "--seed", "2", "--out", str(tmp_path / "data.csv")]) == 0
+        capsys.readouterr()
+        configs = {
+            "preset": config_dict(strategy="decal_badge", rounds=1, trials=1, init_size=16, batch_size=8),
+            "csv": config_dict(strategy="decal_margin", rounds=1, trials=1, init_size=16, batch_size=8),
+            # 50 initial labels from the 45 pool patients of skewed: 5 relaxed
+            "relaxed": config_dict(strategy="decal_entropy", rounds=1, trials=1, init_size=50, batch_size=8),
+        }
+        configs["preset"]["dataset"] = configs["relaxed"]["dataset"] = {"preset": "skewed"}
+        configs["csv"]["dataset"] = {"csv_path": str(tmp_path / "data.csv"), "normalize": {"mu": 0.2, "sigma": 0.1}}
+        argvs = []
+        for name, raw in configs.items():
+            out = str(tmp_path / f"out_{name}")
+            argvs += [["run", "--config", write_config(tmp_path, raw, f"{name}.json"), "--out", out],
+                      ["report", "--in", out]]
+        src = str(pathlib.Path(decal.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", MODULES_AFTER_RUNS, json.dumps(argvs)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == []
 
 
 class TestCompare:

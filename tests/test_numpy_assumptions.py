@@ -1,7 +1,9 @@
 """numpy behaviour that bitwise claims of decal rest on, one named test each.
 
 Each case fuzzes the behaviour directly, so a numpy that changes it fails
-here, next to its cause, and not only as a changed golden digest. The other
+here, next to its cause, and not only as a changed golden digest. Among them,
+``test_generator_random_is_zero_or_a_multiple_of_2_to_the_minus_53`` pins the
+floor on ``u`` that ``acquisition._draw``'s certified draw rests on. The other
 assumptions are tested where the code that needs them is:
 
 - ``Generator.choice``'s inverse-CDF arithmetic, which ``acquisition._draw``
@@ -29,6 +31,17 @@ def test_integers_over_an_array_of_bounds_draws_one_scalar_call_per_bound():
         assert drawn.tolist() == [int(scalar.integers(int(bound))) for bound in bounds]
         assert batched.bit_generator.state == scalar.bit_generator.state
         assert batched.integers(1 << 62) == scalar.integers(1 << 62)
+
+
+def test_generator_random_is_zero_or_a_multiple_of_2_to_the_minus_53():
+    # the BADGE draw's slack covers its rounding only for a nonzero u of at least 2**-53
+    rng = np.random.default_rng(921)
+    for case in range(300):
+        ours = np.random.default_rng(int(rng.integers(2**63)))
+        values = np.append(ours.random(int(rng.integers(0, 2000))), [ours.random() for _ in range(5)])
+        scaled = values * 2.0**53  # a power of two: exact
+        assert np.all((0.0 <= values) & (values < 1.0))
+        assert np.array_equal(scaled, np.floor(scaled))
 
 
 def test_einsum_of_a_row_does_not_depend_on_the_other_rows():
