@@ -108,17 +108,14 @@ class SampleSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def positions(self, sample_ids) -> np.ndarray:
-        """Row of each sample id; KeyError names the first id not in the set."""
+    def patients_for(self, sample_ids) -> list[str]:
+        """Patient name of each sample id; KeyError names the first id not in the set."""
         ids = np.asarray(sample_ids, dtype=np.int64).reshape(-1)
         rows = np.minimum(np.searchsorted(self.ids, ids), len(self.ids) - 1)
         unknown = self.ids[rows] != ids
         if unknown.any():
             raise KeyError(f"unknown sample id {int(ids[unknown][0])}")
-        return rows
-
-    def patients_for(self, sample_ids) -> list[str]:
-        return [self.patient_names[code] for code in self.patient_codes[self.positions(sample_ids)].tolist()]
+        return [self.patient_names[code] for code in self.patient_codes[rows].tolist()]
 
 
 def encode_names(names) -> tuple[np.ndarray, tuple[str, ...]]:

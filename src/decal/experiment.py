@@ -149,9 +149,6 @@ class LearningCurve:
     stderr_accuracy: tuple[float, ...]
     trials: int
 
-    def __len__(self) -> int:
-        return len(self.train_sizes)
-
 
 @dataclass(frozen=True)
 class ExperimentResult:

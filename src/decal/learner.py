@@ -9,8 +9,7 @@ gradient against finite differences.
 A step on a model this small is mostly numpy's per-call overhead, so the
 trials of an experiment (a worker's chunk of them) train in lockstep: their
 parameters are rows of one stack, and each step is one loss-and-gradient
-call and one Adam update for all of them. ``train_round`` is the one-trial
-call of the same step.
+call and one Adam update for all of them. One trial trains as a stack of one.
 """
 
 from __future__ import annotations
@@ -73,10 +72,6 @@ class Model:
     b_out: np.ndarray
     feature_dim: int
     num_classes: int
-
-    @property
-    def penultimate_dim(self) -> int:
-        return self.feature_dim if self.w_hidden is None else self.w_hidden.shape[-1]
 
     def parameters(self) -> list[np.ndarray]:
         if self.w_hidden is None:
@@ -171,7 +166,7 @@ def predict_proba(model: Model, features) -> np.ndarray:
 def gradient_embedding(model: Model, features) -> np.ndarray:
     """Loss-gradient embedding flatten((p - e_yhat) outer h), yhat = argmax p.
 
-    Layout is class-major: entry [c * penultimate_dim + j] is
+    Layout is class-major: entry [c * width(h) + j] is
     (p - e_yhat)[c] * h[j]. Argmax ties break toward the lowest class index.
     """
     x, single = _as_batch(model, features)
@@ -409,7 +404,7 @@ class _Stack:
 @np.errstate(over="ignore", invalid="ignore")
 def train_lockstep(models: list[Model], features, labels, cfg: LearnerConfig,
                    seeds: list[int]) -> list[TrainResult | TrainingDiverged]:
-    """Train one model per trial in lockstep, each bitwise as :func:`train_round` alone would.
+    """Train one model per trial in lockstep, each bitwise as it trains in a stack of one.
 
     ``features`` (trials, rows, dim) and ``labels`` (trials, rows) hold each
     trial's training set. Every trial has the same number of rows, so their
@@ -419,8 +414,8 @@ def train_lockstep(models: list[Model], features, labels, cfg: LearnerConfig,
     A trial leaves the stack at the first epoch whose full-train accuracy
     reaches ``cfg.train_accuracy_target``, at ``cfg.max_epochs``, or at a
     non-finite minibatch loss. Its outcome, in the order of ``models``, is
-    its :class:`TrainResult`, or the :class:`TrainingDiverged` that
-    ``train_round`` would raise; the other trials go on. A trial leaving after
+    its :class:`TrainResult`, or a :class:`TrainingDiverged` for that loss or for
+    parameters or logits left non-finite; the other trials go on. A trial leaving after
     an evaluation is checked against its own row of that evaluation's logits.
     A model leaves with its arrays rebound to views of a flat copy of its parameters.
     """
@@ -468,27 +463,3 @@ def train_lockstep(models: list[Model], features, labels, cfg: LearnerConfig,
         outcomes[trial] = stack.finish(row, models[trial], result, step, logits[row])
     return outcomes
 
-
-def train_round(model: Model, features, labels, cfg: LearnerConfig, seed: int) -> TrainResult:
-    """Adam on cross-entropy over shuffled minibatches, mutating the model.
-
-    The one-trial call of :func:`train_lockstep`. The model's arrays are
-    rebound to views of one flat parameter buffer; arrays fetched from the
-    model before the call keep their old values and are not updated.
-
-    Stops at the first epoch whose full-train accuracy reaches
-    ``cfg.train_accuracy_target``, or at ``cfg.max_epochs``. A non-finite
-    minibatch loss, or trained parameters or training-set logits that are not
-    finite, raise :class:`TrainingDiverged`. Deterministic in (model, data,
-    cfg, seed); the minibatch order is drawn from ``seed``.
-    """
-    x, _ = _as_batch(model, features)
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape[0] == 0:
-        raise ValueError("training set is empty")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("features and labels must have equal length")
-    (outcome,) = train_lockstep([model], x[None], y[None], cfg, [seed])
-    if isinstance(outcome, TrainingDiverged):
-        raise outcome
-    return outcome

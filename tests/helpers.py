@@ -12,7 +12,8 @@ import numpy as np
 
 from decal import data, experiment
 from decal.data import DatasetSplit, SampleSet, encode_names
-from decal.learner import Model
+from decal.errors import TrainingDiverged
+from decal.learner import Model, train_lockstep
 
 
 def make_sampleset(rows):
@@ -27,6 +28,14 @@ def make_sampleset(rows):
 def batch_ids(pool, batch) -> list[int]:
     """The sample ids of a batch of pool rows, in batch order: the form an id-keyed oracle gives."""
     return pool.ids[list(batch.members)].tolist()
+
+
+def rows_of(part, sample_ids) -> np.ndarray:
+    """The row of each sample id in ``part``, asserting that every id is there."""
+    ids = np.asarray(sample_ids, dtype=np.int64)
+    rows = np.searchsorted(part.ids, ids)
+    assert (rows < len(part)).all() and np.array_equal(part.ids[rows], ids), f"ids not all in the set: {ids}"
+    return rows
 
 
 def make_split(pool_rows, test_rows, num_classes=None):
@@ -44,6 +53,14 @@ def linear_model(w_out, b_out):
     b = np.array(b_out, dtype=np.float64)
     return Model(w_hidden=None, b_hidden=None, w_out=w, b_out=b,
                  feature_dim=w.shape[0], num_classes=w.shape[1])
+
+
+def train_solo(model, x, y, cfg, seed):
+    """Train one model as a lockstep stack of one; a diverged trial raises its TrainingDiverged."""
+    (outcome,) = train_lockstep([model], np.asarray(x)[None], np.asarray(y)[None], cfg, [seed])
+    if isinstance(outcome, TrainingDiverged):
+        raise outcome
+    return outcome
 
 
 def split_equal(a, b) -> bool:

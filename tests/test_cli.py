@@ -484,13 +484,14 @@ class TestNoPerRowPatientNames:
 
     @pytest.mark.parametrize("source", ["preset", "csv"])
     def test_run_never_maps_sample_ids_to_rows(self, tmp_path, capsys, monkeypatch, source):
-        # selection hands pool rows to the labeled set: no batch goes through sample ids
+        # selection hands pool rows to the labeled set: no batch goes through sample ids,
+        # and patients_for is the one call that maps sample ids to rows
         config = self.config(tmp_path, source)
 
         def fail(*args):
             raise AssertionError("sample ids mapped to rows during a run")
 
-        monkeypatch.setattr(SampleSet, "positions", fail)
+        monkeypatch.setattr(SampleSet, "patients_for", fail)
         assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
 

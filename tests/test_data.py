@@ -34,7 +34,7 @@ from decal.errors import (
     PatientOverlapError,
 )
 from decal.presets import PRESETS
-from helpers import fail_reads_after, make_sampleset, make_split, split_equal, traced_peak
+from helpers import fail_reads_after, make_sampleset, make_split, rows_of, split_equal, traced_peak
 
 BASIC_CSV = """sample_id,patient_id,label,split,f0,f1
 0,A,0,pool,0.1,0.2
@@ -61,8 +61,8 @@ class TestLoadDataset:
         assert split.num_classes == 2
         assert set(split.pool.patients) == {"A", "B"}
         assert set(split.test.patients) == {"C"}
-        assert split.pool.labels[split.pool.positions([1])].tolist() == [1]
-        np.testing.assert_array_equal(split.pool.features[split.pool.positions([0])], [[0.1, 0.2]])
+        assert split.pool.labels[rows_of(split.pool, [1])].tolist() == [1]
+        np.testing.assert_array_equal(split.pool.features[rows_of(split.pool, [0])], [[0.1, 0.2]])
 
     def test_patient_in_both_splits_rejected(self, tmp_path):
         text = BASIC_CSV.replace("4,C,0,test", "4,A,0,test")
@@ -630,10 +630,10 @@ class TestSampleSet:
 
     def test_positions_of_ids(self):
         part = make_sampleset([(5, "B", [5.0], 1), (2, "A", [2.0], 0), (9, "C", [9.0], 1)])
-        assert part.positions([9, 2]).tolist() == [2, 0]
+        assert part.patients_for([9, 2, 5]) == ["C", "A", "B"]
         for unknown in (0, 3, 10):
-            with pytest.raises(KeyError):
-                part.positions([unknown])
+            with pytest.raises(KeyError, match=f"unknown sample id {unknown}"):
+                part.patients_for([9, unknown])
 
 
 class TestPatientDistribution:

@@ -30,7 +30,7 @@ from decal.experiment import (
 )
 from decal.learner import LearnerConfig
 from decal.patients import DECAL_PREFIX, INIT_MODES, QueryBatch
-from helpers import allow_cpus, forbid_trials, inject_at_round, write_reversed_test_csv
+from helpers import allow_cpus, forbid_trials, inject_at_round, rows_of, write_reversed_test_csv
 from test_cli import config_dict, write_config
 
 SMALL_SYNTH = SyntheticConfig(
@@ -170,7 +170,7 @@ class TestRunTrial:
         assert stages == [("init", 0)] + [("query", r) for r in range(cfg.rounds)]
         assert len(batches) == len(trained) == len(records) == cfg.rounds + 1
         for round_index, (features, labels) in enumerate(trained):
-            rows = pool.positions([i for batch in batches[:round_index + 1] for i in batch.members])
+            rows = rows_of(pool, [i for batch in batches[:round_index + 1] for i in batch.members])
             np.testing.assert_array_equal(features, pool.features[rows])
             np.testing.assert_array_equal(labels, pool.labels[rows])
         assert [r.relaxed_count for r in records] == [batch.relaxed_count for batch in batches]
@@ -278,7 +278,7 @@ class TestUniquePatientMetamorphic:
 class TestRunExperiment:
     def test_curve_shape_and_aggregates(self):
         result = run_experiment(small_cfg())
-        assert len(result.curve) == 4
+        assert len(result.curve.train_sizes) == 4
         assert result.curve.trials == 2
         assert len(result.records) == 2 * 4
         np.testing.assert_allclose(
@@ -654,7 +654,7 @@ class TestCompareInitializations:
             cfg, replace(cfg, init_mode="random"), round_index=0
         )
         assert comparison.treatment_mode == "decal"
-        assert len(comparison.treatment_result.curve) == 1
+        assert len(comparison.treatment_result.curve.train_sizes) == 1
         for record in comparison.treatment_result.records:
             assert record.train_size == 1000
             assert record.relaxed_count == 0

@@ -18,9 +18,8 @@ from decal.learner import (
     penultimate,
     predict_proba,
     train_lockstep,
-    train_round,
 )
-from helpers import linear_model
+from helpers import linear_model, train_solo
 
 FAST = LearnerConfig(hidden_width=8, learning_rate=0.1, train_accuracy_target=0.98,
                      max_epochs=200, minibatch_size=16)
@@ -52,7 +51,7 @@ class TestInitModel:
         cfg = LearnerConfig(hidden_width=0)
         model = init_model(cfg, 4, 3, seed=0)
         assert sum(p.size for p in model.parameters()) == 4 * 3 + 3
-        assert model.penultimate_dim == 4
+        assert penultimate(model, np.zeros((1, 4))).shape == (1, 4)  # the linear model's penultimate is its input
 
     def test_scale_follows_fan_in(self):
         cfg = LearnerConfig(hidden_width=0)
@@ -168,7 +167,7 @@ class TestEvaluate:
     def test_memorized_points(self):
         x, y = blobs(seed=4, per_class=4, separation=8.0, noise=0.1)
         model = init_model(FAST, 2, 3, seed=0)
-        result = train_round(model, x, y, LearnerConfig(
+        result = train_solo(model, x, y, LearnerConfig(
             hidden_width=8, learning_rate=0.1, train_accuracy_target=1.0,
             max_epochs=300, minibatch_size=12), seed=1)
         assert result.reached_target
@@ -201,7 +200,7 @@ class TestTrainRound:
     def test_separable_blobs_reach_target(self):
         x, y = blobs(seed=1, per_class=20)
         model = init_model(FAST, 2, 3, seed=2)
-        result = train_round(model, x, y, FAST, seed=3)
+        result = train_solo(model, x, y, FAST, seed=3)
         assert result.reached_target
         assert result.epochs_used < FAST.max_epochs
         assert result.train_accuracy >= FAST.train_accuracy_target
@@ -212,7 +211,7 @@ class TestTrainRound:
         x = rng.standard_normal((30, 3))
         y = np.full(30, 2)
         model = init_model(FAST, 3, 3, seed=5)
-        result = train_round(model, x, y, LearnerConfig(
+        result = train_solo(model, x, y, LearnerConfig(
             hidden_width=8, learning_rate=0.1, train_accuracy_target=1.0,
             max_epochs=50, minibatch_size=16), seed=6)
         assert result.reached_target
@@ -222,7 +221,7 @@ class TestTrainRound:
         model = init_model(FAST, 2, 3, seed=7)
         before = [p.copy() for p in model.parameters()]
         x, y = blobs(seed=2, per_class=5)
-        result = train_round(model, x, y, LearnerConfig(
+        result = train_solo(model, x, y, LearnerConfig(
             hidden_width=8, learning_rate=0.1, max_epochs=0), seed=0)
         assert not result.reached_target
         assert result.epochs_used == 0
@@ -232,14 +231,14 @@ class TestTrainRound:
     def test_empty_training_set_rejected(self):
         model = init_model(FAST, 2, 3, seed=7)
         with pytest.raises(ValueError):
-            train_round(model, np.zeros((0, 2)), np.zeros(0, dtype=int), FAST, seed=0)
+            train_solo(model, np.zeros((0, 2)), np.zeros(0, dtype=int), FAST, seed=0)
 
     def test_bit_identical_determinism(self):
         x, y = blobs(seed=3, per_class=20)
 
         def run(seed):
             model = init_model(FAST, 2, 3, seed=11)
-            train_round(model, x, y, FAST, seed=seed)
+            train_solo(model, x, y, FAST, seed=seed)
             return [p.copy() for p in model.parameters()]
 
         for pa, pb in zip(run(42), run(42)):
@@ -253,7 +252,7 @@ class TestTrainRound:
         x, y = blobs(seed=1, per_class=20)
         model = init_model(FAST, 2, 3, seed=2)
         with pytest.raises(TrainingDiverged, match=r"loss is (nan|inf) at step \d+$"):
-            train_round(model, x, y, replace(FAST, learning_rate=1e308), seed=3)
+            train_solo(model, x, y, replace(FAST, learning_rate=1e308), seed=3)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("target", [0.01, 1.0], ids=["target-reached", "epoch-cap"])
@@ -268,7 +267,7 @@ class TestTrainRound:
                             max_epochs=1, minibatch_size=8)
         model = init_model(cfg, 2, 2, seed=0)
         with pytest.raises(TrainingDiverged, match="parameters or logits are not finite after step 1$"):
-            train_round(model, x, y, cfg, seed=0)
+            train_solo(model, x, y, cfg, seed=0)
         assert all(np.isfinite(p).all() for p in model.parameters()) == (scale == 1.0)
 
     def test_infinite_parameter_behind_finite_logits_is_training_diverged(self):
@@ -277,7 +276,7 @@ class TestTrainRound:
         model = init_model(FAST, 2, 2, seed=0)
         model.w_hidden[0, 0] = np.inf
         with pytest.raises(TrainingDiverged, match="parameters or logits are not finite after step 1$"):
-            train_round(model, x, np.tile([0, 1], 4), replace(FAST, max_epochs=1), seed=0)
+            train_solo(model, x, np.tile([0, 1], 4), replace(FAST, max_epochs=1), seed=0)
 
 
 def reference_loss_and_grads(model, x, y):
@@ -344,7 +343,7 @@ class TestFusedTrainer:
         fused, reference = (init_model(cfg, 2, 3, seed=9) for _ in range(2))
         fetched = [p.copy() for p in fused.parameters()], fused.parameters()
 
-        result = train_round(fused, x, y, cfg, seed=4)
+        result = train_solo(fused, x, y, cfg, seed=4)
         assert result == reference_train_round(reference, x, y, cfg, seed=4)
         assert result.reached_target != capped and result.epochs_used > 1
         for p, q in zip(fused.parameters(), reference.parameters()):
@@ -456,7 +455,7 @@ class TestTrainerForm:
         loss, _ = cross_entropy_loss_and_grads(model, x, y)
         assert np.isnan(loss) if nan else loss == np.inf
         with pytest.raises(TrainingDiverged) as caught:
-            train_round(model, x, y, cfg, seed=0)
+            train_solo(model, x, y, cfg, seed=0)
         assert str(caught.value) == f"training diverged: loss is {loss} at step 1"
 
 
@@ -488,7 +487,7 @@ class TestLockstep:
         assert min(epochs) < cfg.max_epochs // 2 and len(set(epochs)) >= 3
         for t, (model, outcome) in enumerate(zip(stacked, outcomes)):
             solo = init_model(cfg, 2, 3, seed=9 + t)
-            assert outcome == train_round(solo, x[t], y[t], cfg, seed=seeds[t])
+            assert outcome == train_solo(solo, x[t], y[t], cfg, seed=seeds[t])
             for p, q in zip(model.parameters(), solo.parameters()):
                 assert p.shape == q.shape and p.tobytes() == q.tobytes()
 
@@ -504,11 +503,11 @@ class TestLockstep:
         outcomes = train_lockstep(stacked, x, y, cfg, seeds)
         assert isinstance(outcomes[1], TrainingDiverged) and str(outcomes[1]).endswith("loss is nan at step 2")
         with pytest.raises(TrainingDiverged) as solo_error:
-            train_round(init_model(cfg, 2, 3, seed=10), x[1], y[1], cfg, seed=40)
+            train_solo(init_model(cfg, 2, 3, seed=10), x[1], y[1], cfg, seed=40)
         assert str(outcomes[1]) == str(solo_error.value)
         for t in (0, 2, 3):
             solo = init_model(cfg, 2, 3, seed=9 + t)
-            assert outcomes[t] == train_round(solo, x[t], y[t], cfg, seed=seeds[t])
+            assert outcomes[t] == train_solo(solo, x[t], y[t], cfg, seed=seeds[t])
             for p, q in zip(stacked[t].parameters(), solo.parameters()):
                 assert p.tobytes() == q.tobytes()
 
@@ -516,13 +515,13 @@ class TestLockstep:
     def test_a_trial_reaching_its_target_at_the_cap_leaves_the_others_theirs(self, hidden_width):
         # the epoch cap is the epoch where trial 0 reaches its target, so the others stop with it, capped
         cfg, x, y = lockstep_trials(15, hidden_width)
-        cap = train_round(init_model(cfg, 2, 3, seed=9), x[0], y[0], cfg, seed=4).epochs_used
+        cap = train_solo(init_model(cfg, 2, 3, seed=9), x[0], y[0], cfg, seed=4).epochs_used
         cfg = replace(cfg, max_epochs=cap)
         seeds = [4, 40, 400, 4000]
         outcomes = train_lockstep([init_model(cfg, 2, 3, seed=9 + t) for t in range(4)], x, y, cfg, seeds)
         assert [outcome.reached_target for outcome in outcomes] == [True, False, False, False]
         for t, outcome in enumerate(outcomes):
-            assert outcome == train_round(init_model(cfg, 2, 3, seed=9 + t), x[t], y[t], cfg, seed=seeds[t])
+            assert outcome == train_solo(init_model(cfg, 2, 3, seed=9 + t), x[t], y[t], cfg, seed=seeds[t])
 
     @pytest.mark.parametrize("bad", [0, 2], ids=["reaching-trial", "capped-trial"])
     def test_each_trial_is_checked_against_its_own_logits_at_the_cap(self, monkeypatch, bad):
@@ -531,7 +530,7 @@ class TestLockstep:
         cfg, x, y = lockstep_trials(15, 8)
         cfg = replace(cfg, max_epochs=3)
         seeds = [4, 40, 400, 4000]
-        solo = [train_round(init_model(cfg, 2, 3, seed=9 + t), x[t], y[t], cfg, seed=seeds[t]) for t in range(4)]
+        solo = [train_solo(init_model(cfg, 2, 3, seed=9 + t), x[t], y[t], cfg, seed=seeds[t]) for t in range(4)]
         assert not any(result.reached_target for result in solo)
         accuracy, calls = learner._Stack.accuracy, []
 
@@ -588,8 +587,7 @@ class TestStackRefused:
         lambda model, x, y: gradient_embedding(model, x),
         lambda model, x, y: evaluate(model, x, y),
         lambda model, x, y: cross_entropy_loss_and_grads(model, x, y),
-        lambda model, x, y: train_round(model, x, y, FAST, seed=0),
-    ], ids=["penultimate", "predict_proba", "gradient_embedding", "evaluate", "loss_and_grads", "train_round"])
+    ], ids=["penultimate", "predict_proba", "gradient_embedding", "evaluate", "loss_and_grads"])
     @pytest.mark.parametrize("batch", ["stacked", "one-trial"])
     @pytest.mark.parametrize("hidden_width", [4, 0], ids=["hidden", "linear"])
     def test_a_stacked_model_is_refused(self, call, batch, hidden_width):

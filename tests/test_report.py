@@ -75,6 +75,25 @@ class TestCsvEmission:
         with pytest.raises(DataError):
             read_raw_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,c\n1,2,3\n", ": expected header "),
+        (",".join(RAW_FIELDS) + "\nrandom,random,0,0,16,7.5,3,0\n", ":2: malformed row "),
+    ], ids=["bad-header", "bad-row"])
+    def test_file_is_closed_when_the_read_is_rejected(self, tmp_path, monkeypatch, text, message):
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr("decal.data.open", recording_open, raising=False)
+        path = tmp_path / RAW_FILENAME
+        path.write_text(text)
+        with pytest.raises(DataError, match=message) as caught:
+            read_raw_csv(path)
+        # closed while ``caught`` still holds the error and the frames it holds
+        assert len(handles) == 1 and handles[0].closed
+
     @pytest.mark.parametrize("keys", [[("entropy", "random")], [("entropy", "random"), ("margin", "decal")]])
     def test_report_files_names_every_file_written(self, tmp_path, keys):
         paths = emit_report([fake_result(*key, trials=2, rounds=1) for key in keys], tmp_path)
