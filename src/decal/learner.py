@@ -418,7 +418,10 @@ def train_lockstep(models: list[Model], features, labels, cfg: LearnerConfig,
     parameters or logits left non-finite; the other trials go on. A trial leaving after
     an evaluation is checked against its own row of that evaluation's logits.
     A model leaves with its arrays rebound to views of a flat copy of its parameters.
+    A model whose arrays carry a trial axis is refused.
     """
+    if any(model.w_out.ndim != 2 for model in models):
+        raise ValueError("model arrays carry a trial axis: a stack of models trains only inside train_lockstep")
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if (x.ndim != 3 or not 0 < len(models) == len(seeds) == len(x) or x.shape[:2] != y.shape

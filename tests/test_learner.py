@@ -587,7 +587,9 @@ class TestStackRefused:
         lambda model, x, y: gradient_embedding(model, x),
         lambda model, x, y: evaluate(model, x, y),
         lambda model, x, y: cross_entropy_loss_and_grads(model, x, y),
-    ], ids=["penultimate", "predict_proba", "gradient_embedding", "evaluate", "loss_and_grads"])
+        lambda model, x, y: train_lockstep([model], x if x.ndim == 3 else x[None], y if y.ndim == 2 else y[None],
+                                           FAST, [0]),
+    ], ids=["penultimate", "predict_proba", "gradient_embedding", "evaluate", "loss_and_grads", "train_lockstep"])
     @pytest.mark.parametrize("batch", ["stacked", "one-trial"])
     @pytest.mark.parametrize("hidden_width", [4, 0], ids=["hidden", "linear"])
     def test_a_stacked_model_is_refused(self, call, batch, hidden_width):
