@@ -40,7 +40,7 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run", help="run one experiment from a config file")
     run.add_argument("--config", required=True, help="JSON config file")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--workers", type=int, default=1, help="parallel trial workers, capped at the usable CPUs")
+    run.add_argument("--workers", type=int, default=1, help="processes for the dataset CSV parse and the trials, capped at the usable CPUs")
     run.set_defaults(handler=_cmd_run)
 
     cmp = sub.add_parser("compare", help="compare two configs differing only in init_mode")
@@ -48,7 +48,7 @@ def _build_parser() -> _Parser:
     cmp.add_argument("--config-b", required=True, help="second JSON config")
     cmp.add_argument("--round", type=int, required=True, help="round index to compare at")
     cmp.add_argument("--out", required=True, help="output directory")
-    cmp.add_argument("--workers", type=int, default=1, help="parallel trial workers, capped at the usable CPUs")
+    cmp.add_argument("--workers", type=int, default=1, help="processes for the dataset CSV parse and the trials, capped at the usable CPUs")
     cmp.set_defaults(handler=_cmd_compare)
 
     rep = sub.add_parser("report", help="regenerate aggregate CSV and plots from raw.csv")

@@ -12,8 +12,13 @@ against the budget every round.
 from __future__ import annotations
 
 import csv
+import io
+import multiprocessing
+import os
+import pickle
 import re
 import sys
+import threading
 import warnings
 from array import array
 from contextlib import closing, contextmanager
@@ -413,8 +418,8 @@ def _file_rows(fh, path):
         raise CsvParseError(path, reader.line_num, str(exc)) from None
 
 
-def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
-    """Load a pool/test split from a feature CSV.
+def load_dataset(path, schema: CsvSchema | None = None, workers: int = 1) -> DatasetSplit:
+    """Load a pool/test split from a feature CSV, its body parsed by up to ``workers`` processes.
 
     Violations are rejected, never repaired: malformed rows raise a parse
     error with the offending line number, a patient present in both splits
@@ -430,6 +435,12 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
     ``path`` must be a file that can be opened twice. An error then names the
     first faulty physical line, whether its fault is a row, csv or decoding one.
     Patient ids are stripped, and each split codes its patients in name order.
+
+    With ``workers`` of 2 or more, where processes start by fork, numpy's reader
+    takes the body in that many byte ranges at once, this process the first and
+    a forked child each other (:func:`_range_columns`); the result is bitwise
+    the one-process load's, which is what a load falls back to when a range
+    cannot vouch for its text.
     """
     schema = schema or CsvSchema()
     with _open_csv(path) as fh:
@@ -463,7 +474,9 @@ def load_dataset(path, schema: CsvSchema | None = None) -> DatasetSplit:
             )
         layout = _Layout(len(header), *col.values(), [i for _, i in feature_cols])  # col is in role order
 
-        ids, labels, features, (codes, names), in_test, lines = _numpy_columns(fh, layout) or _row_columns(path, layout)
+        ids, labels, features, (codes, names), in_test, lines = (
+            workers > 1 and _may_fork() and _range_columns(fh.fileno(), header_line, layout, workers)
+            or _numpy_columns(fh, layout) or _row_columns(path, layout))
     in_pool = ~in_test
 
     for name, mask in ((SPLIT_POOL, in_pool), (SPLIT_TEST, in_test)):
@@ -507,9 +520,27 @@ class _Layout(NamedTuple):
 
 
 # _numpy_columns reads the body a block of _BLOCK_BATCHES batches of whole lines (about _BATCH_CHARS characters
-# each, 1 MB a block) per np.loadtxt call, so a load's short-lived table and strings stay that small in any file
+# each, 1 MB a block) per np.loadtxt call, so a load's short-lived table and strings stay that small in any file;
+# a body of under one block per worker is not split into byte ranges
 _BATCH_CHARS = 1 << 16
 _BLOCK_BATCHES = 16
+
+
+class _Stretch(NamedTuple):
+    """Lines of the body as numpy read them, a column an array.
+
+    Patient and split codes number the raw values in the order of the dicts, the order they first appear.
+    """
+
+    ids: np.ndarray
+    labels: np.ndarray
+    features: np.ndarray
+    raw_codes: np.ndarray
+    raw_code_of: dict
+    split_codes: np.ndarray
+    split_code_of: dict
+    rows: int  # non-blank lines read: more than numpy returns if a record spans lines
+    quoted: bool  # whether a line holds a '"'
 
 
 def _numpy_columns(fh, layout: _Layout):
@@ -527,10 +558,16 @@ def _numpy_columns(fh, layout: _Layout):
     block that ended inside a quoted field would load, numpy 2.4.6 taking the field as closed.
     Raw patient and split values are coded as they first appear; only the distinct ones are stripped and checked.
     """
+    stretch = _numpy_stretch(fh, layout)
+    return stretch and _checked_columns([stretch])
+
+
+def _numpy_stretch(fh, layout: _Layout) -> _Stretch | None:
+    """The :class:`_Stretch` of the rest of ``fh``, read a block at a time; None where numpy or a line check refuses it."""
     field_limit = csv.field_size_limit()
     max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     zeros = "0" * (max_digits - 18) if max_digits else None  # an int64 has at most 19 other digits
-    rows = 0  # non-blank lines read: more than numpy returns if a record spans lines
+    rows = 0
     quoted = False  # whether a batch read so far holds a '"'
 
     def checked(batch):
@@ -582,6 +619,25 @@ def _numpy_columns(fh, layout: _Layout):
         return None
     ids, labels, features = np.concatenate(ids), np.concatenate(labels), np.concatenate(features)
     raw_codes, split_codes = np.concatenate(raw_codes), np.concatenate(split_codes)
+    return _Stretch(ids, labels, features, raw_codes, raw_code_of, split_codes, split_code_of, rows, quoted)
+
+
+def _checked_columns(stretches: list[_Stretch]):
+    """The columns of the body's stretches, joined in the order given, if they pass every row check; else None.
+
+    Each later stretch's codes are renumbered into the first's dicts, so the codes are those of one stretch of the
+    whole body. ``stretches`` is emptied once they are joined, so that their arrays go before the checks' temporaries.
+    """
+    raw_code_of, split_code_of = stretches[0].raw_code_of, stretches[0].split_code_of
+    raw_codes = [stretches[0].raw_codes] + [_recoded(raw_code_of, s.raw_code_of)[s.raw_codes] for s in stretches[1:]]
+    split_codes = [stretches[0].split_codes] + [
+        _recoded(split_code_of, s.split_code_of)[s.split_codes] for s in stretches[1:]]
+    rows = sum(s.rows for s in stretches)
+    ids, labels, features, raw_codes, split_codes = (
+        parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for parts in ([s.ids for s in stretches], [s.labels for s in stretches], [s.features for s in stretches],
+                      raw_codes, split_codes))
+    stretches.clear()
     codes, names = encode_names([name.strip() for name in raw_code_of])  # " a" and "a" are one; "" sorts first
     sorted_ids = np.sort(ids)
     if (len(ids) != rows or ids.min() < 0 or labels.min() < 0 or "" in names[:1]
@@ -592,6 +648,132 @@ def _numpy_columns(fh, layout: _Layout):
     return ids, labels, features, (codes[raw_codes], names), in_test, None
 
 
+def _recoded(code_of: dict, stretch_code_of: dict) -> np.ndarray:
+    """Each code of a later stretch's dict as ``code_of`` numbers its value, numbering the new values next."""
+    return np.array([code_of.setdefault(value, len(code_of)) for value in stretch_code_of], np.int64)
+
+
+def _may_fork() -> bool:
+    """Whether a child may be forked to read a range: processes start by fork here, this one runs one thread, and
+    a process can be held to a CPU.
+
+    Where the pool's workers are spawned, a child would import numpy and decal again, which costs about what it reads.
+    """
+    method = multiprocessing.get_start_method(allow_none=True) or multiprocessing.get_all_start_methods()[0]
+    return method == "fork" and threading.active_count() == 1 and hasattr(os, "sched_setaffinity")
+
+
+def _range_columns(fd: int, header_line: int, layout: _Layout, workers: int):
+    """:func:`_numpy_columns` of the body of the file open as ``fd``, read as ``workers`` byte ranges at once.
+
+    This process reads the first range and a forked child each other one, sending its :class:`_Stretch` back
+    through a pipe. None when any range cannot vouch for its text: a stretch numpy refuses, a ``"`` (a quoted
+    field could straddle a range's end), no ``\\n`` to start a range after, a child that dies, a read error, or a
+    body of under one block per range. Ranges are read with ``os.pread``, which leaves ``fd``'s offset alone.
+    A forked child starts on its parent's CPU and can stay there for all of a short read, so each process is held
+    to a CPU of its own (in turn from this process's set) until its range is read.
+    """
+    cpus = sorted(os.sched_getaffinity(0))
+    children = []  # per child: its pid and the read end of the pipe its stretch comes through
+    try:
+        starts = _range_starts(fd, header_line, workers)
+        if starts is None:
+            return None
+        os.sched_setaffinity(0, cpus[:1])
+        for k, (start, end) in enumerate(zip(starts[1:-1], starts[2:]), 1):
+            children.append(_forked_stretch(fd, start, end, layout, cpus[k % len(cpus)]))
+        stretches = [_range_stretch(fd, starts[0], starts[1], layout)]
+        stretches += [pickle.load(pipe) for _, pipe in children]
+    except (OSError, EOFError, pickle.UnpicklingError):  # a stretch cut short: its child died
+        return None
+    finally:
+        os.sched_setaffinity(0, cpus)
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    return None if None in stretches else _checked_columns(stretches)
+
+
+def _range_starts(fd: int, header_line: int, workers: int) -> list[int] | None:
+    """The byte offsets the body's ``workers`` ranges start at, each just after a ``\\n``, then the file's size.
+
+    None for a body of under one block per range, a range with no ``\\n`` to split after, or a bare ``\\r`` before
+    the body, where the csv module's physical lines are not the lines that end in ``\\n``.
+    """
+    size = os.fstat(fd).st_size
+    body = 0
+    for _ in range(header_line):  # the header's physical lines, blank lines before it included
+        body = _after_newline(fd, body, size)
+        if body is None:
+            return None
+    head = os.pread(fd, body, 0)
+    span = size - body
+    if head.count(b"\r") != head.count(b"\r\n") or span < workers * _BATCH_CHARS * _BLOCK_BATCHES:
+        return None
+    # range k starts after the first "\n" from the k-th of equal shares of the body, before the next share ends
+    shares = [body + span * k // workers for k in range(workers + 1)]
+    starts = [body] + [_after_newline(fd, shares[k] - 1, shares[k + 1] - 1) for k in range(1, workers)]
+    return None if None in starts else starts + [size]
+
+
+def _after_newline(fd: int, pos: int, stop: int) -> int | None:
+    """The offset just after the first ``\\n`` in bytes [pos, stop) of the file open as ``fd``; None if none."""
+    while pos < stop:
+        chunk = os.pread(fd, min(_BATCH_CHARS, stop - pos), pos)
+        if not chunk:
+            return None
+        at = chunk.find(b"\n")
+        if at >= 0:
+            return pos + at + 1
+        pos += len(chunk)
+    return None
+
+
+def _forked_stretch(fd: int, start: int, end: int, layout: _Layout, cpu: int):
+    """(pid, read end of a pipe) of a child forked on ``cpu`` that sends :func:`_range_stretch` of [start, end)."""
+    readable, writable = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(readable)
+        os.close(writable)
+        raise
+    if pid:
+        os.close(writable)
+        return pid, open(readable, "rb")
+    try:  # the child: send the stretch, then leave at once, running none of the parent's cleanup
+        os.close(readable)  # a parent that stops reading then fails this child's write
+        os.sched_setaffinity(0, {cpu})
+        with open(writable, "wb") as out:
+            pickle.dump(_range_stretch(fd, start, end, layout), out, protocol=pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)  # a stretch cut short reaches the parent as an EOFError or UnpicklingError
+
+
+def _range_stretch(fd: int, start: int, end: int, layout: _Layout) -> _Stretch | None:
+    """:func:`_numpy_stretch` of bytes [start, end); None where it cannot vouch for them, or they hold a ``"``."""
+    with io.TextIOWrapper(io.BufferedReader(_ByteRange(fd, start, end)),
+                          encoding="utf-8", errors="surrogateescape", newline="") as text:
+        stretch = _numpy_stretch(text, layout)
+    return None if stretch is None or stretch.quoted else stretch
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes [start, end) of the file open as ``fd``, read with ``os.pread``; closing it leaves ``fd`` open."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        self.fd, self.pos, self.end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        chunk = os.pread(self.fd, min(len(buffer), self.end - self.pos), self.pos)
+        buffer[:len(chunk)] = chunk
+        self.pos += len(chunk)
+        return len(chunk)
+
+
 def _row_columns(path, layout: _Layout):
     """Read the file at ``path`` again from the top, row by row, and raise the error of its first faulty row.
 
@@ -599,58 +781,76 @@ def _row_columns(path, layout: _Layout):
     ids to lines. Without a faulty row, the body's (ids, labels, features,
     patients as :func:`encode_names` codes them, in_test, line of each row),
     converted by Python's ``int`` and ``float``, which take spellings numpy refuses (``1_0``).
+    Every column is a flat array of C values, patients coded as they first appear; repeated ids are looked for
+    only before an error is raised and at the end, so the first faulty line is the one reported.
     """
     dim = len(layout.features)
-    seen: dict[int, int] = {}  # sample id -> the line it was read on
-    # features flat, a C double per value: a float's own bits, without a Python object per value
-    labels, patients, in_test, features = [], [], [], array("d")
+    ids, lines, labels, patients, features = array("q"), array("q"), array("q"), array("q"), array("d")
+    in_test = bytearray()
+    code_of: dict[str, int] = {}  # stripped patient id -> its code, in first-seen order
     with closing(csv_rows(path)) as reader:
         next(reader, None)  # the header
-        for line_number, row in reader:
-            if len(row) > layout.width:
-                raise FeatureDimensionError(
-                    f"{path}:{line_number}: expected {dim} feature values, found {len(row) - layout.width + dim}"
-                )
-            if len(row) < layout.width:
-                raise CsvParseError(
-                    path, line_number, f"expected {layout.width} columns, found {len(row)}"
-                )
-            try:
-                sample_id = int(row[layout.sample_id])
-                label = int(row[layout.label])
-            except ValueError as exc:
-                raise CsvParseError(path, line_number, str(exc)) from None
-            if not 0 <= sample_id <= _INT64_MAX:
-                raise CsvParseError(path, line_number, f"sample id must be in 0..2**63-1, got {sample_id}")
-            if not 0 <= label <= _INT64_MAX:
-                raise CsvParseError(path, line_number, f"label must be in 0..2**63-1, got {label}")
-            patient = row[layout.patient_id].strip()
-            if not patient:
-                raise CsvParseError(path, line_number, "empty patient id")
-            split_value = row[layout.split].strip()
-            if split_value not in (SPLIT_POOL, SPLIT_TEST):
-                raise CsvParseError(
-                    path, line_number, f"split must be 'pool' or 'test', got {split_value!r}"
-                )
-            try:
-                feats = [float(row[i]) for i in layout.features]
-            except ValueError as exc:
-                raise CsvParseError(path, line_number, str(exc)) from None
-            if not all(np.isfinite(feats)):
-                raise CsvParseError(path, line_number, "non-finite feature value")
-            if sample_id in seen:
-                raise CsvParseError(
-                    path, line_number,
-                    f"duplicate sample id {sample_id} (first seen on line {seen[sample_id]})",
-                )
-            seen[sample_id] = line_number
-            labels.append(label)
-            patients.append(patient)
-            features.extend(feats)
-            in_test.append(split_value == SPLIT_TEST)
-    return (np.fromiter(seen, np.int64, len(seen)), np.array(labels, np.int64),
-            np.frombuffer(features, np.float64).reshape(len(seen), dim), encode_names(patients),
-            np.array(in_test, bool), list(seen.values()))
+        try:
+            for line_number, row in reader:
+                if len(row) > layout.width:
+                    raise FeatureDimensionError(
+                        f"{path}:{line_number}: expected {dim} feature values, found {len(row) - layout.width + dim}"
+                    )
+                if len(row) < layout.width:
+                    raise CsvParseError(
+                        path, line_number, f"expected {layout.width} columns, found {len(row)}"
+                    )
+                try:
+                    sample_id = int(row[layout.sample_id])
+                    label = int(row[layout.label])
+                except ValueError as exc:
+                    raise CsvParseError(path, line_number, str(exc)) from None
+                if not 0 <= sample_id <= _INT64_MAX:
+                    raise CsvParseError(path, line_number, f"sample id must be in 0..2**63-1, got {sample_id}")
+                if not 0 <= label <= _INT64_MAX:
+                    raise CsvParseError(path, line_number, f"label must be in 0..2**63-1, got {label}")
+                patient = row[layout.patient_id].strip()
+                if not patient:
+                    raise CsvParseError(path, line_number, "empty patient id")
+                split_value = row[layout.split].strip()
+                if split_value not in (SPLIT_POOL, SPLIT_TEST):
+                    raise CsvParseError(
+                        path, line_number, f"split must be 'pool' or 'test', got {split_value!r}"
+                    )
+                try:
+                    feats = [float(row[i]) for i in layout.features]
+                except ValueError as exc:
+                    raise CsvParseError(path, line_number, str(exc)) from None
+                if not all(np.isfinite(feats)):
+                    raise CsvParseError(path, line_number, "non-finite feature value")
+                ids.append(sample_id)
+                lines.append(line_number)
+                labels.append(label)
+                patients.append(code_of.setdefault(patient, len(code_of)))
+                features.extend(feats)
+                in_test.append(split_value == SPLIT_TEST)
+        except DataError:  # a row before the faulty line may repeat an id
+            _raise_repeated_id(path, ids, lines)
+            raise
+    _raise_repeated_id(path, ids, lines)
+    codes, names = encode_names(list(code_of))
+    return (np.frombuffer(ids, np.int64), np.frombuffer(labels, np.int64),
+            np.frombuffer(features, np.float64).reshape(len(ids), dim), (codes[np.frombuffer(patients, np.int64)], names),
+            np.frombuffer(in_test, bool), lines)
+
+
+def _raise_repeated_id(path, ids: array, lines: array) -> None:
+    """Raise the duplicate-id error of the first row whose sample id an earlier row has, if there is one."""
+    ids = np.frombuffer(ids, np.int64)
+    order = np.argsort(ids, kind="stable")  # equal ids in row order
+    ordered = ids[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if len(repeats):
+        row = repeats.min()
+        first = order[np.searchsorted(ordered, ids[row])]
+        raise CsvParseError(
+            path, lines[row], f"duplicate sample id {int(ids[row])} (first seen on line {lines[first]})",
+        ) from None
 
 
 def write_dataset(split: DatasetSplit, path) -> None:

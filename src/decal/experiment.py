@@ -70,9 +70,10 @@ class DatasetSource:
             raise ConfigError("normalize sigma must be > 0")
 
 
-def build_dataset(source: DatasetSource, seed: int) -> DatasetSplit:
+def build_dataset(source: DatasetSource, seed: int, workers: int = 1) -> DatasetSplit:
+    """The source's split; up to ``workers`` processes parse a CSV's body (:func:`load_dataset`)."""
     if source.csv_path is not None:
-        split = load_dataset(source.csv_path, source.schema)
+        split = load_dataset(source.csv_path, source.schema, workers)
     elif source.preset is not None:
         split = generate_synthetic(get_preset(source.preset), seed)
     else:
@@ -350,12 +351,12 @@ def _run_configs(cfgs: list[ExperimentConfig], workers: int) -> list[ExperimentR
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    split = build_dataset(cfgs[0].dataset, cfgs[0].base_seed)
+    workers = min(workers, _usable_cpus())  # no more processes than the CPUs that can run them
+    split = build_dataset(cfgs[0].dataset, cfgs[0].base_seed, workers=workers)
     run = partial(_run_lockstep, split)
     trials = [(cfg, seed) for cfg in cfgs for seed in range(cfg.base_seed, cfg.base_seed + cfg.trials)]
-    # contiguous chunks of as equal a size as they can be, the longer ones first; one process each,
-    # so no more than the CPUs that can run them
-    n_chunks = min(workers, len(trials), _usable_cpus())
+    # contiguous chunks of as equal a size as they can be, the longer ones first; one process each
+    n_chunks = min(workers, len(trials))
     chunks = [[trials[i] for i in part] for part in np.array_split(range(len(trials)), n_chunks)]
     if len(chunks) > 1:
         futures = _pool_futures(run, chunks, len(chunks))
@@ -382,8 +383,9 @@ def _run_configs(cfgs: list[ExperimentConfig], workers: int) -> list[ExperimentR
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run cfg.trials trials with seeds base_seed..base_seed+trials-1.
 
-    The trials share one dataset build and are split into min(workers, trials,
-    usable CPUs) contiguous chunks, each run in lockstep, in a process of its own when
+    The trials share one dataset build, whose CSV body min(workers, usable CPUs)
+    processes parse, and are split into min(workers, trials, usable CPUs)
+    contiguous chunks, each run in lockstep, in a process of its own when
     there are several chunks. Records are always assembled in trial-seed
     order, so the output is scheduling-independent. A trial whose training
     diverges, or that kills its worker process also when rerun alone, leaves

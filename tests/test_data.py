@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -5,7 +7,10 @@ import signal
 import subprocess
 import sys
 import tempfile
+from contextlib import ExitStack, contextmanager
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -111,6 +116,27 @@ class TestLoadDataset:
         with pytest.raises(CsvParseError) as err:
             load_dataset(write_csv(tmp_path, text))
         assert "duplicate" in str(err.value)
+
+    # the row reader looks for repeated ids only before it raises and at the end: the first faulty line still wins
+    @pytest.mark.parametrize("edits, message", [
+        ({"3,B,1,pool": "1,B,1,pool", "5,C,1,test,1.1": "5,C,1,test,x"},
+         "5: duplicate sample id 1 (first seen on line 3)"),
+        ({"1,A,1,pool,0.3": "1,A,1,pool,x", "3,B,1,pool": "1,B,1,pool"},
+         "3: could not convert string to float: 'x'"),
+        ({"3,B,1,pool": "1,B,1,pool", "5,C,1,test,1.1": "5,C,1,test,\udcff"},
+         "5: duplicate sample id 1 (first seen on line 3)"),
+        ({"3,B,1,pool": "0,B,1,pool", "4,C,0,test": "1,C,0,test"},
+         "5: duplicate sample id 0 (first seen on line 2)"),
+    ], ids=["before-a-row-fault", "after-a-row-fault", "before-a-bad-byte", "the-first-of-two"])
+    def test_the_first_of_a_repeated_id_and_another_fault_is_reported(self, tmp_path, edits, message):
+        text = BASIC_CSV
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(CsvParseError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}:{message}"
 
     def test_unexpected_column_rejected(self, tmp_path):
         text = BASIC_CSV.replace("split,f0", "split,extra,f0").replace(
@@ -236,9 +262,10 @@ class TestLoadDataset:
         assert split_equal(load_dataset(path), expected)
 
     # 24,000 rows of the stress shape (8 images a patient, 6 features). Read a block at a time, numpy's columns peak
-    # at 2.26 times the arrays returned (3.86 with the body in one table); with its features in one flat array, the
-    # row reader peaks at 3.79 times them (7.73 with a list of floats per row)
-    @pytest.mark.parametrize("reader, bound", [("numpy", 2.5), ("rows", 4.5)])
+    # at 2.35 times the arrays returned (3.86 with the body in one table); with every column a flat array of C values
+    # and patients coded as they come, the row reader peaks at 2.50 times them (3.79 with a dict entry and a patient
+    # string per row, 7.73 with a list of floats per row as well)
+    @pytest.mark.parametrize("reader, bound", [("numpy", 2.5), ("rows", 3.0)])
     def test_peak_memory_is_a_bounded_multiple_of_the_returned_arrays(self, tmp_path, monkeypatch, reader, bound):
         path = tmp_path / "data.csv"
         cfg = synth_cfg(num_patients=3000, images_per_patient=ImageCountSpec(low=8), feature_dim=6, noise_scale=0.3)
@@ -334,6 +361,189 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=f"patient id {re.escape(repr(patient))} would not load back unchanged"):
             write_dataset(split, out)
         assert not out.exists()
+
+
+RANGE_ROWS = ["sample_id,patient_id,label,split,f0"] + [
+    f"{i},p{i},{i % 2},{'pool' if i < 6 else 'test'},{i / 8!r}" for i in range(8)
+]
+# patient S has the first and the last row, so its rows fall in both of two ranges
+SHARED_PATIENT = ["sample_id,patient_id,label,split,f0"] + [
+    f"{i},{'S' if i in (0, 19) else f'p{i % 6}'},{i % 3},{'test' if i % 6 == 5 else 'pool'},{i / 16!r}"
+    for i in range(20)
+]
+
+
+def skewed_csv(quoting=None, blanks=False) -> bytes:
+    """The skewed preset's CSV as write_dataset writes it, or rewritten with a quoting and blank lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "skewed.csv"
+        write_dataset(generate_synthetic(PRESETS["skewed"], 3), path)
+        if quoting is None and not blanks:
+            return path.read_bytes()
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    if blanks:  # 12 blank lines after every 7th row, so that some blocks hold only blank lines
+        rows = [row for i, line in enumerate(rows) for row in [line] + [[]] * 12 * (i % 7 == 6)]
+    buf = io.StringIO(newline="")
+    csv.writer(buf, quoting=quoting or csv.QUOTE_MINIMAL, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode()
+
+
+# Each fixture's CSV bytes, and whether both of its ranges vouch for their text: a quote, or bare "\r" line ends,
+# leave a file to one process
+RANGE_FIXTURES = {
+    "basic": (BASIC_CSV.encode(), True),
+    "lf": ("\n".join(RANGE_ROWS).encode() + b"\n", True),
+    "crlf": ("\r\n".join(RANGE_ROWS).encode() + b"\r\n", True),
+    "no-final-line-end": ("\n".join(RANGE_ROWS).encode(), True),
+    "byte-order-mark": (b"\xef\xbb\xbf" + "\n".join(RANGE_ROWS).encode() + b"\n", True),
+    "blank-lines": (("\n\n" + "\n\n\n".join(RANGE_ROWS) + "\n\n").encode(), True),
+    "non-ascii-ids": (BASIC_CSV.replace(",A,", ",Ä ,").replace(",B,", ",李,").replace(",C,", ",éé,").encode(), True),
+    "shared-patient": ("\n".join(SHARED_PATIENT).encode() + b"\n", True),
+    "write-dataset": (skewed_csv(), True),
+    "write-dataset-blank-lines": (skewed_csv(blanks=True), True),
+    "quote-all": (skewed_csv(csv.QUOTE_ALL), False),
+    "bare-cr": ("\r".join(RANGE_ROWS).encode() + b"\r", False),
+    # the csv module ends the header at its "\r", so the first "\n" ends a body row, not the header
+    "bare-cr-header": ((RANGE_ROWS[0] + "\r" + "\n".join(RANGE_ROWS[1:])).encode() + b"\n", False),
+}
+
+
+@contextmanager
+def recording(*names):
+    """A list of what the named ``decal.data`` functions return, filled in call order while in the block."""
+    returned = []
+    with ExitStack() as stack:
+        for name in names:
+            fn = getattr(data, name)
+            stack.enter_context(mock.patch.object(
+                data, name, lambda *args, fn=fn: returned.append(fn(*args)) or returned[-1]))
+        yield returned
+
+
+def one_process_columns(path):
+    """The columns a one-process load of ``path`` reads: numpy's, or else the row reader's."""
+    with recording("_numpy_columns", "_row_columns") as returned:
+        load_dataset(path)
+    return next(columns for columns in returned if columns is not None)
+
+
+def assert_same_columns(got, expected):
+    """ids, labels, features, patient codes and names, and in_test, equal in dtype, shape and bytes."""
+    def arrays(columns):
+        ids, labels, features, (codes, _), in_test, _ = columns
+        return ids, labels, features, codes, in_test
+
+    for a, b in zip(arrays(got), arrays(expected)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert got[3][1] == expected[3][1]
+
+
+def load_outcome(path, workers=1):
+    """The split loaded, or the type and message of the data error raised."""
+    try:
+        return load_dataset(path, workers=workers)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+class TestByteRanges:
+    """``workers`` of 2 read the body in two byte ranges, one in a forked child, and load what one process loads."""
+
+    @pytest.fixture(autouse=True)
+    def one_line_blocks(self, monkeypatch):
+        # one line a block, so that any body of two bytes or more is split: the small fixtures take the range path
+        monkeypatch.setattr(data, "_BATCH_CHARS", 1)
+        monkeypatch.setattr(data, "_BLOCK_BATCHES", 1)
+
+    @pytest.mark.parametrize("name", RANGE_FIXTURES)
+    def test_two_ranges_read_the_columns_of_one_process(self, tmp_path, name):
+        text, vouched = RANGE_FIXTURES[name]
+        path = tmp_path / "data.csv"
+        path.write_bytes(text)
+        expected = one_process_columns(path)
+        with recording("_range_columns") as returned:
+            split = load_dataset(path, workers=2)
+        assert len(returned) == 1 and (returned[0] is not None) == vouched
+        if vouched:
+            assert_same_columns(returned[0], expected)
+        assert split_equal(split, load_dataset(path))
+
+    def test_a_patient_in_both_ranges_is_one_patient(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(RANGE_FIXTURES["shared-patient"][0])
+        with open(path, "rb") as fh:
+            starts = data._range_starts(fh.fileno(), 1, 2)
+        text = path.read_bytes()
+        first, last = text.index(b"\n0,S,") + 1, text.index(b"\n19,S,") + 1  # where patient S's rows start
+        assert first < starts[1] <= last
+        with recording("_range_columns") as returned:
+            split = load_dataset(path, workers=2)
+        assert returned[0] is not None
+        assert split.pool.patients_for([0, 19]) == ["S", "S"] and split.pool.patient_names.count("S") == 1
+
+    @pytest.mark.parametrize("last_line, error", [
+        ("1,p9,0,test,0.5", "10: duplicate sample id 1 (first seen on line 3)"),  # each range holds one of the two
+        ('8,"p8",0,test,0.5', None),  # the one quote is in the second range
+    ], ids=["duplicate-id", "quote"])
+    def test_what_a_range_cannot_vouch_for_is_left_to_one_process(self, tmp_path, last_line, error):
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join([*RANGE_ROWS, last_line]) + "\n", encoding="utf-8")
+        expected = load_outcome(path)
+        with recording("_range_columns") as returned:
+            got = load_outcome(path, workers=2)
+        assert returned == [None]
+        if error is None:
+            assert split_equal(got, expected)
+        else:
+            assert got == expected == (CsvParseError, f"{path}:{error}")
+
+    def test_a_bare_cr_file_has_no_line_end_to_split_after(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes("\r".join([*RANGE_ROWS, "8,p8,0,pool,x"]).encode())
+        with recording("_range_columns") as returned:
+            got = load_outcome(path, workers=2)
+        assert got == load_outcome(path) == (CsvParseError, f"{path}:10: could not convert string to float: 'x'")
+        assert returned == [None]
+
+    def test_a_child_that_dies_leaves_the_load_to_one_process(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_bytes(RANGE_FIXTURES["write-dataset"][0])
+        expected = load_dataset(path)
+        parent, forks = os.getpid(), []
+        range_stretch, fork = data._range_stretch, os.fork
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return range_stretch(*args)
+
+        monkeypatch.setattr(data, "_range_stretch", dying)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        with recording("_range_columns") as returned:
+            split = load_dataset(path, workers=2)
+        assert returned == [None] and forks == [1]
+        assert split_equal(split, expected)
+
+    def test_no_child_is_forked_where_processes_are_spawned(self, tmp_path, monkeypatch):
+        path = write_csv(tmp_path, BASIC_CSV)
+        monkeypatch.setattr(data.multiprocessing, "get_start_method", lambda allow_none=False: "spawn")
+        with recording("_range_columns") as returned:
+            split = load_dataset(path, workers=2)
+        assert returned == []
+        assert split_equal(split, load_dataset(path))
+
+
+def test_the_stress_csv_in_two_ranges_reads_the_columns_of_one_process(tmp_path):
+    # 60,000 rows, 8.2 MB: two ranges of several of the reader's own 1 MB blocks
+    path = tmp_path / "stress.csv"
+    write_dataset(generate_synthetic(replace(PRESETS["large-uniform"], num_patients=7500), 0), path)
+    expected = one_process_columns(path)
+    with recording("_range_columns") as returned:
+        split = load_dataset(path, workers=2)
+    assert returned[0] is not None
+    assert_same_columns(returned[0], expected)
+    assert split_equal(split, load_dataset(path))
 
 
 # Replacement fields for the fuzz below: unbounded ints reach past int64, text

@@ -490,16 +490,31 @@ class TestCompareInitializations:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_builds_the_dataset_once(self, monkeypatch, workers):
-        calls = []
+        calls, worker_counts = [], []
 
-        def counting(source, seed):
+        def counting(source, seed, workers=1):
             calls.append((source, seed))
-            return build_dataset(source, seed)
+            worker_counts.append(workers)
+            return build_dataset(source, seed, workers)
 
+        allow_cpus(monkeypatch, 2)
         monkeypatch.setattr("decal.experiment.build_dataset", counting)
         cfg = small_cfg(init_mode="decal", rounds=1, trials=2)
         compare_initializations(cfg, replace(cfg, init_mode="random"), 1, workers=workers)
         assert calls == [(cfg.dataset, cfg.base_seed)]
+        assert worker_counts == [workers]  # the parse gets the process budget of the trials
+
+    def test_the_dataset_build_gets_the_cpu_capped_worker_count(self, monkeypatch):
+        worker_counts = []
+
+        def counting(source, seed, workers=1):
+            worker_counts.append(workers)
+            return build_dataset(source, seed, workers)
+
+        allow_cpus(monkeypatch, 1)
+        monkeypatch.setattr("decal.experiment.build_dataset", counting)
+        run_experiment(small_cfg(rounds=0, trials=2), workers=2)
+        assert worker_counts == [1]
 
     def test_both_runs_train_in_one_stack(self, monkeypatch):
         cfg = small_cfg(strategy="random", init_mode="decal", rounds=2, trials=2)
