@@ -163,19 +163,32 @@ def predict_proba(model: Model, features) -> np.ndarray:
     return p[0] if single else p
 
 
-def gradient_embedding(model: Model, features) -> np.ndarray:
-    """Loss-gradient embedding flatten((p - e_yhat) outer h), yhat = argmax p.
+def gradient_factors(model: Model, features) -> tuple[np.ndarray, np.ndarray]:
+    """The two factors of :func:`gradient_embedding`: the residual p - e_yhat and h.
 
-    Layout is class-major: entry [c * width(h) + j] is
-    (p - e_yhat)[c] * h[j]. Argmax ties break toward the lowest class index.
+    Row i of the embedding is the outer product of row i of each, so BADGE can
+    build only the rows it measures. For the linear model ``h`` is the float64
+    features, which it may share memory with.
     """
     x, single = _as_batch(model, features)
     h, z = _forward(model, x)
     residual = _softmax(z)
     yhat = np.argmax(residual, axis=1)  # first occurrence = lowest class index on ties
     residual[np.arange(len(yhat)), yhat] -= 1.0
-    g = np.einsum("nc,nj->ncj", residual, h).reshape(len(yhat), -1)
-    return g[0] if single else g
+    return (residual[0], h[0]) if single else (residual, h)
+
+
+def gradient_embedding(model: Model, features) -> np.ndarray:
+    """Loss-gradient embedding flatten((p - e_yhat) outer h), yhat = argmax p.
+
+    Layout is class-major: entry [c * width(h) + j] is
+    (p - e_yhat)[c] * h[j]. Argmax ties break toward the lowest class index.
+    The rows are the ``einsum`` of :func:`gradient_factors`, which BADGE
+    seeding also uses to build them.
+    """
+    residual, h = gradient_factors(model, features)
+    g = np.einsum("nc,nj->ncj", np.atleast_2d(residual), np.atleast_2d(h))
+    return g.ravel() if residual.ndim == 1 else g.reshape(len(g), -1)
 
 
 def evaluate(model: Model, features, labels) -> float:

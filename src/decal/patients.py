@@ -157,8 +157,8 @@ def select_query_batch(
     codes = pool.patient_codes[rows] if constrained else None
 
     if base == "badge":
-        grads = learner.gradient_embedding(model, pool.features[rows])
-        picked, relaxed = acquisition.badge_seeding(grads, k, seed, groups=codes)
+        factors = learner.gradient_factors(model, pool.features[rows])
+        picked, relaxed = acquisition.badge_seeding(factors, k, seed, groups=codes)
         return QueryBatch(tuple(rows[picked].tolist()), relaxed)
 
     if base == "random":

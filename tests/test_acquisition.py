@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decal import acquisition, learner
+from decal.data import generate_synthetic
+from decal.presets import PRESETS
 from decal.acquisition import (
     badge_seeding,
     score_entropy,
@@ -17,7 +20,7 @@ from decal.acquisition import (
 )
 from decal.learner import gradient_embedding
 from decal.patients import select_query_batch
-from helpers import batch_ids, linear_model, make_sampleset
+from helpers import batch_ids, linear_model, make_sampleset, traced_peak
 
 
 def probability_vectors(min_classes=2, max_classes=6):
@@ -441,6 +444,26 @@ class TestBadgePruning:
         assert sum(measured) < len(matrix) * (k - 1) / 2
 
 
+    def test_well_separated_clusters_keep_under_half_the_rows_for_the_certificate(self, monkeypatch):
+        # the rows Elkan's bound keeps go to _Certificate.measure, which builds only those it cannot certify
+        rng = np.random.default_rng(4)
+        centers = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [0.0, 100.0, 0.0]])
+        matrix = centers[np.arange(3000) % 3] + rng.standard_normal((3000, 3))
+        kept = []
+        measure = acquisition._Certificate.measure
+
+        def counting(certificate, c, center, rows, dist_sq):
+            kept.append(len(rows))
+            return measure(certificate, c, center, rows, dist_sq)
+
+        monkeypatch.setattr(acquisition._Certificate, "measure", counting)
+        k = 32
+        rows, _ = badge_seeding(matrix, k, seed=2)
+        monkeypatch.undo()
+        assert rows.tolist() == reference_badge_seeding(matrix, k, seed=2)[0].tolist()
+        assert len(kept) == k - 1 and sum(kept) < len(matrix) * (k - 1) / 2
+
+
 def draw_weights(rng, kind, n, u_seed):
     """Sampling weights with a positive total, shaped as the seeding loop can make them."""
     tiny = np.finfo(np.float64).smallest_subnormal
@@ -589,6 +612,196 @@ class TestBadgeLargePool:
                 assert relaxed == expected_relaxed
 
 
+class _Generators:
+    """``np.random.default_rng`` that keeps every generator it makes, so a seeding's final state can be compared."""
+
+    def __init__(self):
+        self.made = []
+        self.default_rng = np.random.default_rng
+
+    def __call__(self, seed):
+        self.made.append(self.default_rng(seed))
+        return self.made[-1]
+
+
+def seeding_outcome(generators, seeding, embeddings, k, seed, groups):
+    """Picks, relaxed count and the generator's final state of one seeding, or the ValueError it raised."""
+    made = len(generators.made)
+    try:
+        rows, relaxed = seeding(embeddings, k, seed, groups)
+    except ValueError as error:
+        return "ValueError", str(error)
+    return rows.tolist(), relaxed, [rng.bit_generator.state for rng in generators.made[made:]]
+
+
+def assert_factors_seed_as_their_matrix(monkeypatch, left, right, k, seed, groups):
+    """The factor pair, its einsum matrix and the unpruned loop over that matrix seed alike."""
+    generators = _Generators()
+    monkeypatch.setattr(np.random, "default_rng", generators)
+    with np.errstate(over="ignore", under="ignore"):
+        matrix = np.einsum("nc,nj->ncj", left, right).reshape(len(left), -1)
+    ours = seeding_outcome(generators, badge_seeding, (left, right), k, seed, groups)
+    assert ours == seeding_outcome(generators, badge_seeding, matrix, k, seed, groups)
+    if ours[0] != "ValueError":  # the unpruned loop fails on overflow in its own way
+        assert ours == seeding_outcome(generators, reference_badge_seeding, matrix, k, seed, groups)
+    monkeypatch.undo()
+    return ours
+
+
+def pool_factors(rng, n, hidden_width, scale):
+    """``gradient_factors`` of a random model on clustered features, right scaled, some rows confident and some repeated."""
+    centers = rng.standard_normal((5, 4)) * 3.0
+    features = centers[rng.integers(5, size=n)] + rng.standard_normal((n, 4))
+    model = learner.init_model(learner.LearnerConfig(hidden_width=hidden_width), 4, 3, seed=int(rng.integers(100)))
+    left, right = learner.gradient_factors(model, features)
+    repeated = rng.integers(n, size=n // 4)
+    left[repeated], right[repeated] = left[repeated[0]], right[repeated[0]]
+    left[rng.random(n) < 0.1] = 0.0  # a confident prediction's residual
+    return left, right * scale
+
+
+@st.composite
+def factor_seeding_inputs(draw):
+    """Factor pairs of few distinct rows, zero rows on either side, at extreme scales, with or without groups."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, n))
+    left = rng.standard_normal((distinct, draw(st.integers(1, 4))))
+    right = rng.standard_normal((distinct, draw(st.integers(1, 6))))
+    if draw(st.booleans()):  # small integers: ties between distances
+        left, right = np.round(2 * left), np.round(2 * right)
+    rows = rng.integers(distinct, size=n)
+    left, right = left[rows], right[rows]
+    left[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    right[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = -0.0
+    scale = draw(st.sampled_from([1e-162, 1e-81, 1.0, 1e75, 1e150]))
+    if draw(st.booleans()):
+        left, right = left * math.sqrt(scale), right * math.sqrt(scale)
+    else:
+        right = right * scale
+    num_groups = draw(st.integers(0, n))
+    groups = rng.integers(num_groups, size=n) if num_groups else None
+    return left, right, draw(st.integers(0, n)), draw(st.integers(0, 1000)), groups
+
+
+def shift_ulps(values, ulps):
+    """``values`` moved ``ulps`` representable steps up (or down, for negative ``ulps``)."""
+    for _ in range(abs(ulps)):
+        values = np.nextafter(values, np.inf if ulps > 0 else -np.inf)
+    return values
+
+
+class TestCertificate:
+    """``_Certificate.measure`` against a full measurement, where rounding alone decides whether a row moves."""
+
+    @staticmethod
+    def measure(left, right, c, dist_sq):
+        """``measure`` over every row, with the center the built row ``c``; every row that moves must be measured."""
+        center = np.einsum("nc,nj->ncj", left[c:c + 1], right[c:c + 1]).ravel()
+        diff = np.einsum("nc,nj->ncj", left, right).reshape(len(left), -1) - center
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = np.einsum("ij,ij->i", diff, diff)
+            measured, distances = acquisition._Certificate(left, right).measure(c, center, np.arange(len(left)),
+                                                                                dist_sq(full))
+        assert distances.tobytes() == full[measured].tobytes()
+        assert set(np.flatnonzero(full < dist_sq(full))) <= set(measured.tolist())
+        return measured, full < dist_sq(full)
+
+    @pytest.mark.parametrize("scale", [1e-162, 1e-81, 1.0, 1e75, 1e150])
+    @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2, 64])
+    def test_rows_a_few_ulps_from_their_distance(self, scale, ulps):
+        # a third of the rows lie close to the center, where the rank-1 estimate cancels: its rounding is
+        # many ulps of the distance, so only the margin keeps such a row from being skipped when it moves
+        rng = np.random.default_rng(43)
+        n = 2 * acquisition._BLOCK_ROWS + 300
+        left, right = rng.standard_normal((n, 3)), rng.standard_normal((n, 16))
+        close = rng.random(n) < 1 / 3
+        left[close] = left[0] + rng.standard_normal((close.sum(), 3)) * 1e-5
+        right[close] = right[0] + rng.standard_normal((close.sum(), 16)) * 1e-5
+        _, moves = self.measure(left, right * scale, 0, lambda full: shift_ulps(full, ulps))
+        assert moves.all() if ulps > 0 else not moves.any()
+
+    def test_rows_whose_norms_sum_past_overflow_are_measured(self):
+        # |a|**2 + |c|**2 overflows while 2 a . c and |a - c|**2 are finite: the estimate would read inf
+        left = np.array([[1.0, 0.0], [0.8, 0.6], [0.6, 0.8]]) * 1e154
+        for right in (np.ones((3, 1)), np.full((3, 2), 0.5 ** 0.5)):
+            measured, moves = self.measure(left, right, 1, lambda full: np.where(np.isfinite(full), np.inf, 0.0))
+            assert moves.all() and measured.tolist() == [0, 1, 2]
+
+
+class TestBadgeFactors:
+    """Seeding from the two factors of the gradient embedding equals seeding its matrix, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(factor_seeding_inputs())
+    def test_small_pools_equal_the_matrix_and_the_unpruned_loop(self, case):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert_factors_seed_as_their_matrix(monkeypatch, *case)
+
+    @pytest.mark.parametrize("scale", [1e-162, 1.0, 1e150])
+    @pytest.mark.parametrize("hidden_width", [8, 0], ids=["hidden", "linear"])
+    @pytest.mark.parametrize("grouping", ["none", "patients", "three"])
+    def test_model_factors_equal_the_matrix_and_the_unpruned_loop(self, monkeypatch, scale, hidden_width, grouping):
+        # past two blocks; with the linear model the right factor is the features
+        rng = np.random.default_rng(37)
+        n = 2 * acquisition._BLOCK_ROWS + 300
+        left, right = pool_factors(rng, n, hidden_width, scale)
+        groups = {"none": None, "patients": rng.permutation(np.arange(n) // 8), "three": rng.integers(3, size=n)}
+        for seed in range(2):
+            outcome = assert_factors_seed_as_their_matrix(monkeypatch, left, right, 24, seed, groups[grouping])
+            assert outcome[0] != "ValueError"
+
+    def test_gradient_embedding_is_the_einsum_of_gradient_factors(self):
+        rng = np.random.default_rng(41)
+        features = rng.standard_normal((300, 4)) * 3.0
+        for hidden_width in (0, 8):
+            model = learner.init_model(learner.LearnerConfig(hidden_width=hidden_width), 4, 3, seed=2)
+            left, right = learner.gradient_factors(model, features)
+            matrix = gradient_embedding(model, features)
+            assert matrix.tobytes() == np.einsum("nc,nj->ncj", left, right).reshape(300, -1).tobytes()
+            one_left, one_right = learner.gradient_factors(model, features[7])  # a one-row forward pass
+            assert one_left.shape == (3,) and one_right.shape == (hidden_width or 4,)
+            assert gradient_embedding(model, features[7]).tobytes() == np.outer(one_left, one_right).ravel().tobytes()
+
+    def test_the_certificate_skips_only_rows_that_do_not_move(self, monkeypatch):
+        # the stress pool's shape (48k rows, 3 classes x width 16, 8 rows per patient), k = 128
+        split = generate_synthetic(replace(PRESETS["large-uniform"], num_patients=7500), 3)
+        pool = split.pool
+        model = learner.init_model(learner.LearnerConfig(hidden_width=16), pool.feature_dim, 3, seed=1)
+        left, right = learner.gradient_factors(model, pool.features)
+        kept_by_elkan = built = 0
+        measure = acquisition._Certificate.measure
+
+        def checked(certificate, c, center, rows, dist_sq):
+            nonlocal kept_by_elkan, built
+            diff = np.einsum("nc,nj->ncj", left[rows], right[rows]).reshape(len(rows), -1) - center
+            full = np.einsum("ij,ij->i", diff, diff)
+            measured, distances = measure(certificate, c, center, rows, dist_sq)
+            assert set(rows[full < dist_sq[rows]]) <= set(measured.tolist())
+            assert distances.tobytes() == full[np.searchsorted(rows, measured)].tobytes()
+            kept_by_elkan += len(rows)
+            built += len(measured)
+            return measured, distances
+
+        monkeypatch.setattr(acquisition._Certificate, "measure", checked)
+        rows, relaxed = badge_seeding((left, right), 128, seed=5, groups=pool.patient_codes)
+        monkeypatch.undo()
+        assert built < kept_by_elkan / 2  # measured: about a quarter
+        matrix = np.einsum("nc,nj->ncj", left, right).reshape(len(left), -1)
+        assert (rows.tolist(), relaxed) == tuple(x.tolist() if hasattr(x, "tolist") else x
+                                                 for x in badge_seeding(matrix, 128, 5, pool.patient_codes))
+
+    @pytest.mark.parametrize("strategy", ["badge", "decal_badge"])
+    def test_a_stress_sized_selection_never_holds_the_embedding_matrix(self, strategy):
+        # the stress pool with a width-128 model: the n x (3 * 128) matrix would take 147 MB
+        split = generate_synthetic(replace(PRESETS["large-uniform"], num_patients=7500), 3)
+        pool = split.pool
+        model = learner.init_model(learner.LearnerConfig(hidden_width=128), pool.feature_dim, 3, seed=1)
+        matrix_bytes = len(pool) * 3 * 128 * 8
+        _, peak = traced_peak(select_query_batch, strategy, model, pool, np.arange(len(pool)), 128, 5)
+        assert peak < matrix_bytes / 2  # measured: 0.43 of it
+
+
 class TestBadgeSeedingShapes:
     @pytest.mark.parametrize("matrix", [np.ones(5), np.ones((2, 3, 4))], ids=["1-D", "3-D"])
     def test_matrix_must_be_2d(self, matrix):
@@ -602,6 +815,27 @@ class TestBadgeSeedingShapes:
         for k in (0, 3):
             with pytest.raises(ValueError, match=re.escape(message)):
                 badge_seeding(np.arange(15.0).reshape(5, 3), k, seed=0, groups=groups)
+
+
+    @pytest.mark.parametrize("left, right", [
+        (np.ones((5, 3)), np.ones((4, 2))), (np.ones(5), np.ones((5, 2))), (np.ones((5, 3)), np.ones((5, 2, 1))),
+    ], ids=["rows", "1-D", "3-D"])
+    def test_factors_must_be_2d_with_one_row_per_candidate(self, left, right):
+        with pytest.raises(ValueError, match=re.escape(f"got shapes {left.shape} and {right.shape}")):
+            badge_seeding((left, right), 1, seed=0)
+
+    @pytest.mark.parametrize("bad", ["inf-times-zero", "nan", "overflowing-product"])
+    def test_factors_whose_rows_are_not_finite_are_refused(self, bad):
+        left, right = np.ones((5, 3)), np.ones((5, 2))
+        if bad == "inf-times-zero":  # the row holds NaN where inf meets 0
+            left[2, 1], right[2] = np.inf, 0.0
+        elif bad == "nan":
+            right[4, 0] = np.nan
+        else:  # finite factors, but their product overflows
+            left[1], right[1] = 1e200, 1e200
+        for k in (0, 2):
+            with pytest.raises(ValueError, match="embeddings must be finite"):
+                badge_seeding((left, right), k, seed=0)
 
 
 class TestMakeRanking:

@@ -3,8 +3,11 @@
 Each case fuzzes the behaviour directly, so a numpy that changes it fails
 here, next to its cause, and not only as a changed golden digest. Among them,
 ``test_generator_random_is_zero_or_a_multiple_of_2_to_the_minus_53`` pins the
-floor on ``u`` that ``acquisition._draw``'s certified draw rests on. The other
-assumptions are tested where the code that needs them is:
+floor on ``u`` that ``acquisition._draw``'s certified draw rests on, and
+``test_einsum_outer_products_of_a_row_block_equal_those_rows_of_the_whole_call``
+pins that BADGE seeding, which builds gradient-embedding rows from their two
+factors a block at a time, builds the rows ``learner.gradient_embedding``
+makes. The other assumptions are tested where the code that needs them is:
 
 - ``Generator.choice``'s inverse-CDF arithmetic, which ``acquisition._draw``
   restates: ``tests/test_acquisition.py::TestBadgeDraw``;
@@ -57,6 +60,51 @@ def test_einsum_of_a_row_does_not_depend_on_the_other_rows():
         row = int(rows[0])
         alone = diff[row:row + 1]
         assert np.einsum("ij,ij->i", alone, alone).tobytes() == whole[row:row + 1].tobytes()
+
+
+def _outer_factors(rng, n, classes, width):
+    """Factor rows whose products include -0.0, subnormals, underflow to zero and overflow."""
+    left = rng.standard_normal((n, classes)) * 10.0 ** rng.integers(-170, 170, size=(n, 1))
+    right = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-170, 170, size=(n, 1))
+    left[rng.random((n, classes)) < 0.1] = 0.0
+    right[rng.random((n, width)) < 0.1] = -0.0
+    left[rng.random((n, classes)) < 0.05] = 1e-300  # times 1e-20 or less: subnormal or zero
+    right[rng.random((n, width)) < 0.05] = -1e-20
+    return left, right
+
+
+def test_einsum_outer_products_of_a_row_block_equal_those_rows_of_the_whole_call():
+    # BADGE seeding builds embedding rows from gathered factor rows into a reused block buffer
+    rng = np.random.default_rng(923)
+    for case in range(300):
+        n = int(rng.integers(1, 2500))
+        classes, width = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+        left, right = _outer_factors(rng, n, classes, width)
+        with np.errstate(over="ignore", under="ignore"):
+            whole = np.einsum("nc,nj->ncj", left, right)
+            buf = np.empty((1024, classes, width))
+            parts = [rng.permutation(n)[: int(rng.integers(1, min(n, 1024) + 1))], np.array([int(rng.integers(n))])]
+            parts += [np.arange(start, min(start + 1024, n)) for start in range(0, n, 1024)]  # blocks and a tail
+            for part in parts:
+                block = np.einsum("nc,nj->ncj", left[part], right[part], out=buf[:len(part)])
+                assert block.tobytes() == whole[part].tobytes()
+            one = int(rng.integers(n))
+            alone = np.einsum("nc,nj->ncj", left[one:one + 1], right[one:one + 1], out=buf[:1])
+            assert alone.tobytes() == whole[one:one + 1].tobytes()
+
+
+def test_einsum_with_a_ones_factor_changes_only_the_sign_of_zeros():
+    # a matrix given to BADGE seeding is the factor pair (matrix, ones((n, 1)))
+    rng = np.random.default_rng(925)
+    for case in range(300):
+        n, dim = int(rng.integers(1, 600)), int(rng.integers(1, 60))
+        matrix = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-320, 300, size=(n, 1))
+        matrix[rng.random((n, dim)) < 0.1] = -0.0
+        matrix[rng.random((n, dim)) < 0.1] = 0.0
+        built = np.einsum("nc,nj->ncj", matrix, np.ones((n, 1))).reshape(n, dim)
+        same_bits = built.view(np.int64) == matrix.view(np.int64)
+        assert np.all(same_bits | ((built == 0.0) & (matrix == 0.0)))
+        assert np.all(same_bits[matrix != 0.0])
 
 
 def test_cumsum_along_axis_1_equals_each_rows_own_cumsum():
