@@ -6,17 +6,19 @@ strategies consume — class posteriors, penultimate activations, and
 loss-gradient embeddings — while staying small enough to verify every
 gradient against finite differences.
 
-A step on a model this small is mostly numpy's per-call overhead, so the
-trials of an experiment (a worker's chunk of them) train in lockstep: their
-parameters are rows of one stack, and each step is one loss-and-gradient
-call and one Adam update for all of them. One trial trains as a stack of one.
+A step on a model this small is mostly per-call overhead, so the trials of
+an experiment (a worker's chunk of them) train in lockstep: their parameters
+are rows of one stack, and each step is one loss-and-gradient step and one
+Adam update for all of them. One trial trains as a stack of one. Each stack
+binds its steps, update, shuffle and accuracy check once, as closures over
+its arrays; :func:`cross_entropy_loss_and_grads` runs that same step once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
+from math import isfinite
 
 import numpy as np
 
@@ -63,7 +65,7 @@ class Model:
     """Classifier parameters; the hidden arrays are None for the linear model.
 
     The trainer's stack of models is one Model whose arrays carry a leading
-    trial axis; only the trainer's form of the loss call takes it.
+    trial axis; only the trainer's bound steps take it.
     """
 
     w_hidden: np.ndarray | None
@@ -126,18 +128,14 @@ def _bias_rows(model: Model) -> tuple[np.ndarray | None, np.ndarray]:
     return None if model.b_hidden is None else model.b_hidden[..., None, :], model.b_out[..., None, :]
 
 
-def _forward(model: Model, x: np.ndarray, h=None, z=None, biases=None) -> tuple[np.ndarray, np.ndarray]:
-    """Penultimate activations h (x itself for the linear model) and logits z of a batch.
-
-    Given arrays ``h`` and ``z`` of the results' shapes, they receive the results; ``biases`` are :func:`_bias_rows`.
-    """
-    b_hidden, b_out = biases or _bias_rows(model)
+def _forward(model: Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Penultimate activations h (x itself for the linear model) and logits z of a batch."""
     if model.w_hidden is not None:
-        h = np.matmul(x, model.w_hidden, h)
-        h += b_hidden
+        h = np.matmul(x, model.w_hidden)
+        h += model.b_hidden
         x = np.tanh(h, h)
-    z = np.matmul(x, model.w_out, z)
-    z += b_out
+    z = np.matmul(x, model.w_out)
+    z += model.b_out
     return x, z
 
 
@@ -208,29 +206,64 @@ def evaluate(model: Model, features, labels) -> float:
     return float(np.mean(predictions == y))
 
 
-class _Work:
-    """Every intermediate and every view of a loss-and-gradient call, so that a training step makes neither.
+def _step_binder(model: Model, lead: tuple[int, ...], grads: list[np.ndarray]):
+    """Intermediates for batches of leading shape ``lead``, (rows,) for a model or (trials, rows) for a stack.
 
-    ``lead`` is the batch's leading shape: (rows,) for a model, (trials, rows)
-    for a stack. ``grads`` receive the gradients; fresh arrays if not given.
-    Its views of the model follow in-place updates, as Adam's; a new stack shape needs a new ``_Work``.
+    ``bind(x, onehot, picks)`` returns a batch's loss-and-gradient step: a call
+    that writes the gradients into ``grads`` (ordered as ``model.parameters()``)
+    and returns each trial's loss summed over rows. Every array, view, ufunc
+    and constant a step uses is bound here, so a step makes none, and the steps
+    of one binder share its intermediates. Its views of the model follow
+    in-place updates, as Adam's.
     """
+    matmul, add, subtract, multiply, divide, exp, log, tanh = (
+        np.matmul, np.add, np.subtract, np.multiply, np.divide, np.exp, np.log, np.tanh)
+    maximum_reduce, add_reduce, one = np.maximum.reduce, np.add.reduce, _ONE
+    w_hidden, w_out = model.w_hidden, model.w_out
+    (b_hidden, b_out), w_out_t = _bias_rows(model), w_out.swapaxes(-1, -2)
+    g_w_hidden, g_b_hidden, g_w_out, g_b_out = [None, None, *grads][-4:]
+    width, classes = w_out.shape[-2:]
+    hidden = w_hidden is not None
+    h, dh, dtanh = (np.empty((*lead, width)) if hidden else None for _ in range(3))
+    z, e, zmax = np.empty((*lead, classes)), np.empty((*lead, classes)), np.empty((*lead, 1))
+    log_norm, picked, loss = np.empty(lead), np.empty(lead), np.empty(lead[:-1])
+    rows = np.array(float(lead[-1]))  # 0-d: a ufunc converts a Python scalar on every call
+    take, zmax_flat, log_norm_col = z.reshape(-1).take, zmax[..., 0], log_norm[..., None]
 
-    def __init__(self, model: Model, lead: tuple[int, ...], grads=None):
-        width, classes = model.w_out.shape[-2:]
-        self.grads = [np.empty_like(p) for p in model.parameters()] if grads is None else grads
-        self.h = self.dh = self.dtanh = self.h_t = None
-        if model.w_hidden is not None:
-            self.h, self.dh, self.dtanh = (np.empty((*lead, width)) for _ in range(3))
-            self.h_t = self.h.swapaxes(-1, -2)
-        self.z, self.e = np.empty((*lead, classes)), np.empty((*lead, classes))
-        self.zmax = np.empty((*lead, 1))
-        self.log_norm, self.picked = np.empty(lead), np.empty(lead)
-        self.loss = np.empty(lead[:-1])
-        self.rows = np.array(float(lead[-1]))  # 0-d: a ufunc converts a Python scalar on every call
-        # views that every call takes, made once
-        self.z_flat, self.zmax_flat, self.log_norm_col = self.z.reshape(-1), self.zmax[..., 0], self.log_norm[..., None]
-        self.biases, self.w_out_t = _bias_rows(model), model.w_out.swapaxes(-1, -2)
+    def bind(x: np.ndarray, onehot: np.ndarray, picks: np.ndarray):
+        x_t = x.swapaxes(-1, -2)
+        a = h if hidden else x  # the penultimate activations: x itself for the linear model
+        a_t = a.swapaxes(-1, -2)
+
+        def step() -> np.ndarray:
+            if hidden:
+                matmul(x, w_hidden, h)
+                add(h, b_hidden, h)
+                tanh(h, h)
+            matmul(a, w_out, z)
+            add(z, b_out, z)
+            maximum_reduce(z, -1, None, zmax, True)
+            add_reduce(exp(subtract(z, zmax, e), e), -1, None, log_norm)
+            add(zmax_flat, log(log_norm, log_norm), log_norm)
+            # the label's logit is taken, not multiplied out of the one-hot row: an infinite logit would give nan
+            take(picks, None, picked)
+            add_reduce(subtract(log_norm, picked, picked), -1, None, loss)
+
+            dz = exp(subtract(z, log_norm_col, z), z)  # the logits are not needed again
+            subtract(dz, onehot, dz)
+            divide(dz, rows, dz)
+            matmul(a_t, dz, g_w_out)
+            add_reduce(dz, -2, None, g_b_out)
+            if hidden:
+                matmul(dz, w_out_t, dh)
+                multiply(dh, subtract(one, multiply(h, h, dtanh), dtanh), dh)
+                matmul(x_t, dh, g_w_hidden)
+                add_reduce(dh, -2, None, g_b_hidden)
+            return loss
+
+        return step
+
+    return bind
 
 
 def _targets(labels, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -242,50 +275,23 @@ def _targets(labels, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     return onehot, np.arange(y.size).reshape(y.shape) * num_classes + y
 
 
-def cross_entropy_loss_and_grads(model: Model, features, labels,
-                                 out: _Work | None = None) -> tuple[float, list[np.ndarray]]:
+def cross_entropy_loss_and_grads(model: Model, features, labels) -> tuple[float, list[np.ndarray]]:
     """Mean cross-entropy over a batch of class indices ``labels`` plus analytic parameter gradients.
 
     Gradients are fresh arrays, returned in the order of ``model.parameters()``.
-
-    Private to the trainer: its steps pass the stack of models, ``out`` as its ``_Work``, ``features`` as
-    the (trials, rows, dim) batch and its ``swapaxes(-1, -2)``, and ``labels`` as the ``_targets`` pair
-    gathered once per epoch. That form checks nothing and returns each trial's loss summed over rows.
-    Any other call takes one model and no ``out``, and is checked and converted to it here.
+    The batch is checked, then run through the step the trainer binds for each
+    of its minibatches (:func:`_step_binder`), once.
     """
-    if isinstance(out, _Work):
-        (x, x_t), (onehot, picks), work = features, labels, out
-    elif out is not None:
-        raise TypeError(f"out must be the trainer's _Work or None, got {type(out).__name__}")
-    else:
-        x, _ = _as_batch(model, features)
-        if x.shape[-2] == 0:
-            raise ValueError("empty batch")
-        x_t, (onehot, picks) = x.swapaxes(-1, -2), _targets(labels, model.num_classes)
-        work = _Work(model, x.shape[:-1])
-
-    h, z = _forward(model, x, work.h, work.z, work.biases)
-    zmax = np.maximum.reduce(z, -1, None, work.zmax, True)
-    log_norm = np.add.reduce(np.exp(np.subtract(z, zmax, work.e), work.e), -1, None, work.log_norm)
-    np.add(work.zmax_flat, np.log(log_norm, log_norm), log_norm)
-    # the label's logit is taken, not multiplied out of the one-hot row: an infinite logit would give nan
-    picked = work.z_flat.take(picks, None, work.picked)
-    loss = np.add.reduce(np.subtract(log_norm, picked, picked), -1, None, work.loss)
-
-    dz = np.exp(np.subtract(z, work.log_norm_col, z), z)  # the logits are not needed again
-    np.subtract(dz, onehot, dz)
-    np.divide(dz, work.rows, dz)
-    grads = work.grads
-    np.matmul(x_t if work.h_t is None else work.h_t, dz, grads[-2])
-    np.add.reduce(dz, -2, None, grads[-1])
-    if work.h_t is not None:
-        dh = np.matmul(dz, work.w_out_t, work.dh)
-        np.multiply(dh, np.subtract(_ONE, np.multiply(h, h, work.dtanh), work.dtanh), dh)
-        np.matmul(x_t, dh, grads[0])
-        np.add.reduce(dh, -2, None, grads[1])
-    if work is out:
-        return loss, grads
-    return float(np.divide(loss, work.rows, loss)), grads
+    x, _ = _as_batch(model, features)
+    y = np.asarray(labels, dtype=np.int64)
+    if x.shape[0] == 0:
+        raise ValueError("empty batch")
+    if y.shape != x.shape[:1]:
+        raise ValueError("features and labels must have equal length")
+    onehot, picks = _targets(y, model.num_classes)
+    grads = [np.empty_like(p) for p in model.parameters()]
+    loss = _step_binder(model, x.shape[:-1], grads)(x, onehot, picks)()
+    return float(loss) / len(x), grads
 
 
 @dataclass(frozen=True)
@@ -302,12 +308,15 @@ class TrainResult:
 
 
 class _Stack:
-    """The trials still training, one row each: parameters, Adam moments, data and work arrays.
+    """The trials still training, one row each: parameters, Adam moments, data, and the plan that trains them.
 
     A trial that leaves is dropped and the rows behind it move up, so a step
     costs what the remaining trials need. The parameter, moment and data
-    arrays are allocated here; what the steps use are views of them, rebuilt
-    with fresh work arrays when the stack shrinks. :meth:`accuracy` hands out
+    arrays are allocated here. The plan is bound to views of them, and is
+    bound again with fresh intermediates when the stack shrinks: ``steps``,
+    one loss-and-gradient step per minibatch (:func:`_step_binder`),
+    ``update(step)``, the Adam update, and ``shuffle(rngs)``, the epoch's
+    shuffle. A step and an update make no array. :meth:`accuracy` hands out
     fresh logits with each accuracy, for the caller to drop rows from both.
     """
 
@@ -320,7 +329,6 @@ class _Stack:
         self.dims = (first.feature_dim, first.num_classes)
         self.flat = np.stack([np.concatenate([p.ravel() for p in m.parameters()]) for m in models])
         self.moment1, self.moment2, self.grad = (np.zeros_like(self.flat) for _ in range(3))
-        self.scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
         # 0-d: a ufunc converts a Python scalar on every call
         self.constants = tuple(np.array(c) for c in (ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2,
                                                      cfg.learning_rate, ADAM_EPSILON))
@@ -342,49 +350,61 @@ class _Stack:
                 zip(np.split(buffer, self.offsets, axis=-1), self.shapes)]
 
     def _view(self) -> None:
-        k = len(self.rows)
+        k, n = len(self.rows), self.x.shape[1]
         params = self._split(self.flat[:k])
         hidden = params[:-2] if len(params) == 4 else [None, None]
-        self.model = Model(*hidden, *params[-2:], *self.dims)
-        self.adam = (self.flat[:k], self.grad[:k], self.moment1[:k], self.moment2[:k],
-                     *(a[:k] for a in self.scratch))
+        self.model = model = Model(*hidden, *params[-2:], *self.dims)
         grads = self._split(self.grad[:k])
-        works = {rows: _Work(self.model, (k, rows), grads) for rows in {end - start for start, end in self.spans}}
-        self.batches = [((x := self.xs[:k, start:end], x.swapaxes(-1, -2)),
-                         (self.onehots[:k, start:end], self.picks[:k, start:end]), works[end - start])
-                        for start, end in self.spans]
+        binders = {rows: _step_binder(model, (k, rows), grads) for rows in {end - start for start, end in self.spans}}
+        self.steps = [binders[end - start](self.xs[:k, start:end], self.onehots[:k, start:end],
+                                           self.picks[:k, start:end]) for start, end in self.spans]
+        matmul, add, subtract, multiply, divide, sqrt, tanh = (
+            np.matmul, np.add, np.subtract, np.multiply, np.divide, np.sqrt, np.tanh)
 
-    def shuffle(self, rngs: list[np.random.Generator]) -> None:
-        """Gather each trial's rows in a fresh permutation of its own, so every minibatch is a view."""
-        for row, trial in enumerate(self.rows):
-            order = rngs[trial].permutation(self.x.shape[1])
-            self.x[row].take(order, 0, self.xs[row])
-            self.y[row].take(order, 0, self.ys[row])
-            self.onehot[row].take(order, 0, self.onehots[row])
-        self._pick()
-
-    def _pick(self) -> None:
-        k = len(self.rows)
-        np.add(self.ys[:k], self.pick_offsets[:k], self.picks[:k])
-
-    def update(self, step: int) -> None:
-        """One Adam update of every trial's flat parameters."""
-        flat, grad, moment1, moment2, a, b = self.adam
+        flat, grad, moment1, moment2 = (array[:k] for array in (self.flat, self.grad, self.moment1, self.moment2))
+        a, b = np.empty_like(flat), np.empty_like(flat)
         beta1, decay1, beta2, decay2, learning_rate, epsilon = self.constants
-        bias1 = 1.0 - ADAM_BETA1 ** step
-        bias2 = 1.0 - ADAM_BETA2 ** step
-        # elementwise, so one update over the stack has the bits of one per parameter and trial
-        np.multiply(moment1, beta1, moment1)
-        np.add(moment1, np.multiply(grad, decay1, a), moment1)
-        np.multiply(moment2, beta2, moment2)
-        np.add(moment2, np.multiply(np.multiply(grad, grad, b), decay2, b), moment2)
-        np.multiply(np.divide(moment1, bias1, a), learning_rate, a)
-        np.subtract(flat, np.divide(a, np.add(np.sqrt(np.divide(moment2, bias2, b), b), epsilon, b), a), flat)
+
+        def update(step: int) -> None:
+            """One Adam update of every trial's flat parameters."""
+            bias1 = 1.0 - ADAM_BETA1 ** step
+            bias2 = 1.0 - ADAM_BETA2 ** step
+            # elementwise, so one update over the stack has the bits of one per parameter and trial
+            multiply(moment1, beta1, moment1)
+            add(moment1, multiply(grad, decay1, a), moment1)
+            multiply(moment2, beta2, moment2)
+            add(moment2, multiply(multiply(grad, grad, b), decay2, b), moment2)
+            multiply(divide(moment1, bias1, a), learning_rate, a)
+            subtract(flat, divide(a, add(sqrt(divide(moment2, bias2, b), b), epsilon, b), a), flat)
+
+        gathers = [(trial, self.x[row].take, self.xs[row], self.y[row].take, self.ys[row],
+                    self.onehot[row].take, self.onehots[row]) for row, trial in enumerate(self.rows)]
+        ys, pick_offsets, picks = self.ys[:k], self.pick_offsets[:k], self.picks[:k]
+
+        def shuffle(rngs: list[np.random.Generator]) -> None:
+            """Gather each trial's rows in a fresh permutation of its own, so every minibatch is a view."""
+            for trial, take_x, xs, take_y, ys_row, take_onehot, onehots in gathers:
+                order = rngs[trial].permutation(n)
+                take_x(order, 0, xs)
+                take_y(order, 0, ys_row)
+                take_onehot(order, 0, onehots)
+            add(ys, pick_offsets, picks)
+
+        x, y, w_hidden, w_out = self.x[:k], self.y[:k], model.w_hidden, model.w_out
+        b_hidden, b_out = _bias_rows(model)
+        h = None if w_hidden is None else np.empty((k, n, w_hidden.shape[-1]))
+
+        def accuracy() -> tuple[np.ndarray, np.ndarray]:
+            penult = x if h is None else tanh(add(matmul(x, w_hidden, h), b_hidden, h), h)
+            z = matmul(penult, w_out)
+            add(z, b_out, z)
+            return (z.argmax(-1) == y).sum(-1) / n, z
+
+        self.update, self.shuffle, self._accuracy = update, shuffle, accuracy
 
     def accuracy(self) -> tuple[np.ndarray, np.ndarray]:
         """Full-train accuracy of each row (the fraction of rows whose argmax logit is the label), and those logits."""
-        _, z = _forward(self.model, self.x[:len(self.rows)])
-        return (z.argmax(-1) == self.y[:len(self.rows)]).sum(-1) / self.x.shape[1], z
+        return self._accuracy()
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop every row not in ``rows`` (ascending); the kept rows move up in order."""
@@ -393,7 +413,7 @@ class _Stack:
                       self.xs, self.ys, self.onehots):
             array[:k] = array[rows]
         self.rows = [self.rows[row] for row in rows]
-        self._pick()
+        np.add(self.ys[:k], self.pick_offsets[:k], self.picks[:k])
         self._view()
 
     def release(self, row: int, model: Model) -> np.ndarray:
@@ -449,17 +469,17 @@ def train_lockstep(models: list[Model], features, labels, cfg: LearnerConfig,
     accuracy, logits = stack.accuracy()
     for epoch in range(1, cfg.max_epochs + 1):
         stack.shuffle(rngs)
-        for batch in range(len(stack.batches)):
-            features, targets, work = stack.batches[batch]
-            loss_sum, _ = cross_entropy_loss_and_grads(stack.model, features, targets, out=work)
+        for batch in range(len(stack.steps)):
+            loss_sum = stack.steps[batch]()
             step += 1
-            finite = list(map(math.isfinite, loss_sum.tolist()))  # a sum is finite exactly when its mean is
-            if not all(finite):
+            if not all(map(isfinite, loss_sum.tolist())):  # a sum is finite exactly when its mean is
+                finite = list(map(isfinite, loss_sum.tolist()))
+                start, end = stack.spans[batch]
                 for row in np.flatnonzero(np.logical_not(finite)):
                     trial = stack.rows[row]
                     stack.release(row, models[trial])
                     outcomes[trial] = TrainingDiverged(
-                        f"training diverged: loss is {loss_sum[row] / work.rows} at step {step}")
+                        f"training diverged: loss is {loss_sum[row] / (end - start)} at step {step}")
                 stack.keep(np.flatnonzero(finite))
                 if not stack.rows:
                     return outcomes

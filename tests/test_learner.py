@@ -1,3 +1,6 @@
+import inspect
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -354,13 +357,14 @@ class TestFusedTrainer:
 
 
 class TestGradients:
-    def test_out_other_than_the_trainers_work_is_refused(self):
+    @pytest.mark.parametrize("labels", [6, 8, 1])
+    @pytest.mark.parametrize("hidden_width", [8, 0], ids=["hidden", "linear"])
+    def test_labels_of_another_length_are_refused(self, labels, hidden_width):
         rng = np.random.default_rng(3)
-        x, y = rng.standard_normal((7, 4)), rng.integers(0, 3, size=7)
-        model = init_model(LearnerConfig(hidden_width=8), 4, 3, seed=1)
-        for out in ([np.empty_like(p) for p in model.parameters()], (), np.empty(3)):
-            with pytest.raises(TypeError, match="_Work or None"):
-                cross_entropy_loss_and_grads(model, x, y, out=out)
+        x, y = rng.standard_normal((7, 4)), rng.integers(0, 3, size=labels)
+        model = init_model(LearnerConfig(hidden_width=hidden_width), 4, 3, seed=1)
+        with pytest.raises(ValueError, match="^features and labels must have equal length$"):
+            cross_entropy_loss_and_grads(model, x, y)
 
     def test_fresh_arrays_without_out(self):
         rng = np.random.default_rng(4)
@@ -409,7 +413,7 @@ def trial_model(stack, row):
 
 
 class TestTrainerForm:
-    """The trainer's form of the loss call (a ``_Work`` as ``out``) against the public, checked call."""
+    """The trainer's bound steps against the public, checked call."""
 
     # minibatch 16 over 37 rows: two full batches and a short last one of 5
     @pytest.mark.parametrize("trials", [1, 2, 5])
@@ -424,22 +428,45 @@ class TestTrainerForm:
         rngs = [np.random.default_rng(t) for t in range(trials)]
         step = 0
         for epoch in range(3):
-            if epoch == 2 and trials > 1:  # the stack's views are rebuilt for its kept rows
+            if epoch == 2 and trials > 1:  # the stack's plan is bound again for its kept rows
                 stack.keep(np.arange(1, trials))
             stack.shuffle(rngs)
-            for features, targets, work in stack.batches:
-                loss_sum, grads = cross_entropy_loss_and_grads(stack.model, features, targets, out=work)
-                loss_sum, grads = loss_sum.copy(), [g.copy() for g in grads]
-                assert loss_sum.shape == (len(stack.rows),)
-                for row in range(len(stack.rows)):  # each row against a call on that trial's own model
+            for (start, end), run in zip(stack.spans, stack.steps):
+                k = len(stack.rows)
+                loss_sum = run().copy()
+                grads = [g.copy() for g in stack._split(stack.grad[:k])]
+                assert loss_sum.shape == (k,)
+                for row in range(k):  # each row against a call on that trial's own model
                     model = trial_model(stack, row)
-                    loss, expected = cross_entropy_loss_and_grads(model, features[0][row], targets[0][row].argmax(-1))
+                    loss, expected = cross_entropy_loss_and_grads(model, stack.xs[row, start:end],
+                                                                  stack.ys[row, start:end])
                     assert type(loss) is float
-                    assert np.divide(loss_sum[row], work.rows).tobytes() == np.float64(loss).tobytes()
+                    assert np.float64(loss_sum[row] / (end - start)).tobytes() == np.float64(loss).tobytes()
                     for g, e in zip(grads, expected):
                         assert g[row].shape == e.shape and g[row].tobytes() == e.tobytes()
                 step += 1
-                stack.update(step)  # in place, so the next call sees the updated biases through the views
+                stack.update(step)  # in place, so the next step sees the updated biases through the views
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("hidden_width", [8, 0], ids=["hidden", "linear"])
+    def test_bound_steps_and_updates_allocate_nothing(self, trials, hidden_width):
+        # 37 rows in minibatches of 16 leave a short last batch of 5
+        rng = np.random.default_rng(trials + hidden_width)
+        cfg = LearnerConfig(hidden_width=hidden_width, learning_rate=0.05, minibatch_size=16)
+        x, y = rng.standard_normal((trials, 37, 4)), rng.integers(0, 3, size=(trials, 37))
+        stack = learner._Stack([init_model(cfg, 4, 3, seed=t) for t in range(trials)], x, y, cfg)
+        stack.shuffle([np.random.default_rng(t) for t in range(trials)])
+        tracemalloc.start()
+        try:
+            for step in range(1, 201):
+                assert all(map(math.isfinite, stack.steps[step % len(stack.steps)]().tolist()))
+                stack.update(step)
+                if step == 1:
+                    after_first = tracemalloc.get_traced_memory()[0]
+            grown = tracemalloc.get_traced_memory()[0] - after_first
+        finally:
+            tracemalloc.stop()
+        assert grown < 400  # the Python floats of tolist()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("nan", [True, False], ids=["nan", "inf"])
@@ -557,10 +584,13 @@ class TestLockstep:
         stack.shuffle([np.random.default_rng(t) for t in range(4)])
         shuffled = stack.xs.copy()
         stack.keep(np.array([0, 2, 3]))
-        for features, (onehot, picks), work in stack.batches:
-            # each batch's picks index the label logits of its own (trials, rows, classes) logits
+        for (start, end), run in zip(stack.spans, stack.steps):
+            bound = inspect.getclosurevars(run).nonlocals
+            onehot, picks = bound["onehot"], bound["picks"]
+            # each step's picks index the label logits of its own (trials, rows, classes) logits
             assert np.array_equal(picks, learner._targets(onehot.argmax(-1), 3)[1])
-            assert work.z.shape == onehot.shape
+            assert bound["x"].shape == (3, end - start, 2) and bound["z"].shape == onehot.shape
+            assert np.array_equal(bound["x"], stack.xs[:3, start:end])
         assert np.array_equal(stack.xs[:3], shuffled[[0, 2, 3]])
 
     def test_shape_mismatch_is_rejected(self):
@@ -579,7 +609,7 @@ class TestLockstep:
 
 
 class TestStackRefused:
-    """Only the trainer's form of the loss call takes a stack of models; every public call refuses it."""
+    """Only the trainer's bound steps take a stack of models; every public call refuses it."""
 
     @pytest.mark.parametrize("call", [
         lambda model, x, y: penultimate(model, x),

@@ -1,13 +1,22 @@
 """numpy behaviour that bitwise claims of decal rest on, one named test each.
 
 Each case fuzzes the behaviour directly, so a numpy that changes it fails
-here, next to its cause, and not only as a changed golden digest. Among them,
-``test_generator_random_is_zero_or_a_multiple_of_2_to_the_minus_53`` pins the
-floor on ``u`` that ``acquisition._draw``'s certified draw rests on, and
-``test_einsum_outer_products_of_a_row_block_equal_those_rows_of_the_whole_call``
-pins that BADGE seeding, which builds gradient-embedding rows from their two
-factors a block at a time, builds the rows ``learner.gradient_embedding``
-makes. The other assumptions are tested where the code that needs them is:
+here, next to its cause, and not only as a changed golden digest. Among them:
+
+- ``test_generator_random_is_zero_or_a_multiple_of_2_to_the_minus_53`` pins
+  the floor on ``u`` that ``acquisition._draw``'s certified draw rests on;
+- ``test_einsum_outer_products_of_a_row_block_equal_those_rows_of_the_whole_call``
+  pins that BADGE seeding, which builds gradient-embedding rows from their two
+  factors a block at a time, builds the rows ``learner.gradient_embedding``
+  makes;
+- ``test_matmul_and_add_reduce_over_a_stack_equal_each_trials_own_2d_call``
+  pins that ``np.matmul``, with the trainer's ``swapaxes(-1, -2)`` operands,
+  and ``np.add.reduce(..., -2)`` give each trial of a (trials, rows, dim)
+  stack the bytes of its own 2-D call. ``learner.train_lockstep``'s claim
+  that each trial is bitwise as it trains in a stack of one, and as the
+  public loss call computes, rests on it.
+
+The other assumptions are tested where the code that needs them is:
 
 - ``Generator.choice``'s inverse-CDF arithmetic, which ``acquisition._draw``
   restates: ``tests/test_acquisition.py::TestBadgeDraw``;
@@ -116,6 +125,43 @@ def test_cumsum_along_axis_1_equals_each_rows_own_cumsum():
         whole = np.cumsum(weights, axis=1)
         for t in range(trials):
             assert whole[t].tobytes() == np.cumsum(weights[t]).tobytes()
+
+
+def _stacked(rng, trials, rows, cols):
+    """A (trials, rows, cols) view into a larger array, as the trainer's minibatches and parameters are,
+    with values over many scales, ±inf and NaN."""
+    spare = int(rng.integers(0, 3))
+    base = rng.standard_normal((trials, rows + spare, cols)) * 10.0 ** rng.integers(-100, 100, size=(trials, 1, 1))
+    base[rng.random(base.shape) < 0.02] = np.inf
+    base[rng.random(base.shape) < 0.02] = -np.inf
+    base[rng.random(base.shape) < 0.02] = np.nan
+    return base[:, spare:]
+
+
+def _oriented(array, swapped):
+    return array.swapaxes(-1, -2) if swapped else array
+
+
+def test_matmul_and_add_reduce_over_a_stack_equal_each_trials_own_2d_call():
+    # train_lockstep trains each trial bitwise as in a stack of one, and as the public 2-D loss call
+    rng = np.random.default_rng(927)
+    for case in range(300):
+        trials, r, d, m = (int(rng.integers(1, top + 1)) for top in (6, 40, 20, 20))
+        a = _stacked(rng, trials, r, d)
+        # the trainer's x @ w, h.swapaxes(-1, -2) @ dz and dz @ w_out.swapaxes(-1, -2), each with (stack, swapped)
+        products = [((a, False), (_stacked(rng, trials, d, m), False)),
+                    ((a, True), (_stacked(rng, trials, r, m), False)),
+                    ((a, False), (_stacked(rng, trials, m, d), True))]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for operands in products:
+                left, right = (_oriented(o, swapped) for o, swapped in operands)
+                whole = np.matmul(left, right, np.empty((trials, left.shape[-2], right.shape[-1])))
+                for t in range(trials):
+                    own = (_oriented(np.ascontiguousarray(o[t]), swapped) for o, swapped in operands)
+                    assert whole[t].tobytes() == np.matmul(*own).tobytes()
+            summed = np.add.reduce(a, -2, None, np.empty((trials, d)))
+            for t in range(trials):
+                assert summed[t].tobytes() == np.add.reduce(np.ascontiguousarray(a[t]), -2).tobytes()
 
 
 def test_repeat_along_axis_0_equals_indexing_by_repeated_rows():
