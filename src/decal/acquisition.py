@@ -140,12 +140,12 @@ def badge_seeding(embeddings: np.ndarray | tuple[np.ndarray, np.ndarray], k: int
 
     ``embeddings`` is a 2-D matrix, or the pair of factors ``(left, right)``
     (n x C and n x H) whose row i is ``outer(left[i], right[i]).ravel()``, as
-    :func:`decal.learner.gradient_factors` gives them. A matrix is the pair
-    ``(matrix, ones((n, 1)))``. Rows are built only where they are measured,
-    at most ``_BLOCK_ROWS`` at a time, by the ``einsum`` that
-    :func:`decal.learner.gradient_embedding` uses, so no n x (C * H) array is
-    made and each built row is bitwise that function's row (a matrix's -0.0
-    becomes +0.0, which no squared distance sees).
+    :func:`decal.learner.gradient_factors` gives them; array-likes are taken
+    as float64. A matrix is the pair ``(matrix, ones((n, 1)))``. Rows are
+    built only where they are measured, at most ``_BLOCK_ROWS`` at a time, by
+    the ``einsum`` that :func:`decal.learner.gradient_embedding` uses, so no
+    n x (C * H) array is made and each built row is bitwise that function's
+    row (a matrix's -0.0 becomes +0.0, which no squared distance sees).
 
     First pick is the maximum-norm row (ties toward the lowest row); each
     later pick is drawn with probability proportional to its squared
@@ -164,9 +164,9 @@ def badge_seeding(embeddings: np.ndarray | tuple[np.ndarray, np.ndarray], k: int
     >= |new-a| - |x-a| > |x-a|``, so the row is skipped. The bound carries a
     margin for rounding and underflow. Of the rows it keeps,
     :meth:`_Certificate.measure` builds and measures only those that a
-    rank-1 bound on their distance cannot prove stay where they are. So
-    every distance and every pick is bitwise the one a full measurement of
-    every row would give.
+    rank-1 bound on their distance cannot prove stay where they are. Each
+    distance is ``einsum("ij,ij->i", diff, diff)``'s for ``diff = row -
+    center``, so every pick is bitwise the one a full measurement would give.
 
     The sampling weights (the distance of an eligible row, 0 elsewhere) and
     the prune bound are kept up to date on the rows a pick moves or blocks,
@@ -184,8 +184,9 @@ def badge_seeding(embeddings: np.ndarray | tuple[np.ndarray, np.ndarray], k: int
     """
     left, right = _factor_pair(embeddings)
     n = len(left)
-    if groups is not None and np.shape(groups) != (n,):
-        raise ValueError(f"groups must be 1-D with one entry per row: shape {np.shape(groups)} "
+    groups = None if groups is None else np.asarray(groups)
+    if groups is not None and groups.shape != (n,):
+        raise ValueError(f"groups must be 1-D with one entry per row: shape {groups.shape} "
                          f"for embeddings of shape {(n, left.shape[1] * right.shape[1])}")
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -211,7 +212,7 @@ def badge_seeding(embeddings: np.ndarray | tuple[np.ndarray, np.ndarray], k: int
     centers = built.reshape(k, -1)  # the picks' built rows
     _build(left[current:current + 1], right[current:current + 1], built[:1])
     relaxed = 0
-    dist_sq = _sq_distances((left, right), centers[0], np.arange(n))
+    dist_sq = certificate.distances(centers[0])
     nearest = np.zeros(n, dtype=np.intp)  # dist_sq[i] is to the built row of order[nearest[i]]
     bound = _PRUNE_FACTOR * dist_sq + _PRUNE_FLOOR
     weights = dist_sq.copy()  # dist_sq on eligible rows, 0 elsewhere
@@ -234,7 +235,7 @@ def badge_seeding(embeddings: np.ndarray | tuple[np.ndarray, np.ndarray], k: int
             current = int(np.argmin(picked if num_blocked == n else blocked))  # lowest eligible row
         order[m] = current
         _build(left[current:current + 1], right[current:current + 1], built[m:m + 1])
-        # _sq_distances' bitwise reference form: over at most k - 1 picks its blocks cost more than they save
+        # _Certificate._step's einsum form in one call: over at most k - 1 picks, blocks cost more than they save
         diff = centers[:m] - centers[m]
         rows = np.flatnonzero(np.einsum("ij,ij->i", diff, diff)[nearest] <= bound)
         rows, moved = certificate.measure(current, centers[m], rows, dist_sq)
@@ -340,16 +341,17 @@ _BLOCK_ROWS = 1024
 
 
 def _factor_pair(embeddings) -> tuple[np.ndarray, np.ndarray]:
-    """``(left, right)`` for a factor pair or a 2-D matrix, which is ``(matrix, ones((n, 1)))``."""
+    """``(left, right)`` as float64 arrays for a factor pair or a 2-D matrix, which is ``(matrix, ones((n, 1)))``."""
     if isinstance(embeddings, tuple):
-        left, right = embeddings
-        if left.ndim != 2 or right.ndim != 2 or len(left) != len(right):
-            raise ValueError("embedding factors must be 2-D with one row per candidate, "
-                             f"got shapes {left.shape} and {right.shape}")
-        return left, right
-    if embeddings.ndim != 2:
-        raise ValueError(f"embeddings must be a 2-D matrix, got shape {embeddings.shape}")
-    return embeddings, np.ones((len(embeddings), 1))
+        factors = [np.asarray(factor, dtype=np.float64) for factor in embeddings]
+        if len(factors) != 2 or factors[0].ndim != 2 or factors[1].ndim != 2 or len(factors[0]) != len(factors[1]):
+            raise ValueError("embedding factors must be two 2-D arrays with one row per candidate, "
+                             f"got shapes {' and '.join(str(factor.shape) for factor in factors)}")
+        return factors[0], factors[1]
+    matrix = np.asarray(embeddings, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ValueError(f"embeddings must be a 2-D matrix, got shape {matrix.shape}")
+    return matrix, np.ones((len(matrix), 1))
 
 
 def _build(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -357,34 +359,8 @@ def _build(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.einsum("nc,nj->ncj", left, right, out=out).reshape(len(out), out.shape[1] * out.shape[2])
 
 
-def _sq_distances(embeddings, center: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Squared distances from ``center`` to the built rows ``rows`` of ``embeddings`` (see :func:`badge_seeding`).
-
-    Works in blocks of rows through one reused buffer, so no ``(len(rows), d)``
-    array is made. The center is tiled to a block's shape once, so each
-    block's subtraction is one flat loop rather than one short loop per row.
-    Subtraction rounds each element on its own, and the ``einsum`` is the one
-    a single call would make, so each row's distance is that of
-    ``diff = matrix[rows] - center; einsum("ij,ij->i", diff, diff)``, bit for
-    bit, with ``matrix`` the whole embedding.
-    """
-    left, right = _factor_pair(embeddings)
-    out = np.empty(len(rows))
-    block_rows = min(len(rows), _BLOCK_ROWS)
-    buf = np.empty((block_rows, left.shape[1], right.shape[1]))
-    tiled = np.tile(center, (block_rows, 1))
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        part = rows[start:start + _BLOCK_ROWS]
-        # the rows are valid; "clip" spares take the buffered copy of its bounds check
-        block = _build(np.take(left, part, axis=0, mode="clip"), np.take(right, part, axis=0, mode="clip"),
-                       buf[:len(part)])
-        np.subtract(block, tiled[:len(part)], out=block)
-        np.einsum("ij,ij->i", block, block, out=out[start:start + len(part)])
-    return out
-
-
 class _Certificate:
-    """Rank-1 bounds on the built rows of one seeding's factors, and the buffers its blocks reuse.
+    """Rank-1 bounds on one seeding's built rows, and the one block step and buffers that build and measure them.
 
     For row i, ``l = |left_i|**2``, ``r = |right_i|**2`` and ``s = l r``; the
     row's margin is ``4 T (u s + tau (l + r + 1/2))``, with ``T = C H + C + H
@@ -421,13 +397,39 @@ class _Certificate:
         outside = ~(l_sq + r_sq + s <= 2.0 ** 1000)
         self.v, self.hi = s - margin, s + margin
         self.v[outside] = self.hi[outside] = np.nan
-        self.buffers = None  # measure's blocks, made once no other block buffer is held
+        block_rows = min(len(left), _BLOCK_ROWS)
+        self.a_buf, self.b_buf = np.empty((block_rows, c)), np.empty((block_rows, h))
+        self.built, self.tiled = np.empty((block_rows, c, h)), np.empty((block_rows, c * h))
+
+    def _step(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The rows of factor rows ``a``, ``b``, built into ``self.built`` less the center tiled in ``self.tiled``.
+
+        Their squared norms go to ``out``. Subtraction rounds each element on
+        its own, and a row's ``einsum`` does not depend on the rows that
+        share its call, so each is ``diff = matrix[rows] - center;
+        einsum("ij,ij->i", diff, diff)``'s, bit for bit, with ``matrix`` the
+        whole embedding. Returns the block, flattened.
+        """
+        block = _build(a, b, self.built[:len(a)])
+        np.subtract(block, self.tiled[:len(a)], out=block)
+        np.einsum("ij,ij->i", block, block, out=out)
+        return block
+
+    def distances(self, center: np.ndarray) -> np.ndarray:
+        """The squared distance of every built row to ``center``, as :meth:`_step` measures it."""
+        out = np.empty(len(self.left))
+        self.tiled[:] = center
+        for start in range(0, len(out), _BLOCK_ROWS):
+            part = slice(start, start + _BLOCK_ROWS)
+            self._step(self.left[part], self.right[part], out[part])
+        return out
 
     def max_norm_row(self) -> int:
         """The first row of largest squared norm, ``argmax(einsum("ij,ij->i", matrix, matrix))`` bit for bit.
 
         Only the rows whose ``hi`` is not below the largest ``v`` are built,
-        and their squared norms computed as that ``einsum`` computes them.
+        by :meth:`_step` against a zero center: ``x - 0.0`` is ``x`` bit for
+        bit, -0.0 included, so each squared norm is that ``einsum``'s.
         A row's squared norm lies in [v, hi] (the class's error terms), so
         the norm of the argmax row is at least the largest v, and every row
         that could reach it is built; rows outside the window are built
@@ -439,13 +441,12 @@ class _Certificate:
         top = np.max(self.v, initial=-np.inf, where=~np.isnan(self.v))
         candidates = np.flatnonzero(~(self.hi < top))
         norms = np.empty(len(candidates))
-        buf = np.empty((min(len(candidates), _BLOCK_ROWS), self.left.shape[1], self.right.shape[1]))
+        self.tiled[:len(candidates)] = 0.0
         for start in range(0, len(candidates), _BLOCK_ROWS):
-            part = candidates[start:start + _BLOCK_ROWS]
-            block = _build(self.left[part], self.right[part], buf[:len(part)])
-            np.einsum("ij,ij->i", block, block, out=norms[start:start + len(part)])
+            part, out = candidates[start:start + _BLOCK_ROWS], norms[start:start + _BLOCK_ROWS]
+            block = self._step(self.left[part], self.right[part], out)
             # a squared norm is finite wherever its row is; a finite row may overflow it
-            if not np.isfinite(norms[start:start + len(part)]).all() and not np.isfinite(block).all():
+            if not np.isfinite(out).all() and not np.isfinite(block).all():
                 raise ValueError("embeddings must be finite")
         return int(candidates[np.argmax(norms)])
 
@@ -453,13 +454,14 @@ class _Certificate:
                 dist_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows of ``rows`` that may come nearer than ``dist_sq`` to ``center``, the built row ``c``, and their distances.
 
-        Each distance is :func:`_sq_distances`' for the row, bit for bit. Rows
-        are taken ``_BLOCK_ROWS`` at a time, with one gather of each factor,
-        and a row is built from those gathers and measured unless ``L = v_i +
-        v_c - 2 p q``, with ``p = left_i . left_c`` and ``q = right_i .
-        right_c``, is at least ``dist_sq[i]``. A NaN L, from a row outside
-        the window (such as every row of a 1e150-scaled pool, whose s
-        overflows), compares false and keeps its row.
+        Each distance is ``einsum("ij,ij->i", diff, diff)``'s for ``diff =
+        row - center``, bit for bit (:meth:`_step`). Rows are taken
+        ``_BLOCK_ROWS`` at a time, with one gather of each factor, and a row
+        is built from those gathers and measured unless ``L = v_i + v_c - 2 p
+        q``, with ``p = left_i . left_c`` and ``q = right_i . right_c``, is at
+        least ``dist_sq[i]``. A NaN L, from a row outside the window (such as
+        every row of a 1e150-scaled pool, whose s overflows), compares false
+        and keeps its row.
 
         Proof that a skipped row's measured distance M is at least
         ``dist_sq[i]``, so that it would not move. With the class's terms,
@@ -485,11 +487,6 @@ class _Certificate:
         + s_c) + tau. So L >= ``dist_sq[i]`` gives M >= ``dist_sq[i]``.
         """
         left, right, v = self.left, self.right, self.v
-        if self.buffers is None:
-            block_rows = min(len(left), _BLOCK_ROWS)
-            self.buffers = (np.empty((block_rows, left.shape[1])), np.empty((block_rows, right.shape[1])),
-                            np.empty((block_rows, left.shape[1], right.shape[1])), np.empty((block_rows, center.size)))
-        a_buf, b_buf, built, tiled = self.buffers
         a_c, b_c = left[c] * -2.0, right[c]  # scaling by -2 is exact: the dot is -2 p, within the bound on 2 p
         measured = np.empty(len(rows), dtype=np.intp)
         distances = np.empty(len(rows))
@@ -497,20 +494,20 @@ class _Certificate:
         for start in range(0, len(rows), _BLOCK_ROWS):
             part = rows[start:start + _BLOCK_ROWS]
             # the rows are valid; "clip" spares take the buffered copy of its bounds check
-            a = np.take(left, part, axis=0, out=a_buf[:len(part)], mode="clip")
-            b = np.take(right, part, axis=0, out=b_buf[:len(part)], mode="clip")
+            a = np.take(left, part, axis=0, out=self.a_buf[:len(part)], mode="clip")
+            b = np.take(right, part, axis=0, out=self.b_buf[:len(part)], mode="clip")
             lower = np.dot(a, a_c)
             lower *= np.dot(b, b_c)
             lower += v[c]
             lower += v[part]
             keep = np.flatnonzero(~(lower >= dist_sq[part]))
-            end = num_measured + len(keep)
-            if len(keep) > tiled_rows:  # the center is tiled once per pick, as far as a block needs it
-                tiled[tiled_rows:len(keep)] = center
-                tiled_rows = len(keep)
-            block = _build(np.take(a, keep, axis=0), np.take(b, keep, axis=0), built[:len(keep)])
-            np.subtract(block, tiled[:len(keep)], out=block)
-            np.einsum("ij,ij->i", block, block, out=distances[num_measured:end])
-            np.take(part, keep, out=measured[num_measured:end])
+            if len(keep) < len(part):
+                a, b, part = np.take(a, keep, axis=0), np.take(b, keep, axis=0), part[keep]
+            end = num_measured + len(part)
+            if len(part) > tiled_rows:  # the center is tiled once per pick, as far as a block needs it
+                self.tiled[tiled_rows:len(part)] = center
+                tiled_rows = len(part)
+            self._step(a, b, distances[num_measured:end])
+            measured[num_measured:end] = part
             num_measured = end
         return measured[:num_measured], distances[:num_measured]

@@ -406,16 +406,35 @@ class TestBadgePruning:
         _same_picks(matrix, k, 0, None)
 
     @pytest.mark.parametrize("n", [0, 1, "B-1", "B", "B+1", "2B+7"])
-    def test_sq_distances_bitwise_equal_to_one_einsum(self, n):
+    def test_built_rows_bitwise_equal_to_one_einsum(self, n):
         block = acquisition._BLOCK_ROWS
         n = {"B-1": block - 1, "B": block, "B+1": block + 1, "2B+7": 2 * block + 7}.get(n, n)
         rng = np.random.default_rng(3)
         matrix, center = rng.standard_normal((n, 48)), rng.standard_normal(48)
         diff = matrix - center
         expected = np.einsum("ij,ij->i", diff, diff)
-        assert acquisition._sq_distances(matrix, center, np.arange(n)).tobytes() == expected.tobytes()
+        certificate = acquisition._Certificate(*acquisition._factor_pair(matrix))
+        assert certificate.distances(center).tobytes() == expected.tobytes()
+        # measure with the center as a last row, and no distance to beat: every row given is built
         rows = rng.permutation(n)[: n // 2 + 1] if n else np.zeros(0, dtype=np.intp)
-        assert acquisition._sq_distances(matrix, center, rows).tobytes() == expected[rows].tobytes()
+        with_center = acquisition._Certificate(*acquisition._factor_pair(np.vstack([matrix, center])))
+        measured, distances = with_center.measure(n, center, rows, np.full(n + 1, np.inf))
+        assert measured.tolist() == rows.tolist()
+        assert distances.tobytes() == expected[rows].tobytes()
+
+    @pytest.mark.parametrize("n", [1, "B-1", "B", "B+1", "2B+7"])
+    def test_max_norm_row_is_the_first_argmax_of_one_einsum(self, n):
+        block = acquisition._BLOCK_ROWS
+        n = {"B-1": block - 1, "B": block, "B+1": block + 1, "2B+7": 2 * block + 7}.get(n, n)
+        rng = np.random.default_rng(3)
+        matrix = rng.standard_normal((n, 48))
+        matrix[rng.random(matrix.shape) < 0.1] = -0.0
+        top = np.argmax(np.einsum("ij,ij->i", matrix, matrix))
+        ties = rng.choice(n, size=min(n, 3), replace=False)
+        matrix[ties] = matrix[top] * np.where(rng.random(48) < 0.5, -1.0, 1.0)  # sign flips keep the norm's bits
+        norms = np.einsum("ij,ij->i", matrix, matrix)
+        assert n == 1 or (norms == norms.max()).sum() > 1
+        assert acquisition._Certificate(*acquisition._factor_pair(matrix)).max_norm_row() == np.argmax(norms)
 
     @pytest.mark.parametrize("scale", [1e153, 1e154])
     def test_overflowing_weight_total_is_a_value_error_that_says_so(self, scale):
@@ -425,24 +444,26 @@ class TestBadgePruning:
         with pytest.raises(ValueError, match="squared distances between embeddings overflow float64"):
             select_badge(embeddings, 4, seed=0)
 
-    def test_well_separated_clusters_measure_under_half_the_rows(self, monkeypatch):
+    def test_well_separated_clusters_build_under_an_eighth_of_the_rows(self, monkeypatch):
+        # the rows built after the first pick are those measure returns: 9,967 of n (k - 1) = 93,000; a
+        # certificate that skipped nothing would build all 19,723 that Elkan's bound keeps
         rng = np.random.default_rng(4)
         centers = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [0.0, 100.0, 0.0]])
         matrix = centers[np.arange(3000) % 3] + rng.standard_normal((3000, 3))
-        measured = []
-        full = acquisition._sq_distances
+        built = []
+        measure = acquisition._Certificate.measure
 
-        def counting(matrix, center, rows):
-            measured.append(len(rows))
-            return full(matrix, center, rows)
+        def counting(certificate, c, center, rows, dist_sq):
+            measured, distances = measure(certificate, c, center, rows, dist_sq)
+            built.append(len(measured))
+            return measured, distances
 
-        monkeypatch.setattr(acquisition, "_sq_distances", counting)
+        monkeypatch.setattr(acquisition._Certificate, "measure", counting)
         k = 32
         rows, _ = badge_seeding(matrix, k, seed=2)
         monkeypatch.undo()
         assert rows.tolist() == reference_badge_seeding(matrix, k, seed=2)[0].tolist()
-        assert sum(measured) < len(matrix) * (k - 1) / 2
-
+        assert sum(built) < len(matrix) * (k - 1) / 8
 
     def test_well_separated_clusters_keep_under_half_the_rows_for_the_certificate(self, monkeypatch):
         # the rows Elkan's bound keeps go to _Certificate.measure, which builds only those it cannot certify
@@ -823,6 +844,24 @@ class TestBadgeSeedingShapes:
     def test_factors_must_be_2d_with_one_row_per_candidate(self, left, right):
         with pytest.raises(ValueError, match=re.escape(f"got shapes {left.shape} and {right.shape}")):
             badge_seeding((left, right), 1, seed=0)
+
+    @pytest.mark.parametrize("factors", [(np.ones((5, 3)),), (np.ones((5, 3)), np.ones((5, 2)), np.ones((5, 1)))],
+                             ids=["1-tuple", "3-tuple"])
+    def test_factors_are_a_pair(self, factors):
+        shapes = " and ".join(str(factor.shape) for factor in factors)
+        with pytest.raises(ValueError, match=re.escape(f"got shapes {shapes}")):
+            badge_seeding(factors, 1, seed=0)
+
+    def test_nested_lists_seed_as_their_arrays(self):
+        rng = np.random.default_rng(5)
+        left, right = rng.standard_normal((40, 3)), rng.standard_normal((40, 4))
+        matrix, whole = rng.standard_normal((40, 12)), rng.integers(-3, 4, size=(40, 5))
+        groups = rng.integers(10, size=40)
+        for embeddings, listed in [(matrix, matrix.tolist()), (whole.astype(float), whole.tolist()),
+                                   ((left, right), (left.tolist(), right)), ((left, right), (left, right.tolist()))]:
+            rows, relaxed = badge_seeding(embeddings, 12, 3, groups)
+            listed_rows, listed_relaxed = badge_seeding(listed, 12, 3, groups.tolist())
+            assert (listed_rows.tolist(), listed_relaxed) == (rows.tolist(), relaxed)
 
     @pytest.mark.parametrize("bad", ["inf-times-zero", "nan", "overflowing-product"])
     def test_factors_whose_rows_are_not_finite_are_refused(self, bad):
